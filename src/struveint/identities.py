@@ -406,6 +406,7 @@ def verify_case(
             "cutoff_theta": quad.cutoff_theta,
             "error_estimate": quad.error_estimate,
             "converged": quad.converged,
+            "evaluations": quad.evaluations,
         },
         rhs_diag={
             "shells": series.shells,

@@ -41,8 +41,8 @@ class SeriesControl:
     consecutive_small: int = 3
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         if self.consecutive_small < 1:
@@ -98,6 +98,8 @@ class StruveParams:
     p: complex
     b: complex
     c: complex
+    # log Gamma(p + (b+2)/2), the leading term's constant.
+    _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("p", "b", "c"):
@@ -113,6 +115,7 @@ class StruveParams:
                 f"p + (b+2)/2 = {pole} is a non-positive integer; "
                 "the generalized Struve series is undefined"
             )
+        object.__setattr__(self, "_log_gamma_shifted", log_gamma(self.shifted_order))
 
     @property
     def shifted_order(self) -> complex:
@@ -126,10 +129,12 @@ def _require_positive_z(z) -> float:
     return z
 
 
-def _struve_terms(p: complex, second: complex, sign: complex, z: float):
-    """Terms of sum_k sign^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+second))."""
+def _struve_terms(p: complex, second: complex, log_gamma_second: complex,
+                  sign: complex, z: float):
+    """Terms of sum_k sign^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+second)),
+    given log G(second)."""
     half = z / 2.0
-    log_t0 = (p + 1) * math.log(half) - _LOG_GAMMA_3_2 - log_gamma(second)
+    log_t0 = (p + 1) * math.log(half) - _LOG_GAMMA_3_2 - log_gamma_second
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
     term = cmath.exp(log_t0)
@@ -139,9 +144,13 @@ def _struve_terms(p: complex, second: complex, sign: complex, z: float):
         term = term * ratio_base / ((k + 1.5) * (k + second))
 
 
+def _w_terms(params: StruveParams, z: float):
+    return _struve_terms(params.p, params.shifted_order, params._log_gamma_shifted, -params.c, z)
+
+
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     z = _require_positive_z(z)
-    return sum_terms(_struve_terms(params.p, params.shifted_order, -params.c, z), ctl)
+    return sum_terms(_w_terms(params, z), ctl)
 
 
 def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -153,7 +162,7 @@ def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> c
 
 
 def _struve_derivative_terms(params: StruveParams, z: float, order: int):
-    base = _struve_terms(params.p, params.shifted_order, -params.c, z)
+    base = _w_terms(params, z)
     for k, term in enumerate(base):
         m = 2 * k + params.p + 1
         if order == 1:
@@ -181,7 +190,7 @@ def struve_h_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesRe
     z = _require_positive_z(z)
     if nearest_pole(nu + 0.5) is not None:
         raise DomainError("nu + 1/2 must not be a non-positive integer")
-    return sum_terms(_struve_terms(nu, nu + 0.5, -1.0, z), ctl)
+    return sum_terms(_struve_terms(nu, nu + 0.5, log_gamma(nu + 0.5), -1.0, z), ctl)
 
 
 def struve_h_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -198,7 +207,7 @@ def struve_l_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesRe
     z = _require_positive_z(z)
     if nearest_pole(nu + 0.5) is not None:
         raise DomainError("nu + 1/2 must not be a non-positive integer")
-    return sum_terms(_struve_terms(nu, nu + 0.5, 1.0, z), ctl)
+    return sum_terms(_struve_terms(nu, nu + 0.5, log_gamma(nu + 0.5), 1.0, z), ctl)
 
 
 def struve_l_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:

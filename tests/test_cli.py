@@ -281,6 +281,15 @@ def test_verify_file_controls_respected(tmp_path, capsys):
     assert json.loads(out)["cases"][0]["tolerance"] == 1e-3
 
 
+def test_verify_non_finite_control_exit_2(tmp_path, capsys):
+    for key in ("quad_rel_tol", "series_rel_tol"):
+        path = write_cases(tmp_path, [GOOD_CASE], controls={key: "inf"})
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2, key
+        assert out == ""
+        assert "finite" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

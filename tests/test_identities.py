@@ -225,6 +225,7 @@ def test_verify_central_case():
     assert rep.passed
     assert rep.rel_err <= 1e-6
     assert rep.lhs_diag["converged"]
+    assert rep.lhs_diag["evaluations"] <= 1300
     assert rep.rhs_diag["shells"] >= 3
     assert rep.reason is None
 

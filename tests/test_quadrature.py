@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from struveint import (
     DomainError,
@@ -10,6 +11,7 @@ from struveint import (
     kernel_factor,
     oberhettinger_closed_form,
 )
+from struveint.quadrature import _GAUSS_POINTS, _GAUSS_WEIGHTS, _KRONROD
 
 BASE_GRID = [
     (a, mu, lam)
@@ -138,8 +140,11 @@ def test_decaying_g_rescues_flat_kernel():
 
 
 def test_control_validation():
-    with pytest.raises(DomainError):
-        QuadControl(rel_tol=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            QuadControl(rel_tol=bad)
+        with pytest.raises(DomainError):
+            QuadControl(abs_tol=bad)
     with pytest.raises(DomainError):
         QuadControl(max_panels=0)
     with pytest.raises(DomainError):
@@ -158,3 +163,39 @@ def test_tail_policy_cap_respected():
     ctl = QuadControl(theta_cutoff_policy=pol)
     res = integrate_kernel(lambda x: 1.0, 1.0, 1.0, 1.6, ctl)
     assert res.cutoff_theta <= 30.0
+
+
+def test_kronrod_rule_polynomial_exactness():
+    n = _GAUSS_POINTS
+    assert len(_KRONROD) == 2 * n + 1
+    for d in range(3 * n + 2):
+        approx = sum(w * x**d for x, w in _KRONROD)
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(approx - exact) <= 1e-14, d
+
+
+def test_kronrod_rule_embeds_gauss_and_is_positive_symmetric():
+    nodes = [x for x, _ in _KRONROD]
+    weights = [w for _, w in _KRONROD]
+    gauss_nodes, gauss_weights = leggauss(_GAUSS_POINTS)
+    assert max(abs(x - g) for x, g in zip(nodes[1::2], gauss_nodes)) <= 1e-15
+    assert max(abs(w - g) for w, g in zip(_GAUSS_WEIGHTS, gauss_weights)) <= 1e-14
+    assert nodes == sorted(nodes) and -1.0 < nodes[0]
+    assert all(w > 0 for w in weights + list(_GAUSS_WEIGHTS))
+    assert nodes == [-x for x in reversed(nodes)]
+    assert weights == weights[::-1]
+    assert list(_GAUSS_WEIGHTS) == list(_GAUSS_WEIGHTS)[::-1]
+
+
+def test_evaluations_count_every_call_of_g():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return math.exp(-x)
+
+    for mu, lam in ((0.5, 1.5), (1.2, 3.0)):
+        calls.clear()
+        res = integrate_kernel(g, 1.0, mu, lam)
+        assert res.converged
+        assert res.evaluations == len(calls)

@@ -63,6 +63,14 @@ def test_struve_w_c_reflection():
         assert rel(struve_w(StruveParams(p, b, -c), z), ref) < 5e-14
 
 
+def test_struve_params_equality_and_repr_ignore_cached_log_gamma():
+    params = StruveParams(1.0, 1.0, 1.0)
+    assert params == StruveParams(1, 1 + 0j, 1.0)
+    assert hash(params) == hash(StruveParams(1, 1 + 0j, 1.0))
+    assert params != StruveParams(1.0, 1.0, -1.0)
+    assert repr(params) == "StruveParams(p=(1+0j), b=(1+0j), c=(1+0j))"
+
+
 def test_struve_params_pole_rejected():
     with pytest.raises(DomainError):
         StruveParams(-1.0, 0.0, 1.0)  # p + (b+2)/2 = 0
@@ -243,8 +251,9 @@ def test_pfq_divergence_rules():
 # --- truncation policy ----------------------------------------------------------
 
 def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(rel_tol=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SeriesControl(rel_tol=bad)
     with pytest.raises(DomainError):
         SeriesControl(max_terms=0)
     with pytest.raises(DomainError):
