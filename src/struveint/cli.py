@@ -30,6 +30,7 @@ from .identities import (
     THEOREM2,
     IntegralCase,
     VerificationReport,
+    _checked_tolerance,
     verify_case,
 )
 from .lauricella import LauricellaSpec, lauricella_eval_full
@@ -361,7 +362,7 @@ def cmd_verify(args) -> int:
         raise CaseParseError("case file must be an object with a 'cases' list")
 
     controls = document.get("controls", {})
-    tol = args.tol if args.tol is not None else float(controls.get("tol", DEFAULT_TOLERANCE))
+    tol = _checked_tolerance(args.tol if args.tol is not None else controls.get("tol", DEFAULT_TOLERANCE))
     qkw = {}
     if args.quad_tol is not None:
         qkw["rel_tol"] = args.quad_tol

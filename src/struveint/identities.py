@@ -48,6 +48,14 @@ REL_ERR_FLOOR = 1e-12
 DEFAULT_TOLERANCE = 1e-6
 
 
+def _checked_tolerance(tol) -> float:
+    """The verification tolerance as a float; DomainError unless 0 < tol < inf."""
+    tol = float(tol)
+    if not 0 < tol < math.inf:
+        raise DomainError(f"verification tolerance must be positive and finite, got {tol!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class IntegralCase:
     """One instance of either integral identity.
@@ -355,8 +363,10 @@ def verify_case(
     The left side runs the kernel quadrature with the Struve product
     folded into g (lambda_eff stays the case's lambda); the right side is
     the prefactor times the Lauricella series.  Evaluation failures are
-    recorded in the report (passed = False with a reason), not raised.
+    recorded in the report (passed = False with a reason), not raised;
+    a tolerance outside (0, inf) raises DomainError.
     """
+    tol = _checked_tolerance(tol)
     start = time.perf_counter()
     params = case.struve_params()
 

@@ -12,16 +12,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma, nearest_pole
-from .summation import KahanSum
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
 
-# Multiplier turning the largest below-tolerance window term into the
+# Multiplier turning the largest term of the stopping run into the
 # reported tail estimate; covers the geometric remainder of any series
 # whose term ratio has dropped below ~1/2 by the time the rule fires.
 _TAIL_SAFETY = 2.0
@@ -62,30 +60,43 @@ class SeriesResult:
 def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     """Sum a term stream under the standard stopping rule.
 
-    ``terms`` yields successive series terms (ascending k).  Raises
-    ConvergenceError when the budget runs out and RangeError when a term
-    is non-finite.
+    ``terms`` yields successive series terms t_0, t_1, ... (ascending k),
+    accumulated with Kahan's compensated step (the arithmetic of
+    ``KahanSum.add`` then ``.value``, inlined).  With S_k the compensated
+    partial sum through t_k, the sum stops at the first k that ends a run
+    of ``ctl.consecutive_small`` consecutive terms with
+    |t_j| <= ctl.rel_tol * |S_j|; it returns S_k, k + 1 terms, and a tail
+    estimate of 2 x the largest |t_j| of that run.  Raises
+    ConvergenceError when ``ctl.max_terms`` terms pass without the rule
+    firing, and RangeError when a term or a partial sum is non-finite.
     """
-    acc = KahanSum()
-    window: deque[float] = deque(maxlen=ctl.consecutive_small)
+    rel_tol = ctl.rel_tol
+    needed = ctl.consecutive_small
+    total = carry = 0j
     small_run = 0
-    it = iter(terms)
-    for k in range(ctl.max_terms):
-        term = complex(next(it))
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise RangeError(f"series term {k} is non-finite")
-        acc.add(term)
-        total = acc.value
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+    run_max = 0.0
+    for k, term in enumerate(itertools.islice(terms, ctl.max_terms)):
+        term = complex(term)
+        value = term + carry
+        previous = total
+        total = previous + value
+        carry = value - (total - previous)
+        partial = total + carry
+        # A non-finite term always leaves the partial sum non-finite.
+        if not cmath.isfinite(partial):
+            if not cmath.isfinite(term):
+                raise RangeError(f"series term {k} is non-finite")
             raise RangeError(f"partial sum overflows at term {k}")
         mag = abs(term)
-        window.append(mag)
-        if mag <= ctl.rel_tol * abs(total):
+        if mag <= rel_tol * abs(partial):
             small_run += 1
-            if small_run >= ctl.consecutive_small:
-                return SeriesResult(total, k + 1, _TAIL_SAFETY * max(window))
+            if mag > run_max:
+                run_max = mag
+            if small_run >= needed:
+                return SeriesResult(partial, k + 1, _TAIL_SAFETY * run_max)
         else:
             small_run = 0
+            run_max = 0.0
     raise ConvergenceError(
         f"series did not meet tolerance within {ctl.max_terms} terms"
     )

@@ -1,4 +1,11 @@
-"""Compensated (Kahan) accumulation for deterministic series summation."""
+"""Compensated (Kahan) accumulation for deterministic series summation.
+
+``KahanSum`` serves the callers off the hot path: the Lauricella shell
+sums (``lauricella.py``) and the final panel sum of
+``quadrature.integrate_kernel``.  ``series.sum_terms``, which every
+single-variable series runs through, inlines the same ``add`` then
+``value`` arithmetic in its loop to skip a method call per term.
+"""
 
 from __future__ import annotations
 

@@ -282,12 +282,17 @@ def test_verify_file_controls_respected(tmp_path, capsys):
 
 
 def test_verify_non_finite_control_exit_2(tmp_path, capsys):
-    for key in ("quad_rel_tol", "series_rel_tol"):
+    for key in ("quad_rel_tol", "series_rel_tol", "tol"):
         path = write_cases(tmp_path, [GOOD_CASE], controls={key: "inf"})
         code, out, err = run(capsys, "verify", str(path))
         assert code == 2, key
         assert out == ""
         assert "finite" in err
+    path = write_cases(tmp_path, [GOOD_CASE])
+    code, out, err = run(capsys, "verify", str(path), "--tol", "nan")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_version_flag(capsys):

@@ -276,6 +276,12 @@ def test_verify_records_failure_instead_of_raising():
     assert rep.reason is not None
 
 
+def test_verify_rejects_tolerance_outside_open_interval():
+    for bad in (0.0, -1e-6, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            verify_case(make_case(), tol=bad)
+
+
 def test_verify_independent_routes_disagree_when_tampered():
     # Sanity guard on the comparison logic itself: a wrong tolerance
     # cannot turn a mismatched pair into a pass.

@@ -1,8 +1,12 @@
 import cmath
+import itertools
 import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from struveint import (
@@ -24,6 +28,16 @@ from struveint import (
     struve_w_derivative,
     struve_w_full,
 )
+from struveint.errors import RangeError, StruveintError
+from struveint.series import (
+    SeriesResult,
+    _fox_wright_terms,
+    _pfq_terms,
+    _struve_derivative_terms,
+    _w_terms,
+    sum_terms,
+)
+from struveint.summation import KahanSum
 
 GAMMA_3_2 = math.gamma(1.5)
 
@@ -282,3 +296,117 @@ def test_truncation_soundness():
         first = runner(loose)
         second = runner(tight)
         assert abs(second.value - first.value) < first.tail_estimate
+
+
+# --- sum_terms against the reference loop --------------------------------------
+
+def reference_sum_terms(terms, ctl):
+    """The stopping rule as a KahanSum plus a deque window of the last
+    ``consecutive_small`` magnitudes: the loop sum_terms must match bit
+    for bit."""
+    acc = KahanSum()
+    window = deque(maxlen=ctl.consecutive_small)
+    small_run = 0
+    it = iter(terms)
+    for k in range(ctl.max_terms):
+        term = complex(next(it))
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise RangeError(f"series term {k} is non-finite")
+        acc.add(term)
+        total = acc.value
+        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+            raise RangeError(f"partial sum overflows at term {k}")
+        mag = abs(term)
+        window.append(mag)
+        if mag <= ctl.rel_tol * abs(total):
+            small_run += 1
+            if small_run >= ctl.consecutive_small:
+                return SeriesResult(total, k + 1, 2.0 * max(window))
+        else:
+            small_run = 0
+    raise ConvergenceError(f"series did not meet tolerance within {ctl.max_terms} terms")
+
+
+def summed(summer, make_terms, ctl):
+    """Bit pattern of a summation outcome: value, terms and tail, or the error."""
+    try:
+        result = summer(make_terms(), ctl)
+    except (StruveintError, OverflowError) as exc:
+        # OverflowError: |partial sum| beyond the double range with finite
+        # parts, which both loops let escape from abs().
+        return type(exc).__name__, str(exc)
+    value = result.value
+    return value.real.hex(), value.imag.hex(), result.terms, result.tail_estimate.hex()
+
+
+def assert_matches_reference(make_terms, ctl):
+    expected = summed(reference_sum_terms, make_terms, ctl)
+    assert summed(sum_terms, make_terms, ctl) == expected
+    return expected
+
+
+finite = st.floats(-3.0, 3.0)
+complexes = st.builds(complex, finite, st.floats(-1.0, 1.0))
+controls = st.builds(
+    SeriesControl,
+    rel_tol=st.floats(-17.0, -3.0).map(lambda e: 10.0**e),
+    max_terms=st.sampled_from((5, 30, 10_000)),
+    consecutive_small=st.sampled_from((1, 3, 5)),
+)
+arguments = st.floats(-3.0, 1.8).map(lambda e: 10.0**e)
+
+
+@st.composite
+def term_streams(draw):
+    """A zero-argument factory of W, W', W'', pFq or Fox-Wright terms."""
+    kind = draw(st.sampled_from(("w", "w1", "w2", "pfq", "fox")))
+    if kind.startswith("w"):
+        # Re(p) >= 0 and Re(b) >= -1 keep p + (b+2)/2 away from the poles.
+        params = StruveParams(
+            complex(draw(st.floats(0.0, 3.0)), draw(st.floats(-1.0, 1.0))),
+            complex(draw(st.floats(-1.0, 3.0)), draw(st.floats(-1.0, 1.0))),
+            draw(complexes),
+        )
+        z = draw(arguments)
+        if kind == "w":
+            return lambda: _w_terms(params, z)
+        return lambda: _struve_derivative_terms(params, z, int(kind[1]))
+    z = draw(complexes.filter(lambda v: v != 0)) * draw(arguments)
+    if kind == "pfq":
+        upper = draw(st.lists(complexes, max_size=3))
+        lower = draw(st.lists(complexes.map(lambda v: v + 3.5), max_size=3))
+        return lambda: _pfq_terms(upper, lower, z)
+    pairs = st.tuples(complexes.map(lambda v: v + 3.5), st.floats(0.3, 2.0))
+    upper = draw(st.lists(pairs, max_size=2))
+    lower = draw(st.lists(pairs, min_size=1, max_size=3))
+    assume(1.0 + sum(w for _, w in lower) >= sum(w for _, w in upper))
+    spec = FoxWrightSpec(tuple(upper), tuple(lower))
+    return lambda: _fox_wright_terms(spec, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(make_terms=term_streams(), ctl=controls)
+def test_sum_terms_matches_reference_loop(make_terms, ctl):
+    assert_matches_reference(make_terms, ctl)
+
+
+def test_sum_terms_crafted_streams():
+    def stream(*head):
+        return lambda: itertools.chain(head, itertools.repeat(0.0))
+
+    ctl = SeriesControl()
+    cases = [
+        (stream(1.0, 0.5, math.inf), ("RangeError", "series term 2 is non-finite")),
+        (stream(1.0, complex(0.0, math.nan)), ("RangeError", "series term 1 is non-finite")),
+        (stream(1e308, 1e308), ("RangeError", "partial sum overflows at term 1")),
+    ]
+    for make_terms, expected in cases:
+        assert assert_matches_reference(make_terms, ctl) == expected
+    # The tail comes from the stopping run only, not from the earlier
+    # small term 1e-17.
+    assert assert_matches_reference(stream(1.0, 1e-17, 0.5), ctl)[2:] == (6, "0x0.0p+0")
+    budget = SeriesControl(max_terms=5)
+    assert assert_matches_reference(lambda: itertools.repeat(1.0), budget) == (
+        "ConvergenceError",
+        "series did not meet tolerance within 5 terms",
+    )
