@@ -33,8 +33,6 @@ from .gammafn import log_gamma
 from .summation import KahanSum
 
 _EXP_LIMIT = math.log(1.7976931348623157e308)
-# Four units of roundoff: a generous per-operation relative rounding bound.
-_ROUNDOFF = 2.0**-51
 
 
 def _jacobi_rule(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,60 +300,31 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     panels: dict[int, tuple[float, float, complex, float]] = {}
     heap: list[tuple[float, int]] = []
     next_id = 0
-    # Running sums over the kept panels, so a refinement step costs O(1)
-    # instead of a re-sum.  ``drift`` accumulates every intermediate error
-    # sum, so unit roundoff times it bounds the running error sum's
-    # rounding; ``abs_total`` (|value| over every panel ever kept) bounds
-    # every partial value sum.
-    value_run = 0j
-    err_run = drift = abs_total = 0.0
-    steps = 0
 
     def keep(rec: tuple[float, float, complex, float]):
-        nonlocal next_id, value_run, err_run, drift, abs_total, steps
+        nonlocal next_id
         panels[next_id] = rec
         heapq.heappush(heap, (-rec[3], next_id))
         next_id += 1
-        value_run += rec[2]
-        err_run += rec[3]
-        drift += abs(err_run)
-        abs_total += abs(rec[2])
-        steps += 1
 
     for rec in layout:
         keep(rec)
 
-    floor_target = ctl.abs_tol / abs_scale
     head_magnitudes: list[float] = []
     converged = True
     while True:
-        # The running figures, widened by their rounding bounds, bound the
-        # exact re-sum's error from below and its target from above.  The
-        # stop test runs on exact re-sums, as the result does, but only
-        # when that error is within 2x that target (or a running sum has
-        # overflowed to NaN); elsewhere it fails.
-        count = len(panels)
-        err_low = (err_run - _ROUNDOFF * drift + tail_bound) * (1.0 - _ROUNDOFF * (count + 2))
-        value_high = abs(value_run) + _ROUNDOFF * (steps + count) * abs_total
-        target_high = max(ctl.rel_tol * value_high, floor_target) * (1.0 + _ROUNDOFF)
-        if not err_low > 2.0 * target_high:
-            value_est = sum(v for _, _, v, _ in panels.values())
-            err_sum = sum(e for _, _, _, e in panels.values())
-            target = max(floor_target, ctl.rel_tol * abs(value_est))
-            if err_sum + tail_bound <= target:
-                break
-            value_run, err_run, drift = value_est, err_sum, count * err_sum
+        value_est = sum(v for _, _, v, _ in panels.values())
+        err_total = sum(e for _, _, _, e in panels.values()) + tail_bound
+        target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(value_est))
+        if err_total <= target:
+            break
         if len(panels) >= ctl.max_panels or not heap:
             converged = False
             break
         _, pid = heapq.heappop(heap)
         if pid not in panels:
             continue
-        lo, hi, value, err = panels.pop(pid)
-        value_run -= value
-        err_run -= err
-        drift += abs(err_run)
-        steps += 1
+        lo, hi, value, _ = panels.pop(pid)
         if lo == 0.0:
             head_magnitudes.append(abs(value))
             if len(head_magnitudes) >= 8 and all(
@@ -382,7 +351,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         error_estimate=abs_scale * err_total,
         panels_used=len(ordered),
         cutoff_theta=theta_max,
-        converged=converged and err_total <= max(floor_target, ctl.rel_tol * abs(raw)),
+        converged=converged and err_total <= max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw)),
         evaluations=intg.evaluations,
     )
 
