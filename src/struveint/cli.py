@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
@@ -31,6 +31,7 @@ from .identities import (
     IntegralCase,
     VerificationReport,
     _checked_tolerance,
+    _failed_report,
     verify_case,
 )
 from .lauricella import LauricellaSpec, lauricella_eval_full
@@ -130,18 +131,16 @@ def _parse_list(text: str, field: str):
     return tuple(parse_complex(v, field) for v in text.split(","))
 
 
-def _series_control(args) -> SeriesControl:
+def _series_control(args, controls: dict) -> SeriesControl:
+    """``--max-terms`` over the case file's controls over the defaults."""
     kw = {}
     if args.max_terms is not None:
         kw["max_terms"] = args.max_terms
+    elif "max_terms" in controls:
+        kw["max_terms"] = int(controls["max_terms"])
+    if "series_rel_tol" in controls:
+        kw["rel_tol"] = float(controls["series_rel_tol"])
     return SeriesControl(**kw)
-
-
-def _quad_control(args) -> QuadControl:
-    kw = {}
-    if args.quad_tol is not None:
-        kw["rel_tol"] = args.quad_tol
-    return QuadControl(**kw)
 
 
 def _load_lauricella_spec(path: str) -> LauricellaSpec:
@@ -165,7 +164,7 @@ def _load_lauricella_spec(path: str) -> LauricellaSpec:
 
 def cmd_eval(args) -> int:
     params = _parse_kv(args.params)
-    ctl = _series_control(args)
+    ctl = _series_control(args, {})
     name = args.function
     diag = ""
     if name in ("struve_h", "struve_l", "struve_w"):
@@ -285,30 +284,23 @@ def report_to_dict(rep: VerificationReport, raw_case: dict) -> dict:
         "pass": rep.passed,
         "tolerance": rep.tolerance_used,
         "reason": rep.reason,
-        "diagnostics": {"quad": _plain(rep.lhs_diag), "series": _plain(rep.rhs_diag)},
+        "diagnostics": {"quad": rep.lhs_diag, "series": rep.rhs_diag},
         "wall_clock_s": rep.wall_clock_s,
     }
 
 
 def _plain(obj):
-    """Coerce numpy scalars and tuples into JSON-clean values."""
+    """Coerce numpy scalars and tuples into JSON-clean values; non-finite
+    floats become the strings "nan", "inf" and "-inf"."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (tuple, list)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if hasattr(obj, "item"):
-        return obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
-    return obj
-
-
-def _json_default(obj):
     if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {obj!r}")
+        return _plain(obj.item())
+    return obj
 
 
 def _write_csv(entries, stream) -> None:
@@ -369,36 +361,21 @@ def cmd_verify(args) -> int:
     elif "quad_rel_tol" in controls:
         qkw["rel_tol"] = float(controls["quad_rel_tol"])
     qctl = QuadControl(**qkw)
-    skw = {}
-    if args.max_terms is not None:
-        skw["max_terms"] = args.max_terms
-    elif "max_terms" in controls:
-        skw["max_terms"] = int(controls["max_terms"])
-    if "series_rel_tol" in controls:
-        skw["rel_tol"] = float(controls["series_rel_tol"])
-    sctl = SeriesControl(**skw)
+    sctl = _series_control(args, controls)
 
-    records = document["cases"]
-    parsed: list[tuple[dict, IntegralCase | None, str | None]] = []
-    for i, raw in enumerate(records):
+    parsed: list[tuple[dict, IntegralCase | VerificationReport]] = []
+    for i, raw in enumerate(document["cases"]):
         try:
-            parsed.append((raw, case_from_dict(raw, i), None))
+            parsed.append((raw, case_from_dict(raw, i)))
         except CaseParseError:
             raise
         except DomainError as exc:
-            parsed.append((raw, None, f"condition violated: {exc}"))
+            parsed.append((raw, _failed_report(None, tol, str(exc), 0.0)))
 
     def run(item):
-        raw, case, problem = item
-        start = time.perf_counter()
-        if case is None:
-            rep = VerificationReport(
-                case=None, lhs=complex("nan"), rhs=complex("nan"),
-                abs_err=math.inf, rel_err=math.inf, passed=False,
-                tolerance_used=tol, reason=problem,
-                wall_clock_s=time.perf_counter() - start,
-            )
-            return raw, rep
+        raw, case = item
+        if isinstance(case, VerificationReport):
+            return raw, case
         return raw, verify_case(case, qctl, sctl, tol)
 
     if args.jobs > 1 and len(parsed) > 1:
@@ -422,7 +399,7 @@ def cmd_verify(args) -> int:
         _write_csv(entries, buffer)
         _emit(buffer.getvalue(), args.output)
     else:
-        _emit(json.dumps(report, indent=2, default=_json_default) + "\n", args.output)
+        _emit(json.dumps(_plain(report), indent=2) + "\n", args.output)
     print(
         f"verified {len(entries)} case(s): {passed} passed, {len(entries) - passed} failed",
         file=sys.stderr,
@@ -483,29 +460,23 @@ def cmd_grid(args) -> int:
 
     cases = []
     skipped = 0
-    for mu in mus:
-        for lam in lams:
-            for b in bs:
-                for c in cs:
-                    for a in a_values:
-                        for p in ps:
-                            for y in ys:
-                                try:
-                                    case = IntegralCase(
-                                        variant=variant,
-                                        a=a.real,
-                                        lam=lam,
-                                        mu=mu,
-                                        b=b,
-                                        c=c,
-                                        p=p,
-                                        y=tuple(v.real for v in y),
-                                        n=n,
-                                    )
-                                except DomainError:
-                                    skipped += 1
-                                    continue
-                                cases.append(case_to_dict(case))
+    for mu, lam, b, c, a, p, y in itertools.product(mus, lams, bs, cs, a_values, ps, ys):
+        try:
+            case = IntegralCase(
+                variant=variant,
+                a=a.real,
+                lam=lam,
+                mu=mu,
+                b=b,
+                c=c,
+                p=p,
+                y=tuple(v.real for v in y),
+                n=n,
+            )
+        except DomainError:
+            skipped += 1
+            continue
+        cases.append(case_to_dict(case))
     document = {"cases": cases}
     _emit(json.dumps(document, indent=2) + "\n", args.output)
     message = f"generated {len(cases)} case(s), skipped {skipped} condition-violating combination(s)"
@@ -516,13 +487,11 @@ def cmd_grid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="verification relative tolerance")
-    common.add_argument("--quad-tol", type=float, default=None, help="quadrature relative tolerance")
-    common.add_argument("--max-terms", type=int, default=None, help="series term budget")
-    common.add_argument("--output", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--jobs", type=int, default=1, help="cases evaluated concurrently")
+    # Each subcommand takes only the options it reads.
+    max_terms = argparse.ArgumentParser(add_help=False)
+    max_terms.add_argument("--max-terms", type=int, default=None, help="series term budget")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write output to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="struveint",
@@ -531,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one function")
+    p_eval = sub.add_parser("eval", parents=[max_terms], help="evaluate one function")
     p_eval.add_argument(
         "function",
         choices=("struve_h", "struve_l", "struve_w", "fox_wright", "pfq", "lauricella", "oberhettinger"),
@@ -539,11 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("params", nargs="*", help="key=value parameters; complex as 're' or 're+imi'")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify a case file")
+    p_verify = sub.add_parser("verify", parents=[max_terms, output], help="verify a case file")
     p_verify.add_argument("input", help="JSON case file")
+    p_verify.add_argument("--tol", type=float, default=None, help="verification relative tolerance")
+    p_verify.add_argument("--quad-tol", type=float, default=None, help="quadrature relative tolerance")
+    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
+    p_verify.add_argument("--jobs", type=int, default=1, help="cases evaluated concurrently")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_grid = sub.add_parser("grid", parents=[common], help="generate a Cartesian-product case file")
+    p_grid = sub.add_parser("grid", parents=[output], help="generate a Cartesian-product case file")
     p_grid.add_argument("--variant", required=True, choices=(THEOREM1, THEOREM2))
     p_grid.add_argument("--n", type=int, default=1)
     p_grid.add_argument("--mu", required=True)

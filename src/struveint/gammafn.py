@@ -1,8 +1,8 @@
-"""Complex gamma, log-gamma and Pochhammer machinery.
+"""Complex gamma and log-gamma.
 
 All series coefficients in this library reduce to ratios of gamma values,
-so this module is the single place where poles, overflow and the rising
-factorial's two evaluation paths are handled.
+so this module is the single place where gamma poles and overflow are
+handled.
 """
 
 from __future__ import annotations
@@ -19,16 +19,6 @@ POLE_TOL = 1e-12
 
 # Largest exponent exp() can take before the result overflows a double.
 _EXP_LIMIT = math.log(1.7976931348623157e308)
-
-# Plain direct product up to here; exponent-tracked product above.
-POCHHAMMER_DIRECT_LIMIT = 64
-
-# Power-of-two rescaling of the tracked mantissa is exact.
-_SCALE_BITS = 512
-_SCALE_HI = 2.0**_SCALE_BITS
-_SCALE_LO = 2.0**-_SCALE_BITS
-_SCALE_DOWN = 2.0**-_SCALE_BITS
-_SCALE_UP = 2.0**_SCALE_BITS
 
 
 def _as_complex(z) -> complex:
@@ -68,73 +58,3 @@ def gamma(z) -> complex:
     if lg.real > _EXP_LIMIT:
         raise RangeError(f"gamma({z!r}) overflows double precision")
     return cmath.exp(lg)
-
-
-def pochhammer(lam, k: int) -> complex:
-    """Rising factorial (lam)_k = lam (lam+1) ... (lam+k-1), with (lam)_0 = 1.
-
-    (0)_0 is returned as 1 as well (the k = 0 convention is applied for
-    every lam).  Small k uses the plain direct product; above the limit
-    the product continues with an exponent-tracked mantissa so that
-    intermediate magnitudes cannot overflow before the final value does.
-    (A log-gamma ratio here would cost ~|log Gamma(lam+k)| * eps of
-    consistency, which already breaks the recurrence at the 1e-13 level
-    for k near 100; power-of-two rescaling is exact.)
-    """
-    lam = _as_complex(lam)
-    if k < 0:
-        raise DomainError("pochhammer order k must be a non-negative integer")
-    if k == 0:
-        return 1.0 + 0j
-    if k <= POCHHAMMER_DIRECT_LIMIT:
-        prod = 1.0 + 0j
-        for i in range(k):
-            prod *= lam + i
-            if not (math.isfinite(prod.real) and math.isfinite(prod.imag)):
-                raise RangeError(f"pochhammer({lam!r}, {k}) overflows")
-        return prod
-    mant = 1.0 + 0j
-    exp2 = 0
-    for i in range(k):
-        mant *= lam + i
-        if mant == 0:
-            return 0j
-        mag = max(abs(mant.real), abs(mant.imag))
-        if mag > _SCALE_HI:
-            mant *= _SCALE_DOWN
-            exp2 += _SCALE_BITS
-        elif mag < _SCALE_LO:
-            mant *= _SCALE_UP
-            exp2 -= _SCALE_BITS
-    try:
-        return complex(math.ldexp(mant.real, exp2), math.ldexp(mant.imag, exp2))
-    except OverflowError:
-        raise RangeError(f"pochhammer({lam!r}, {k}) overflows") from None
-
-
-def pochhammer_general(lam, nu) -> complex:
-    """(lam)_nu = Gamma(lam + nu)/Gamma(lam) for arbitrary complex order."""
-    lam = _as_complex(lam)
-    nu = _as_complex(nu)
-    if nu == 0:
-        return 1.0 + 0j
-    if nu.imag == 0.0 and nu.real == int(nu.real) and nu.real >= 0:
-        return pochhammer(lam, int(nu.real))
-    diff = log_gamma(lam + nu) - log_gamma(lam)
-    if diff.real > _EXP_LIMIT:
-        raise RangeError(f"pochhammer({lam!r}, {nu!r}) overflows")
-    return cmath.exp(diff)
-
-
-def pochhammer_shift(lam, k: int) -> complex:
-    """lam + k computed as lam * (1+lam)_k / (lam)_k.
-
-    Numerically equal to the direct sum; exists so the product-ratio
-    identity underlying the shifted-kernel reduction can be exercised
-    directly.  Raises DomainError when (lam)_k = 0.
-    """
-    lam = _as_complex(lam)
-    denom = pochhammer(lam, k)
-    if denom == 0:
-        raise DomainError(f"(lam)_k vanishes for lam={lam!r}, k={k}; shift undefined")
-    return lam * pochhammer(1 + lam, k) / denom

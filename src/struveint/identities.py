@@ -26,6 +26,7 @@ from .gammafn import _EXP_LIMIT, log_gamma
 from .lauricella import LauricellaSpec, lauricella_eval_full
 from .quadrature import DEFAULT_QUAD, QuadControl, integrate_kernel, kernel_factor
 from .series import (
+    _LOG_GAMMA_3_2,
     DEFAULT_CONTROL,
     FoxWrightSpec,
     SeriesControl,
@@ -38,8 +39,6 @@ from .series import (
 THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
 VARIANTS = (THEOREM1, THEOREM2)
-
-_LOG_GAMMA_3_2 = math.lgamma(1.5)
 
 # Below this |rhs| magnitude the relative error is meaningless and the
 # comparison switches to an absolute one at the same floor.
@@ -311,16 +310,27 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
     return tuple(x * yj / kern for yj in case.y)
 
 
+def _struve_product(case: IntegralCase, ctl: SeriesControl):
+    """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1."""
+    params = case.struve_params()
+
+    def g(x: float) -> complex:
+        prod = 1.0 + 0j
+        for prm, u in zip(params, struve_arguments(case, x)):
+            prod *= struve_w(prm, u, ctl)
+        return prod
+
+    return g
+
+
 def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Full integrand x^(mu-1) kernel^(-lambda) prod_j W_{p_j,b,c}(u_j(x))."""
     x = float(x)
     if not x > 0:
         raise DomainError("x must be positive")
     kern = kernel_factor(x, case.a)
-    value = cmath.exp((case.mu - 1) * math.log(x) - case.lam * math.log(kern))
-    for params, u in zip(case.struve_params(), struve_arguments(case, x)):
-        value *= struve_w(params, u, ctl)
-    return value
+    weight = cmath.exp((case.mu - 1) * math.log(x) - case.lam * math.log(kern))
+    return weight * _struve_product(case, ctl)(x)
 
 
 @dataclass(frozen=True)
@@ -368,14 +378,7 @@ def verify_case(
     """
     tol = _checked_tolerance(tol)
     start = time.perf_counter()
-    params = case.struve_params()
-
-    def g(x: float) -> complex:
-        prod = 1.0 + 0j
-        for prm, u in zip(params, struve_arguments(case, x)):
-            prod *= struve_w(prm, u, sctl)
-        return prod
-
+    g = _struve_product(case, sctl)
     try:
         if case.variant == THEOREM1:
             pref = prefactor_theorem1(case)

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .series import DEFAULT_CONTROL, SeriesControl
+from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, sum_terms
 from .summation import KahanSum
 
 DEFAULT_MAX_DEGREE = 400
-
-# Same boundary-radius safety margin as the single-variable series.
-_RADIUS_MARGIN = 0.9
 
 
 def _norm_global(block, n: int, label: str):
@@ -235,45 +231,45 @@ def lauricella_eval_full(
                     z_phase[m].append(z_phase[m][j - 1] * units[m])
 
     global_cache: dict = {}
-    partial = KahanSum()
-    window: deque[float] = deque(maxlen=ctl.consecutive_small)
     terms_used = 0
 
-    for degree in range(max_degree + 1):
-        extend(degree)
-        shell = KahanSum()
-        for k in shell_iterator(spec.n, degree):
-            if any(zs[m] == 0 and k[m] > 0 for m in range(spec.n)):
-                continue
-            terms_used += 1
-            if terms_used > ctl.max_terms:
-                raise ConvergenceError(
-                    f"multi-index budget of {ctl.max_terms} terms exhausted"
-                )
-            lg = _global_log(spec, k, global_cache)
-            mag = lg.real
-            ang = lg.imag
-            phase = 1.0 + 0j
-            for m in range(spec.n):
-                lg_m = pv_logs[m][k[m]]
-                mag += lg_m.real + z_logmag[m][k[m]]
-                ang += lg_m.imag
-                phase *= z_phase[m][k[m]]
-            if mag > _EXP_LIMIT:
-                raise RangeError(f"term at multi-index {k} overflows")
-            if not math.isfinite(mag):
-                raise RangeError(f"term at multi-index {k} is non-finite")
-            shell.add(cmath.exp(complex(mag, ang)) * phase)
-        partial.add(shell.value)
-        total = partial.value
-        if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-            raise RangeError(f"partial sum overflows at total degree {degree}")
-        window.append(abs(shell.value))
-        if degree + 1 >= ctl.consecutive_small and max(window) <= ctl.rel_tol * abs(total):
-            return LauricellaResult(total, degree, terms_used, 2.0 * max(window))
-    raise ConvergenceError(
-        f"shell sums did not fall below tolerance by total degree {max_degree}"
-    )
+    def shell_sums():
+        nonlocal terms_used
+        for degree in range(max_degree + 1):
+            extend(degree)
+            shell = KahanSum()
+            for k in shell_iterator(spec.n, degree):
+                if any(zs[m] == 0 and k[m] > 0 for m in range(spec.n)):
+                    continue
+                terms_used += 1
+                if terms_used > ctl.max_terms:
+                    raise ConvergenceError(
+                        f"multi-index budget of {ctl.max_terms} terms exhausted"
+                    )
+                lg = _global_log(spec, k, global_cache)
+                mag = lg.real
+                ang = lg.imag
+                phase = 1.0 + 0j
+                for m in range(spec.n):
+                    lg_m = pv_logs[m][k[m]]
+                    mag += lg_m.real + z_logmag[m][k[m]]
+                    ang += lg_m.imag
+                    phase *= z_phase[m][k[m]]
+                if mag > _EXP_LIMIT:
+                    raise RangeError(f"term at multi-index {k} overflows")
+                if not math.isfinite(mag):
+                    raise RangeError(f"term at multi-index {k} is non-finite")
+                shell.add(cmath.exp(complex(mag, ang)) * phase)
+            yield shell.value
+        raise ConvergenceError(
+            f"shell sums did not fall below tolerance by total degree {max_degree}"
+        )
+
+    # Whole-shell sums are the terms of the common stopping rule.  The
+    # generator owns both budgets (multi-indices and total degree), so
+    # sum_terms' own term cap is set one past the last shell.
+    res = sum_terms(shell_sums(), replace(ctl, max_terms=max_degree + 2))
+    return LauricellaResult(res.value, res.terms - 1, terms_used, res.tail_estimate)
 
 
 def lauricella_eval(
@@ -286,7 +282,8 @@ def lauricella_eval(
     """Sum the generalized Lauricella series at the argument vector z.
 
     Multi-indices are visited in non-decreasing total degree (simplex
-    shells); summation stops when the last few whole-shell sums are
-    negligible against the partial sum.
+    shells); the whole-shell sums go through ``series.sum_terms``, so the
+    series stops when the last few of them are each negligible against
+    the partial sum they were added to.
     """
     return lauricella_eval_full(spec, z, ctl, max_degree=max_degree).value

@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .gammafn import log_gamma
+from .gammafn import _EXP_LIMIT, log_gamma
 from .summation import KahanSum
-
-_EXP_LIMIT = math.log(1.7976931348623157e308)
 
 
 def _jacobi_rule(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -68,35 +68,41 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     |t_j| <= ctl.rel_tol * |S_j|; it returns S_k, k + 1 terms, and a tail
     estimate of 2 x the largest |t_j| of that run.  Raises
     ConvergenceError when ``ctl.max_terms`` terms pass without the rule
-    firing, and RangeError when a term or a partial sum is non-finite.
+    firing, and RangeError when a term or a partial sum is non-finite or
+    its modulus overflows.
     """
     rel_tol = ctl.rel_tol
     needed = ctl.consecutive_small
     total = carry = 0j
     small_run = 0
     run_max = 0.0
-    for k, term in enumerate(itertools.islice(terms, ctl.max_terms)):
-        term = complex(term)
-        value = term + carry
-        previous = total
-        total = previous + value
-        carry = value - (total - previous)
-        partial = total + carry
-        # A non-finite term always leaves the partial sum non-finite.
-        if not cmath.isfinite(partial):
-            if not cmath.isfinite(term):
-                raise RangeError(f"series term {k} is non-finite")
-            raise RangeError(f"partial sum overflows at term {k}")
-        mag = abs(term)
-        if mag <= rel_tol * abs(partial):
-            small_run += 1
-            if mag > run_max:
-                run_max = mag
-            if small_run >= needed:
-                return SeriesResult(partial, k + 1, _TAIL_SAFETY * run_max)
-        else:
-            small_run = 0
-            run_max = 0.0
+    k = 0
+    try:
+        for k, term in enumerate(itertools.islice(terms, ctl.max_terms)):
+            term = complex(term)
+            value = term + carry
+            previous = total
+            total = previous + value
+            carry = value - (total - previous)
+            partial = total + carry
+            # A non-finite term always leaves the partial sum non-finite.
+            if not cmath.isfinite(partial):
+                if not cmath.isfinite(term):
+                    raise RangeError(f"series term {k} is non-finite")
+                raise RangeError(f"partial sum overflows at term {k}")
+            mag = abs(term)
+            if mag <= rel_tol * abs(partial):
+                small_run += 1
+                if mag > run_max:
+                    run_max = mag
+                if small_run >= needed:
+                    return SeriesResult(partial, k + 1, _TAIL_SAFETY * run_max)
+            else:
+                small_run = 0
+                run_max = 0.0
+    except OverflowError:
+        # Finite parts whose modulus exceeds the double range.
+        raise RangeError(f"series modulus overflows at term {k}") from None
     raise ConvergenceError(
         f"series did not meet tolerance within {ctl.max_terms} terms"
     )
@@ -267,7 +273,8 @@ class FoxWrightSpec:
         return r
 
 
-# Safety factor applied to the boundary radius when Delta = 0.
+# Safety factor applied to the boundary radius when Delta = 0 (here and
+# for the Lauricella series' boundary variables).
 _RADIUS_MARGIN = 0.9
 
 

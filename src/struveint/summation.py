@@ -1,10 +1,11 @@
 """Compensated (Kahan) accumulation for deterministic series summation.
 
-``KahanSum`` serves the callers off the hot path: the Lauricella shell
-sums (``lauricella.py``) and the final panel sum of
-``quadrature.integrate_kernel``.  ``series.sum_terms``, which every
-single-variable series runs through, inlines the same ``add`` then
-``value`` arithmetic in its loop to skip a method call per term.
+Callers of ``KahanSum``: ``lauricella.lauricella_eval_full``, for the
+terms within one total-degree shell, and ``quadrature.integrate_kernel``,
+for the final panel sum.  ``series.sum_terms``, the stopping rule that
+every series runs through (the Lauricella series with whole-shell sums
+as its terms), inlines the same ``add`` then ``value`` arithmetic in its
+loop to skip a method call per term.
 """
 
 from __future__ import annotations

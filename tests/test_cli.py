@@ -94,6 +94,39 @@ def test_eval_convergence_failure_exit_3(capsys):
     assert "tolerance" in err
 
 
+def test_eval_series_modulus_overflow_exit_2(capsys):
+    # Finite parts, modulus above the double range: a typed failure, not
+    # a traceback.
+    code, _, err = run(
+        capsys, "eval", "fox_wright",
+        "upper=1.9995009736006644:1.3019343035986923",
+        "lower=0.6051379937306841:0.3165364135550977",
+        "z=0.712989101560049+0.1616011324715276i",
+    )
+    assert code == 2
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "oberhettinger", "a=1", "mu=1", "lambda=2", "--output", "x.txt"),
+        ("eval", "oberhettinger", "a=1", "mu=1", "lambda=2", "--tol", "1e-3"),
+        ("grid", "--variant", "theorem1", "--mu", "1", "--lambda", "2", "--p", "1",
+         "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--jobs", "2"),
+        ("grid", "--variant", "theorem1", "--mu", "1", "--lambda", "2", "--p", "1",
+         "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--max-terms", "50"),
+    ],
+)
+def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_eval_lauricella_spec_file(tmp_path, capsys):
     spec = {
         "global_upper": [["2.5", [1.0]]],
@@ -209,7 +242,26 @@ def test_verify_condition_violation_reported_not_fatal(tmp_path, capsys):
     assert report["summary"]["failed"] == 1
     reasons = [c["reason"] for c in report["cases"]]
     assert reasons[0] is None
-    assert "condition violated" in reasons[1]
+    assert reasons[1].count("condition violated") == 1
+
+
+def test_verify_failed_cases_are_standard_json(tmp_path, capsys):
+    # One case fails validation, one raises while it is evaluated.
+    cases = [dict(GOOD_CASE, mu="-0.5"), dict(GOOD_CASE, y=[1e6])]
+    path = write_cases(tmp_path, cases)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["summary"]["failed"] == 2
+    for entry in report["cases"]:
+        assert entry["pass"] is False
+        assert entry["lhs"]["re"] == entry["rhs"]["re"] == "nan"
+        assert entry["abs_err"] == "inf"
+        assert entry["rel_err"] == "inf"
 
 
 def test_verify_structural_error_exit_2(tmp_path, capsys):

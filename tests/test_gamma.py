@@ -3,8 +3,6 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from struveint import (
     DomainError,
@@ -12,9 +10,6 @@ from struveint import (
     RangeError,
     gamma,
     log_gamma,
-    pochhammer,
-    pochhammer_general,
-    pochhammer_shift,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -80,73 +75,6 @@ def test_gamma_against_mpmath():
             assert abs(gamma(z) - ref) / abs(ref) < 1e-13
 
 
-def test_pochhammer_basics():
-    assert pochhammer(2.5 + 1j, 0) == 1
-    assert pochhammer(0.0, 0) == 1  # documented convention for (0)_0
-    assert abs(pochhammer(3.0, 4) - 360.0) < 1e-12
-    assert abs(pochhammer(0.5, 2) - 0.75) < 1e-15
-
-
-def test_pochhammer_zero_factor_and_large_k():
-    # A non-positive integer base annihilates the product once k passes it.
-    assert pochhammer(-3.0, 5) == 0
-    assert pochhammer(-3.0, 70) == 0
-    assert abs(pochhammer(-3.0, 2) - 6.0) < 1e-12  # (-3)(-2)
-    # Ratio path kicks in above the direct limit.
-    direct = 1.0 + 0j
-    for i in range(80):
-        direct *= 2.5 + i
-    assert abs(pochhammer(2.5, 80) - direct) / abs(direct) < 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    re=st.floats(0.1, 8.0),
-    im=st.floats(-4.0, 4.0),
-    k=st.integers(0, 80),
-)
-def test_pochhammer_recurrence_across_paths(re, im, k):
-    lam = complex(re, im)
-    lhs = pochhammer(lam, k + 1)
-    rhs = pochhammer(lam, k) * (lam + k)
-    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1e-300)
-
-
-def test_pochhammer_general_matches_gamma_ratio():
-    lam, nu = 1.7 + 0.4j, 2.3
-    ref = gamma(lam + nu) / gamma(lam)
-    assert abs(pochhammer_general(lam, nu) - ref) < 1e-14 * abs(ref)
-    assert pochhammer_general(lam, 0.0) == 1
-    assert abs(pochhammer_general(lam, 3) - pochhammer(lam, 3)) == 0.0
-
-
-def test_pochhammer_shift_examples():
-    assert abs(pochhammer_shift(2.0, 3) - 5.0) < 1e-13
-    assert abs(pochhammer_shift(0.5, 0) - 0.5) < 1e-15
-    # Frozen from the direct sum lam + k.
-    val = pochhammer_shift(1.5 + 0.5j, 4)
-    assert abs(val - (5.5 + 0.5j)) < 1e-12 * abs(5.5 + 0.5j)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    re=st.floats(0.3, 6.0),
-    im=st.floats(-3.0, 3.0),
-    k=st.integers(0, 40),
-)
-def test_pochhammer_shift_equals_sum(re, im, k):
-    lam = complex(re, im)  # Re > 0 keeps (lam)_k away from zero
-    val = pochhammer_shift(lam, k)
-    assert abs(val - (lam + k)) <= 1e-12 * abs(lam + k)
-
-
-def test_pochhammer_shift_zero_denominator():
-    with pytest.raises(DomainError):
-        pochhammer_shift(-2.0, 5)  # (-2)_5 = 0
-
-
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
         log_gamma(complex(math.inf, 0.0))
-    with pytest.raises(DomainError):
-        pochhammer(complex(math.nan, 0.0), 3)

@@ -303,7 +303,7 @@ def test_truncation_soundness():
 def reference_sum_terms(terms, ctl):
     """The stopping rule as a KahanSum plus a deque window of the last
     ``consecutive_small`` magnitudes: the loop sum_terms must match bit
-    for bit."""
+    for bit.  A modulus beyond the double range is a RangeError."""
     acc = KahanSum()
     window = deque(maxlen=ctl.consecutive_small)
     small_run = 0
@@ -316,9 +316,13 @@ def reference_sum_terms(terms, ctl):
         total = acc.value
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise RangeError(f"partial sum overflows at term {k}")
-        mag = abs(term)
+        try:
+            mag = abs(term)
+            small = mag <= ctl.rel_tol * abs(total)
+        except OverflowError:
+            raise RangeError(f"series modulus overflows at term {k}") from None
         window.append(mag)
-        if mag <= ctl.rel_tol * abs(total):
+        if small:
             small_run += 1
             if small_run >= ctl.consecutive_small:
                 return SeriesResult(total, k + 1, 2.0 * max(window))
@@ -331,9 +335,7 @@ def summed(summer, make_terms, ctl):
     """Bit pattern of a summation outcome: value, terms and tail, or the error."""
     try:
         result = summer(make_terms(), ctl)
-    except (StruveintError, OverflowError) as exc:
-        # OverflowError: |partial sum| beyond the double range with finite
-        # parts, which both loops let escape from abs().
+    except StruveintError as exc:
         return type(exc).__name__, str(exc)
     value = result.value
     return value.real.hex(), value.imag.hex(), result.terms, result.tail_estimate.hex()
@@ -399,6 +401,7 @@ def test_sum_terms_crafted_streams():
         (stream(1.0, 0.5, math.inf), ("RangeError", "series term 2 is non-finite")),
         (stream(1.0, complex(0.0, math.nan)), ("RangeError", "series term 1 is non-finite")),
         (stream(1e308, 1e308), ("RangeError", "partial sum overflows at term 1")),
+        (stream(complex(1.5e308, 1.5e308)), ("RangeError", "series modulus overflows at term 0")),
     ]
     for make_terms, expected in cases:
         assert assert_matches_reference(make_terms, ctl) == expected
