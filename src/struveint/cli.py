@@ -12,9 +12,10 @@ import csv
 import itertools
 import json
 import math
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
@@ -344,6 +345,14 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -372,17 +381,18 @@ def cmd_verify(args) -> int:
         except DomainError as exc:
             parsed.append((raw, _failed_report(None, tol, str(exc), 0.0)))
 
-    def run(item):
-        raw, case = item
-        if isinstance(case, VerificationReport):
-            return raw, case
-        return raw, verify_case(case, qctl, sctl, tol)
-
-    if args.jobs > 1 and len(parsed) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, parsed))
+    # Worker processes run only verify_case; parsing and serialization
+    # stay here, and map keeps the input order.
+    todo = [case for _, case in parsed if isinstance(case, IntegralCase)]
+    workers = min(args.jobs, len(todo), _usable_cpus())
+    if workers > 1:
+        k = len(todo)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(verify_case, todo, [qctl] * k, [sctl] * k, [tol] * k))
     else:
-        results = [run(item) for item in parsed]
+        reports = [verify_case(case, qctl, sctl, tol) for case in todo]
+    done = iter(reports)
+    results = [(raw, case if isinstance(case, VerificationReport) else next(done)) for raw, case in parsed]
 
     entries = [report_to_dict(rep, raw) for raw, rep in results]
     passed = sum(1 for _, rep in results if rep.passed)
@@ -486,6 +496,13 @@ def cmd_grid(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the options it reads.
     max_terms = argparse.ArgumentParser(add_help=False)
@@ -513,7 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None, help="verification relative tolerance")
     p_verify.add_argument("--quad-tol", type=float, default=None, help="quadrature relative tolerance")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--jobs", type=int, default=1, help="cases evaluated concurrently")
+    p_verify.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes (capped at the usable CPUs and the case count)",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_grid = sub.add_parser("grid", parents=[output], help="generate a Cartesian-product case file")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import scipy.special as _sc
-
 from .errors import DomainError, GammaPoleError, RangeError
 
 # |z - m| below this (both parts) counts as sitting on the pole at m <= 0.
@@ -39,7 +37,10 @@ def nearest_pole(z: complex) -> int | None:
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z).
 
-    Real positive ``z`` gives an exactly real result.  Raises
+    Real positive ``z`` gives an exactly real result, from
+    ``math.lgamma`` (``inf`` where that overflows, above z ~ 2.6e305).
+    Other ``z`` go to ``scipy.special.loggamma``, imported only then, so
+    importing the library does not load scipy.  Raises
     :class:`GammaPoleError` when ``z`` is within tolerance of a
     non-positive integer.
     """
@@ -48,8 +49,13 @@ def log_gamma(z) -> complex:
     if pole is not None:
         raise GammaPoleError(pole)
     if z.imag == 0.0 and z.real > 0.0:
-        return complex(float(_sc.loggamma(z.real)), 0.0)
-    return complex(_sc.loggamma(z))
+        try:
+            return complex(math.lgamma(z.real), 0.0)
+        except OverflowError:
+            return complex(math.inf, 0.0)
+    import scipy.special
+
+    return complex(scipy.special.loggamma(z))
 
 
 def gamma(z) -> complex:

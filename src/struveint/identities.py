@@ -378,8 +378,8 @@ def verify_case(
     """
     tol = _checked_tolerance(tol)
     start = time.perf_counter()
-    g = _struve_product(case, sctl)
     try:
+        g = _struve_product(case, sctl)
         if case.variant == THEOREM1:
             pref = prefactor_theorem1(case)
             spec, z = rhs_spec_theorem1(case)

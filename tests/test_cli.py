@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import struveint.cli as cli
 from struveint.cli import format_complex, main, parse_complex
 from struveint.errors import CaseParseError
 
@@ -116,6 +117,8 @@ def test_eval_series_modulus_overflow_exit_2(capsys):
          "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--jobs", "2"),
         ("grid", "--variant", "theorem1", "--mu", "1", "--lambda", "2", "--p", "1",
          "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--max-terms", "50"),
+        ("verify", "cases.json", "--jobs", "0"),
+        ("verify", "cases.json", "--jobs", "-3"),
     ],
 )
 def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
@@ -124,7 +127,10 @@ def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    if argv[0] == "verify":
+        assert "argument --jobs: must be at least 1" in captured.err
+    else:
+        assert "unrecognized arguments" in captured.err
 
 
 def test_eval_lauricella_spec_file(tmp_path, capsys):
@@ -296,15 +302,60 @@ def test_verify_deterministic_numeric_fields(tmp_path, capsys):
 
 
 def test_verify_jobs_parallel_same_output(tmp_path, capsys):
-    cases = [GOOD_CASE, dict(GOOD_CASE, mu="0.6"), dict(GOOD_CASE, **{"lambda": "3"})]
+    # b = -4 makes p + (b+2)/2 = 0, so its Struve series is undefined:
+    # a failed report, in place, from the worker as from the serial run.
+    cases = [
+        GOOD_CASE, dict(GOOD_CASE, mu="0.6"), dict(GOOD_CASE, b="-4"),
+        dict(GOOD_CASE, **{"lambda": "3"}),
+    ]
     path = write_cases(tmp_path, cases)
     out1 = tmp_path / "serial.json"
     out2 = tmp_path / "parallel.json"
-    assert run(capsys, "verify", str(path), "--output", str(out1))[0] == 0
-    assert run(capsys, "verify", str(path), "--output", str(out2), "--jobs", "4")[0] == 0
-    r1 = json.loads(out1.read_text())
-    r2 = json.loads(out2.read_text())
-    assert [c["lhs"] for c in r1["cases"]] == [c["lhs"] for c in r2["cases"]]
+    assert run(capsys, "verify", str(path), "--output", str(out1))[0] == 1
+    assert run(capsys, "verify", str(path), "--output", str(out2), "--jobs", "4")[0] == 1
+
+    def numeric(path):
+        report = json.loads(path.read_text())
+        del report["timestamp"]
+        for entry in report["cases"]:
+            del entry["wall_clock_s"]
+        return report
+
+    r1 = numeric(out1)
+    assert r1 == numeric(out2)
+    assert [c["pass"] for c in r1["cases"]] == [True, True, False, True]
+    assert "non-positive integer" in r1["cases"][2]["reason"]
+
+
+@pytest.mark.parametrize(
+    "jobs, good, cpus, expected",
+    [(1, 3, 8, None), (4, 1, 8, None), (2, 5, 8, 2), (8, 3, 8, 3), (1000, 5, 3, 3)],
+)
+def test_verify_jobs_worker_count(jobs, good, cpus, expected, tmp_path, capsys, monkeypatch):
+    # min(--jobs, cases left to run, usable CPUs) workers; one means no pool.
+    # A case that fails validation (mu = 50) is not left to run.
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    path = write_cases(tmp_path, [dict(GOOD_CASE, mu="50")] + [GOOD_CASE] * good)
+    code, out, _ = run(capsys, "verify", str(path), "--jobs", str(jobs))
+    assert code == 1
+    assert json.loads(out)["summary"] == {"total": good + 1, "passed": good, "failed": 1}
+    assert seen == ([] if expected is None else [expected])
 
 
 def test_verify_csv_projection(tmp_path, capsys):

@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
+import struveint
 from struveint import (
     DomainError,
     GammaPoleError,
@@ -22,7 +26,7 @@ def test_log_gamma_known_values():
 
 
 def test_log_gamma_real_positive_has_zero_imag():
-    for z in (0.1, 0.5, 1.0, 3.7, 12.0, 151.5):
+    for z in (0.1, 0.5, 1.0, 3.7, 12.0, 151.5, 1e306, 1e308):
         assert log_gamma(z).imag == 0.0
 
 
@@ -47,8 +51,9 @@ def test_gamma_pole_carries_location():
 
 
 def test_gamma_overflow_is_range_error():
-    with pytest.raises(RangeError):
-        gamma(200.0)
+    for x in (200.0, 1e306, 1e308):
+        with pytest.raises(RangeError):
+            gamma(x)
 
 
 def test_gamma_recurrence_1000_random_points():
@@ -78,3 +83,14 @@ def test_gamma_against_mpmath():
 def test_non_finite_inputs_rejected():
     with pytest.raises(DomainError):
         log_gamma(complex(math.inf, 0.0))
+
+
+def test_import_does_not_load_scipy_special():
+    # log_gamma imports scipy.special only for complex or non-positive z.
+    src = os.path.dirname(os.path.dirname(struveint.__file__))
+    code = "import sys, struveint; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "False"
