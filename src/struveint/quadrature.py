@@ -17,12 +17,18 @@ the layout.  The leftmost panel is bisected geometrically toward 0
 while a closed-form bound on the remaining head mass exceeds its
 tolerance share, and the tail is cut where an exponential envelope
 certifies the remainder.
+
+Refinement runs in rounds over one list of panels kept in theta order.
+Each round takes the compensated panel sum and the error sum once and
+stops when the errors plus the tail bound meet the target; otherwise it
+bisects the fewest worst panels whose errors cover the excess, worst
+first and no more than the panel cap leaves room for.  The last round's
+sums are the result.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +104,16 @@ class TailPolicy:
 
 @dataclass(frozen=True)
 class QuadControl:
+    """Tolerances and panel cap of ``integrate_kernel``.
+
+    A result is converged when its error estimate is at most
+    max(abs_tol, rel_tol * |value|).  ``max_panels`` caps refinement,
+    not the initial layout: the layout is always evaluated in full (16
+    panels for g = 1, a = 1, mu = 0.3, lambda = 1.1, even at
+    max_panels = 1), and a refinement that reaches the cap ends with
+    exactly max_panels panels, unconverged.
+    """
+
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
     max_panels: int = 2000
@@ -282,9 +298,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     # Initial panel layout: the reused pilot panels, else a short leftmost
     # panel when the endpoint factor is singular; panels of length <= 2
     # out to the cutoff.
-    layout = [rec for rec in pilot if rec[1] <= theta_max]
-    if layout:
-        cuts = [layout[-1][1]]
+    panels = [rec for rec in pilot if rec[1] <= theta_max]
+    if panels:
+        cuts = [panels[-1][1]]
     else:
         cuts = [0.0]
         if mu.real < 1.0:
@@ -293,63 +309,56 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     pieces = math.ceil((theta_max - start) / 2.0)
     width = (theta_max - start) / max(pieces, 1)
     cuts.extend(start + width * (i + 1) for i in range(pieces))
-    layout.extend(panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    panels.extend(panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
-    panels: dict[int, tuple[float, float, complex, float]] = {}
-    heap: list[tuple[float, int]] = []
-    next_id = 0
-
-    def keep(rec: tuple[float, float, complex, float]):
-        nonlocal next_id
-        panels[next_id] = rec
-        heapq.heappush(heap, (-rec[3], next_id))
-        next_id += 1
-
-    for rec in layout:
-        keep(rec)
-
+    # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
-    converged = True
     while True:
-        value_est = sum(v for _, _, v, _ in panels.values())
-        err_total = sum(e for _, _, _, e in panels.values()) + tail_bound
-        target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(value_est))
-        if err_total <= target:
+        acc = KahanSum()
+        for rec in panels:
+            acc.add(rec[2])
+        raw = acc.value
+        errs = [rec[3] for rec in panels]
+        err_total = sum(errs) + tail_bound
+        target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw))
+        converged = err_total <= target
+        room = ctl.max_panels - len(panels)
+        if converged or room <= 0:
             break
-        if len(panels) >= ctl.max_panels or not heap:
-            converged = False
-            break
-        _, pid = heapq.heappop(heap)
-        if pid not in panels:
-            continue
-        lo, hi, value, _ = panels.pop(pid)
-        if lo == 0.0:
-            head_magnitudes.append(abs(value))
-            if len(head_magnitudes) >= 8 and all(
-                head_magnitudes[i] < head_magnitudes[i + 1] for i in range(-7, -1)
-            ):
-                raise DomainError(
-                    "non-integrable endpoint: head contributions diverge under refinement"
-                )
-        mid_point = 0.5 * (lo + hi)
-        keep(panel(lo, mid_point))
-        keep(panel(mid_point, hi))
+        excess = err_total - target
+        split = []
+        for i in sorted(range(len(panels)), key=errs.__getitem__, reverse=True)[:room]:
+            split.append(i)
+            excess -= errs[i]
+            if excess <= 0:
+                break
+        refined = []
+        kept_from = 0
+        for i in sorted(split):
+            lo, hi, value, _ = panels[i]
+            if lo == 0.0:
+                head_magnitudes.append(abs(value))
+                if len(head_magnitudes) >= 8 and all(
+                    head_magnitudes[i] < head_magnitudes[i + 1] for i in range(-7, -1)
+                ):
+                    raise DomainError(
+                        "non-integrable endpoint: head contributions diverge under refinement"
+                    )
+            mid_point = 0.5 * (lo + hi)
+            refined += panels[kept_from:i]
+            refined += (panel(lo, mid_point), panel(mid_point, hi))
+            kept_from = i + 1
+        panels = refined + panels[kept_from:]
 
-    ordered = sorted(panels.values(), key=lambda rec: rec[0])
-    acc = KahanSum()
-    for _, _, v, _ in ordered:
-        acc.add(v)
-    raw = acc.value
-    err_total = sum(e for _, _, _, e in ordered) + tail_bound
     value = scale * raw
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise RangeError("integral value is non-finite")
     return QuadResult(
         value=value,
         error_estimate=abs_scale * err_total,
-        panels_used=len(ordered),
+        panels_used=len(panels),
         cutoff_theta=theta_max,
-        converged=converged and err_total <= max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw)),
+        converged=converged,
         evaluations=intg.evaluations,
     )
 

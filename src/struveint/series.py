@@ -146,23 +146,18 @@ def _require_positive_z(z) -> float:
     return z
 
 
-def _struve_terms(p: complex, second: complex, log_gamma_second: complex,
-                  sign: complex, z: float):
-    """Terms of sum_k sign^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+second)),
-    given log G(second)."""
+def _w_terms(params: StruveParams, z: float):
+    """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z)."""
     half = z / 2.0
-    log_t0 = (p + 1) * math.log(half) - _LOG_GAMMA_3_2 - log_gamma_second
+    second = params.shifted_order
+    log_t0 = (params.p + 1) * math.log(half) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
     term = cmath.exp(log_t0)
-    ratio_base = sign * half * half
+    ratio_base = -params.c * half * half
     for k in itertools.count():
         yield term
         term = term * ratio_base / ((k + 1.5) * (k + second))
-
-
-def _w_terms(params: StruveParams, z: float):
-    return _struve_terms(params.p, params.shifted_order, params._log_gamma_shifted, -params.c, z)
 
 
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
@@ -203,11 +198,7 @@ def struve_w_derivative(params: StruveParams, z, order: int, ctl: SeriesControl 
 
 
 def struve_h_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    nu = complex(nu)
-    z = _require_positive_z(z)
-    if nearest_pole(nu + 0.5) is not None:
-        raise DomainError("nu + 1/2 must not be a non-positive integer")
-    return sum_terms(_struve_terms(nu, nu + 0.5, log_gamma(nu + 0.5), -1.0, z), ctl)
+    return struve_w_full(StruveParams(nu, -1, 1), z, ctl)
 
 
 def struve_h_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -220,11 +211,7 @@ def struve_h_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
 
 
 def struve_l_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    nu = complex(nu)
-    z = _require_positive_z(z)
-    if nearest_pole(nu + 0.5) is not None:
-        raise DomainError("nu + 1/2 must not be a non-positive integer")
-    return sum_terms(_struve_terms(nu, nu + 0.5, log_gamma(nu + 0.5), 1.0, z), ctl)
+    return struve_w_full(StruveParams(nu, -1, -1), z, ctl)
 
 
 def struve_l_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:

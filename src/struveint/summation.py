@@ -2,7 +2,7 @@
 
 Callers of ``KahanSum``: ``lauricella.lauricella_eval_full``, for the
 terms within one total-degree shell, and ``quadrature.integrate_kernel``,
-for the final panel sum.  ``series.sum_terms``, the stopping rule that
+for each refinement round's panel sum.  ``series.sum_terms``, the stopping rule that
 every series runs through (the Lauricella series with whole-shell sums
 as its terms), inlines the same ``add`` then ``value`` arithmetic in its
 loop to skip a method call per term.

@@ -126,6 +126,26 @@ def test_panel_budget_exhaustion_flags_result():
     assert rel(res.value, closed) < 0.1
 
 
+def test_panel_cap_limits_refinement_not_layout():
+    # max_panels caps refinement only: the initial layout is always
+    # evaluated, and the last round splits just enough panels to reach
+    # the cap exactly (at cap 29 the last round wants two splits and
+    # gets one).
+    for cap, expected in ((1, 16), (29, 29), (30, 30)):
+        ctl = QuadControl(rel_tol=1e-13, abs_tol=1e-30, max_panels=cap)
+        res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, ctl)
+        assert not res.converged
+        assert res.panels_used == expected, cap
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.0, -0.2 + 0.3j])
+def test_non_integrable_endpoint_detected(mu):
+    # Re(mu) <= 0 makes x^(mu-1) non-integrable at 0; head refinement
+    # sees ever larger leftmost-panel values and gives up fast.
+    with pytest.raises(DomainError, match="non-integrable endpoint"):
+        integrate_kernel(lambda x: 1.0, 1.0, mu, 2.0)
+
+
 def test_uncertifiable_tail_rejected():
     with pytest.raises(DomainError):
         integrate_kernel(lambda x: 1.0, 1.0, 2.0, 1.5)  # Re(lam) - Re(mu) < 0

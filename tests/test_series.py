@@ -126,6 +126,13 @@ def test_struve_l_is_w_with_b_minus1_c_minus1():
         assert abs(l - w) <= 1e-14 * abs(l)
 
 
+def test_struve_h_and_l_reject_non_finite_order():
+    for nu in (math.nan, math.inf):
+        for f in (struve_h_paper, struve_l_paper):
+            with pytest.raises(DomainError):
+                f(nu, 1.0)
+
+
 def test_struve_l_dominates_h():
     # All-positive terms versus alternating ones.
     assert struve_l_paper(0.0, 1.0).real >= struve_h_paper(0.0, 1.0).real
