@@ -156,6 +156,17 @@ def _cosh_m1(t: float) -> float:
     return 2.0 * s * s
 
 
+# Below this, cosh t - 1 = 2 sinh(t/2)^2 nears or reaches underflow (at
+# t ~ 1e-154, where head bisection for small Re(mu) goes), so its log
+# comes from sinh(t/2) instead.
+_TINY_COSH_M1 = 1e-300
+_LOG_2 = math.log(2.0)
+
+
+def _log_tiny_cosh_m1(t: float) -> float:
+    return _LOG_2 + 2.0 * math.log(math.sinh(0.5 * t))
+
+
 class _Integrand:
     """Substituted integrand without the overall a^(mu-lambda) factor."""
 
@@ -176,7 +187,8 @@ class _Integrand:
 
     def __call__(self, t: float) -> complex:
         w = _cosh_m1(t)
-        lt = (self.mu - 1.0) * math.log(w) + _log_sinh(t) - self.lam * t
+        log_w = math.log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
+        lt = (self.mu - 1.0) * log_w + _log_sinh(t) - self.lam * t
         if lt.real > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
         kern = cmath.exp(lt)
@@ -214,7 +226,10 @@ def _head_bound(intg: _Integrand, h: float) -> float:
     samples = [abs(intg.g_at(h * frac)) for frac in (0.25, 0.5, 0.75, 1.0)]
     g_max = 2.0 * max(samples)
     env = max(1.0, math.exp(-intg.lam.real * h))
-    return g_max * env * _cosh_m1(h) ** re_mu / re_mu
+    w = _cosh_m1(h)
+    # w ** re_mu would be 0 once w underflows.
+    head = w**re_mu if w >= _TINY_COSH_M1 else math.exp(re_mu * _log_tiny_cosh_m1(h))
+    return g_max * env * head / re_mu
 
 
 def _tail_coefficient(intg: _Integrand, theta_c: float, cap: float) -> float:

@@ -4,7 +4,8 @@ Covers the two Struve-type series (alternating and all-positive, both
 with the half-shifted second gamma), the three-parameter generalized
 Struve family W_{p,b,c}, the gamma-weighted Fox-Wright series, and the
 plain generalized hypergeometric pFq.  All sums run in ascending term
-order with compensated accumulation and a common stopping rule.
+order with compensated accumulation and a common stopping rule:
+``sum_terms``, which W_{p,b,c}'s own loop ``_w_sum`` repeats inline.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     estimate of 2 x the largest |t_j| of that run.  Raises
     ConvergenceError when ``ctl.max_terms`` terms pass without the rule
     firing, and RangeError when a term or a partial sum is non-finite or
-    its modulus overflows.
+    its modulus overflows.  W_{p,b,c} (``struve_w``, ``struve_w_full``)
+    does not come through here: ``_w_sum`` repeats this rule inline.
     """
     rel_tol = ctl.rel_tol
     needed = ctl.consecutive_small
@@ -146,23 +148,88 @@ def _require_positive_z(z) -> float:
     return z
 
 
-def _w_terms(params: StruveParams, z: float):
-    """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z)."""
+def _w_start(params: StruveParams, z: float) -> tuple[complex, complex, complex]:
+    """W_{p,b,c}(z)'s log leading term, term-ratio numerator -c (z/2)^2
+    and shifted order p + (b+2)/2."""
     half = z / 2.0
-    second = params.shifted_order
     log_t0 = (params.p + 1) * math.log(half) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
+    return log_t0, -params.c * half * half, params.shifted_order
+
+
+def _w_terms(params: StruveParams, z: float):
+    """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
+
+    The derivative series use them; _w_sum makes the same terms inline.
+    """
+    log_t0, ratio_base, second = _w_start(params, z)
     term = cmath.exp(log_t0)
-    ratio_base = -params.c * half * half
     for k in itertools.count():
         yield term
         term = term * ratio_base / ((k + 1.5) * (k + second))
 
 
+def _w_sum(params: StruveParams, z, ctl: SeriesControl) -> tuple[complex, int, float]:
+    """(value, terms, tail estimate) of sum_terms(_w_terms(params, z), ctl).
+
+    One loop that makes the terms by _w_terms' recurrence and applies
+    sum_terms' stopping rule, Kahan step, tail estimate and errors
+    inline, bit for bit.  When the leading term, the term ratio's
+    numerator and the second gamma's argument are all real (real p, b, c
+    and a real log Gamma(p + (b+2)/2), i.e. a positive shifted order),
+    every imaginary part of the complex loop is a signed zero, so the
+    loop runs on their real parts as floats.
+    """
+    log_t0, ratio_base, second = _w_start(params, _require_positive_z(z))
+    # cmath.exp even on the real path: near _EXP_LIMIT it rounds
+    # differently from math.exp.
+    term = cmath.exp(log_t0)
+    if log_t0.imag == 0 and ratio_base.imag == 0 and second.imag == 0:
+        term = term.real
+        ratio_base = ratio_base.real
+        second = second.real
+        total = carry = 0.0
+        isfinite = math.isfinite
+    else:
+        total = carry = 0j
+        isfinite = cmath.isfinite
+    rel_tol = ctl.rel_tol
+    needed = ctl.consecutive_small
+    small_run = 0
+    run_max = 0.0
+    k = 0
+    try:
+        for k in range(ctl.max_terms):
+            value = term + carry
+            previous = total
+            total = previous + value
+            carry = value - (total - previous)
+            partial = total + carry
+            if not isfinite(partial):
+                if not isfinite(term):
+                    raise RangeError(f"series term {k} is non-finite")
+                raise RangeError(f"partial sum overflows at term {k}")
+            mag = abs(term)
+            if mag <= rel_tol * abs(partial):
+                small_run += 1
+                if mag > run_max:
+                    run_max = mag
+                if small_run >= needed:
+                    return complex(partial), k + 1, _TAIL_SAFETY * run_max
+            else:
+                small_run = 0
+                run_max = 0.0
+            term = term * ratio_base / ((k + 1.5) * (k + second))
+    except OverflowError:
+        raise RangeError(f"series modulus overflows at term {k}") from None
+    raise ConvergenceError(
+        f"series did not meet tolerance within {ctl.max_terms} terms"
+    )
+
+
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    z = _require_positive_z(z)
-    return sum_terms(_w_terms(params, z), ctl)
+    return SeriesResult(*_w_sum(params, z, ctl))
 
 
 def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -170,7 +237,7 @@ def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> c
 
     sum_{k>=0} (-c)^k (z/2)^(2k+p+1) / (Gamma(k+3/2) Gamma(k+p+(b+2)/2)).
     """
-    return struve_w_full(params, z, ctl).value
+    return _w_sum(params, z, ctl)[0]
 
 
 def _struve_derivative_terms(params: StruveParams, z: float, order: int):

@@ -2,10 +2,12 @@
 
 Callers of ``KahanSum``: ``lauricella.lauricella_eval_full``, for the
 terms within one total-degree shell, and ``quadrature.integrate_kernel``,
-for each refinement round's panel sum.  ``series.sum_terms``, the stopping rule that
-every series runs through (the Lauricella series with whole-shell sums
-as its terms), inlines the same ``add`` then ``value`` arithmetic in its
-loop to skip a method call per term.
+for each refinement round's panel sum.  Two loops inline the same
+``add`` then ``value`` arithmetic to skip a method call per term:
+``series.sum_terms``, the stopping rule that every series but W_{p,b,c}
+runs through (the Lauricella series with whole-shell sums as its
+terms), and ``series._w_sum``, the Struve series' own loop, which
+repeats that rule bit for bit.
 """
 
 from __future__ import annotations

@@ -270,6 +270,21 @@ def test_verify_failed_cases_are_standard_json(tmp_path, capsys):
         assert entry["rel_err"] == "inf"
 
 
+def test_verify_tiny_mu_case_is_a_failed_report(tmp_path, capsys):
+    # Head bisection for mu = 0.02 reaches nodes where cosh t - 1
+    # underflows; the case fails on its own and the run goes on.
+    path = write_cases(tmp_path, [dict(GOOD_CASE, mu="0.02"), GOOD_CASE])
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", str(path), "--output", str(report_path))
+    assert code == 1
+    report = json.loads(report_path.read_text())
+    assert report["summary"] == {"total": 2, "passed": 1, "failed": 1}
+    first, second = report["cases"]
+    assert first["pass"] is False
+    assert first["reason"] == "substituted integrand overflows"
+    assert second["pass"] is True
+
+
 def test_verify_structural_error_exit_2(tmp_path, capsys):
     path = write_cases(tmp_path, [{"variant": "theorem1"}])
     code, _, err = run(capsys, "verify", str(path))

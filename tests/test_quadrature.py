@@ -6,12 +6,13 @@ from numpy.polynomial.legendre import leggauss
 from struveint import (
     DomainError,
     QuadControl,
+    RangeError,
     TailPolicy,
     integrate_kernel,
     kernel_factor,
     oberhettinger_closed_form,
 )
-from struveint.quadrature import _GAUSS_POINTS, _GAUSS_WEIGHTS, _KRONROD
+from struveint.quadrature import _GAUSS_POINTS, _GAUSS_WEIGHTS, _KRONROD, _head_bound, _Integrand
 
 BASE_GRID = [
     (a, mu, lam)
@@ -49,9 +50,29 @@ def test_unit_integrand_analytic_value():
 
 
 def test_unit_integrand_vs_closed_form_singular_endpoint():
-    res = integrate_kernel(lambda x: 1.0, 2.0, 0.5, 1.5)
-    assert res.converged
-    assert rel(res.value, oberhettinger_closed_form(2.0, 0.5, 1.5)) < 1e-11
+    # At mu = 0.03 head bisection reaches nodes where cosh t - 1
+    # underflows to 0.
+    for a, mu, lam in ((2.0, 0.5, 1.5), (1.0, 0.03, 2.0)):
+        res = integrate_kernel(lambda x: 1.0, a, mu, lam)
+        assert res.converged, mu
+        assert rel(res.value, oberhettinger_closed_form(a, mu, lam)) < 1e-11, mu
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.01])
+def test_tiny_mu_endpoint_is_range_error(mu):
+    # The head needs panels so short that the t^(2 mu - 2) endpoint
+    # factor overflows: a typed error, not a leaked math domain error.
+    with pytest.raises(RangeError, match="substituted integrand overflows"):
+        integrate_kernel(lambda x: 1.0, 1.0, mu, 2.0)
+
+
+def test_head_bound_past_cosh_underflow():
+    # (cosh h - 1)^mu taken as 0.0 ** mu would bound the head by 0.
+    intg = _Integrand(lambda x: 1.0, 1.0, 0.03 + 0j, 2.0 + 0j)
+    for h in (1e-150, 1e-200, 1e-300):
+        # cosh h - 1 = h^2 / 2 to double precision here.
+        expected = 2.0 * math.exp(0.03 * (2.0 * math.log(h) - math.log(2.0))) / 0.03
+        assert rel(_head_bound(intg, h), expected) < 1e-12, h
 
 
 def test_zero_integrand():

@@ -338,14 +338,18 @@ def reference_sum_terms(terms, ctl):
     raise ConvergenceError(f"series did not meet tolerance within {ctl.max_terms} terms")
 
 
-def summed(summer, make_terms, ctl):
-    """Bit pattern of a summation outcome: value, terms and tail, or the error."""
+def outcome(run):
+    """Bit pattern of run()'s SeriesResult: value, terms and tail, or the error."""
     try:
-        result = summer(make_terms(), ctl)
+        result = run()
     except StruveintError as exc:
         return type(exc).__name__, str(exc)
     value = result.value
     return value.real.hex(), value.imag.hex(), result.terms, result.tail_estimate.hex()
+
+
+def summed(summer, make_terms, ctl):
+    return outcome(lambda: summer(make_terms(), ctl))
 
 
 def assert_matches_reference(make_terms, ctl):
@@ -420,3 +424,72 @@ def test_sum_terms_crafted_streams():
         "ConvergenceError",
         "series did not meet tolerance within 5 terms",
     )
+
+
+# --- struve_w's fused loop against sum_terms(_w_terms) ------------------------------
+
+def assert_fused_matches(params, z, ctl):
+    """struve_w_full and struve_w agree bit for bit with sum_terms over
+    _w_terms: value, terms and tail, or the error's type and message."""
+    expected = outcome(lambda: sum_terms(_w_terms(params, z), ctl))
+    assert outcome(lambda: struve_w_full(params, z, ctl)) == expected
+    if len(expected) == 4:  # a value, not an error
+        value = struve_w(params, z, ctl)
+        assert (value.real.hex(), value.imag.hex()) == expected[:2]
+    return expected
+
+
+@st.composite
+def struve_draws(draw):
+    """(params, z): real or complex p, b, c, with shifted orders
+    p + (b+2)/2 in [-5, 7], so real negative non-integer ones too."""
+    real = draw(st.booleans())
+
+    def part(bound):
+        x = draw(st.floats(-bound, bound))
+        return x if real else complex(x, draw(st.floats(-1.0, 1.0)))
+
+    try:
+        params = StruveParams(part(4.0), part(4.0), part(3.0))
+    except DomainError:
+        assume(False)
+    z = draw(st.floats(-3.0, math.log10(60.0)).map(lambda e: 10.0**e))
+    return params, z
+
+
+struve_controls = st.sampled_from(
+    (SeriesControl(), SeriesControl(max_terms=5), SeriesControl(rel_tol=1e-8, consecutive_small=1))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw=struve_draws(), ctl=struve_controls)
+def test_struve_w_fused_loop_matches_sum_terms(draw, ctl):
+    assert_fused_matches(*draw, ctl)
+
+
+def test_struve_w_fused_loop_crafted():
+    # Shifted order 0.1 and a leading term near e^709: real p, b, c run in
+    # floats, where the leading term must still round as cmath.exp does
+    # (math.exp differs in the last bit at these three levels).
+    lead = StruveParams(400.0, -801.8, 0.0)
+    second = lead.shifted_order.real
+    log_scale = math.lgamma(1.5) + lead._log_gamma_shifted.real
+    for level in (708.9, 709.1, 709.5):
+        z = 2.0 * math.exp((level + log_scale) / 401.0)
+        for c in (0.0, 1e-3):
+            params = StruveParams(400.0, -801.8, c)
+            assert len(assert_fused_matches(params, z, SeriesControl())) == 4
+    # A complex c that turns term 1 to phase 3 pi / 4 at modulus 2.5 e^709:
+    # both parts and the partial sum are finite, the modulus is not.
+    z = 2.0 * math.exp((709.0 + log_scale) / 401.0)
+    half = z / 2.0
+    c = -2.5 * cmath.exp(0.75j * math.pi) * 1.5 * second / (half * half)
+    assert assert_fused_matches(StruveParams(400.0, -801.8, c), z, SeriesControl()) == (
+        "RangeError",
+        "series modulus overflows at term 1",
+    )
+    # A negative non-integer shifted order: log Gamma carries i pi, the sign.
+    params = StruveParams(-1.3, 0.0, 1.0)
+    assert params._log_gamma_shifted.imag != 0
+    assert assert_fused_matches(params, 1.0, SeriesControl())[0].startswith("-")
