@@ -291,16 +291,14 @@ def report_to_dict(rep: VerificationReport, raw_case: dict) -> dict:
 
 
 def _plain(obj):
-    """Coerce numpy scalars and tuples into JSON-clean values; non-finite
-    floats become the strings "nan", "inf" and "-inf"."""
+    """Coerce tuples into JSON-clean lists; non-finite floats become the
+    strings "nan", "inf" and "-inf"."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (tuple, list)):
         return [_plain(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
-    if hasattr(obj, "item"):
-        return _plain(obj.item())
     return obj
 
 

@@ -86,11 +86,13 @@ def test_non_finite_inputs_rejected():
 
 
 def test_import_does_not_load_scipy_special():
-    # log_gamma imports scipy.special only for complex or non-positive z.
+    # log_gamma imports scipy.special only for complex or non-positive z,
+    # and nothing in the library or the CLI imports numpy.
     src = os.path.dirname(os.path.dirname(struveint.__file__))
-    code = "import sys, struveint; print('scipy.special' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    ).stdout
-    assert out.strip() == "False"
+    for module in ("struveint", "struveint.cli"):
+        code = f"import sys, {module}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "[]", module

@@ -1,18 +1,25 @@
 import math
 
 import pytest
+from mpmath import mp, mpf
 from numpy.polynomial.legendre import leggauss
 
 from struveint import (
     DomainError,
     QuadControl,
     RangeError,
-    TailPolicy,
     integrate_kernel,
     kernel_factor,
     oberhettinger_closed_form,
 )
-from struveint.quadrature import _GAUSS_POINTS, _GAUSS_WEIGHTS, _KRONROD, _head_bound, _Integrand
+from struveint.quadrature import (
+    _GAUSS_POINTS,
+    _GAUSS_WEIGHTS,
+    _KRONROD,
+    _THETA_CAP,
+    _head_bound,
+    _Integrand,
+)
 
 BASE_GRID = [
     (a, mu, lam)
@@ -135,7 +142,7 @@ def test_result_invariants():
     res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, ctl)
     assert res.error_estimate >= 0.0
     assert res.panels_used <= ctl.max_panels
-    assert 0.0 < res.cutoff_theta <= ctl.theta_cutoff_policy.theta_cap
+    assert 0.0 < res.cutoff_theta <= _THETA_CAP
 
 
 def test_panel_budget_exhaustion_flags_result():
@@ -199,11 +206,12 @@ def test_kernel_factor_substitution_identity():
         assert rel(kernel_factor(x, a), a * math.e) < 1e-14
 
 
-def test_tail_policy_cap_respected():
-    pol = TailPolicy(theta_cap=30.0)
-    ctl = QuadControl(theta_cutoff_policy=pol)
-    res = integrate_kernel(lambda x: 1.0, 1.0, 1.0, 1.6, ctl)
-    assert res.cutoff_theta <= 30.0
+def test_tail_cutoff_cap_binds():
+    # Decay rate 0.1: the envelope would certify the tail only well past
+    # the cap, so the cutoff stops at the cap and the result is flagged.
+    res = integrate_kernel(lambda x: 1.0, 1.0, 1.0, 1.1)
+    assert res.cutoff_theta == _THETA_CAP == 200.0
+    assert not res.converged
 
 
 def test_kronrod_rule_polynomial_exactness():
@@ -213,6 +221,36 @@ def test_kronrod_rule_polynomial_exactness():
         approx = sum(w * x**d for x, w in _KRONROD)
         exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
         assert abs(approx - exact) <= 1e-14, d
+
+
+def test_kronrod_table_is_the_nearest_doubles():
+    # Solve the rule at 40 digits: the Gauss nodes are the roots of P_7,
+    # with weights 2 / ((1 - x^2) P_7'(x)^2); the other four positive
+    # nodes and the eight Kronrod weights of x >= 0 solve the even-degree
+    # exactness equations 0..22, seeded with the table.
+    half = _KRONROD[_GAUSS_POINTS:][::-1]
+    with mp.workdps(40):
+        gauss = [mp.findroot(lambda x: mp.legendre(7, x), half[i][0]) for i in (1, 3, 5)]
+        gauss_weights = [
+            2 / ((1 - x**2) * mp.diff(lambda t: mp.legendre(7, t), x) ** 2)
+            for x in gauss + [mpf(0)]
+        ]
+
+        def nodes(extra):
+            return [extra[0], gauss[0], extra[1], gauss[1], extra[2], gauss[2], extra[3], mpf(0)]
+
+        def residuals(*unknowns):
+            # Every node but the centre stands for itself and its mirror.
+            pairs = zip(nodes(unknowns[:4]), unknowns[4:], [2] * 7 + [1])
+            terms = [(x * x, m * w) for x, w, m in pairs]
+            return [sum(mw * x2**j for x2, mw in terms) - mpf(2) / (2 * j + 1) for j in range(12)]
+
+        seed = [half[i][0] for i in (0, 2, 4, 6)] + [w for _, w in half]
+        solved = mp.findroot(residuals, seed)
+        exact = list(zip(nodes(solved[:4]), solved[4:]))
+    for (x, w), (x40, w40) in zip(half, exact):
+        assert (x, w) == (float(x40), float(w40)), x
+    assert list(_GAUSS_WEIGHTS[_GAUSS_POINTS // 2:]) == [float(w) for w in gauss_weights[::-1]]
 
 
 def test_kronrod_rule_embeds_gauss_and_is_positive_symmetric():
