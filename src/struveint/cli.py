@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
@@ -384,6 +383,9 @@ def cmd_verify(args) -> int:
     todo = [case for _, case in parsed if isinstance(case, IntegralCase)]
     workers = min(args.jobs, len(todo), _usable_cpus())
     if workers > 1:
+        # Imported here: it loads multiprocessing, which no other path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         k = len(todo)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify_case, todo, [qctl] * k, [sctl] * k, [tol] * k))

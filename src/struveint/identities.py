@@ -31,6 +31,7 @@ from .series import (
     FoxWrightSpec,
     SeriesControl,
     StruveParams,
+    _w_real,
     fox_wright,
     pfq,
     struve_w,
@@ -311,13 +312,18 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
 
 
 def _struve_product(case: IntegralCase, ctl: SeriesControl):
-    """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1."""
-    params = case.struve_params()
+    """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1,
+    by the arithmetic of ``struve_arguments`` and ``struve_w`` with one
+    kernel factor per x and real-parameter factors summed by ``_w_real``."""
+    factors = tuple(zip(case.struve_params(), case.y))
+    a, scaled = case.a, case.variant == THEOREM2
 
     def g(x: float) -> complex:
+        kern = kernel_factor(x, a)
         prod = 1.0 + 0j
-        for prm, u in zip(params, struve_arguments(case, x)):
-            prod *= struve_w(prm, u, ctl)
+        for prm, yj in factors:
+            u = (x * yj if scaled else yj) / kern
+            prod *= _w_real(prm, u, ctl)[0] if prm._real else struve_w(prm, u, ctl)
         return prod
 
     return g

@@ -15,18 +15,19 @@ the published table of QUADPACK's QK15 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
 a test solves the rule at 40 digits and checks every tabulated double.
-The eight pilot panels that size the tail become the first panels of
-the layout.  The leftmost panel is bisected geometrically toward 0
-while a closed-form bound on the remaining head mass exceeds its
-tolerance share, and the tail is cut where an exponential envelope
-certifies the remainder.
+A panel takes its 15 nodes in one loop: each node's kernel weight, then
+one call of g unless the weight underflowed to 0.  The eight pilot
+panels that size the tail become the first panels of the layout.  The
+leftmost panel is bisected geometrically toward 0 while a closed-form
+bound on the remaining head mass exceeds its tolerance share, and the
+tail is cut where an exponential envelope certifies the remainder.
 
 Refinement runs in rounds over one list of panels kept in theta order.
-Each round takes the compensated panel sum and the error sum once and
-stops when the errors plus the tail bound meet the target; otherwise it
-bisects the fewest worst panels whose errors cover the excess, worst
-first and no more than the panel cap leaves room for.  The last round's
-sums are the result.
+Each round takes the compensated panel sum (Kahan's step inlined) and
+the error sum once and stops when the errors plus the tail bound meet
+the target; otherwise it bisects the fewest worst panels whose errors
+cover the excess, worst first and no more than the panel cap leaves
+room for.  The last round's sums are the result.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .summation import KahanSum
 
 
 # QK15 (see the module docstring): the Kronrod (node, weight) pairs for
@@ -117,12 +117,6 @@ def kernel_factor(x: float, a: float) -> float:
     return x + a + math.sqrt(x * (x + 2.0 * a))
 
 
-def _log_sinh(t: float) -> float:
-    if t < 1e-3:
-        return math.log(t) + math.log1p(t * t / 6.0)
-    return t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
-
-
 def _cosh_m1(t: float) -> float:
     s = math.sinh(0.5 * t)
     return 2.0 * s * s
@@ -149,34 +143,42 @@ class _Integrand:
         self.lam = lam
         self.evaluations = 0
 
-    def _g(self, w: float) -> complex:
-        """g at x = a w, where w = cosh t - 1."""
-        self.evaluations += 1
-        return complex(self.g(self.a * w))
-
     def g_at(self, t: float) -> complex:
-        return self._g(_cosh_m1(t))
+        """g at x = a (cosh t - 1)."""
+        self.evaluations += 1
+        return complex(self.g(self.a * _cosh_m1(t)))
 
-    def __call__(self, t: float) -> complex:
+
+def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[complex, complex]:
+    """15-point Kronrod value and its embedded 7-point Gauss value; a
+    node whose kernel weight underflows to 0 adds 0 without a call of g."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    g, a, mu_m1, lam = intg.g, intg.a, intg.mu - 1.0, intg.lam
+    log, log1p, exp, isfinite = math.log, math.log1p, math.exp, math.isfinite
+    values = []
+    calls = 0
+    for xi, _ in _KRONROD:
+        t = mid + half * xi
         w = _cosh_m1(t)
-        log_w = math.log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
-        lt = (self.mu - 1.0) * log_w + _log_sinh(t) - self.lam * t
+        log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
+        if t < 1e-3:
+            log_sinh = log(t) + log1p(t * t / 6.0)
+        else:
+            log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
+        lt = mu_m1 * log_w + log_sinh - lam * t
         if lt.real > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
         kern = cmath.exp(lt)
         if kern == 0:
-            return 0j
-        val = kern * self._g(w)
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            values.append(0j)
+            continue
+        calls += 1
+        val = kern * complex(g(a * w))
+        if not (isfinite(val.real) and isfinite(val.imag)):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
-        return val
-
-
-def _panel(f, lo: float, hi: float) -> tuple[complex, complex]:
-    """15-point Kronrod value and its embedded 7-point Gauss value."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    values = [f(mid + half * xi) for xi, _ in _KRONROD]
+        values.append(val)
+    intg.evaluations += calls
     kronrod = 0j
     for (_, wi), fi in zip(_KRONROD, values):
         kronrod += wi * fi
@@ -306,10 +308,14 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
     while True:
-        acc = KahanSum()
+        # KahanSum's add then value, inlined.
+        total = carry = 0j
         for rec in panels:
-            acc.add(rec[2])
-        raw = acc.value
+            value = rec[2] + carry
+            previous = total
+            total = previous + value
+            carry = value - (total - previous)
+        raw = total + carry
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound
         target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw))

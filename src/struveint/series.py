@@ -4,8 +4,11 @@ Covers the two Struve-type series (alternating and all-positive, both
 with the half-shifted second gamma), the three-parameter generalized
 Struve family W_{p,b,c}, the gamma-weighted Fox-Wright series, and the
 plain generalized hypergeometric pFq.  All sums run in ascending term
-order with compensated accumulation and a common stopping rule:
-``sum_terms``, which W_{p,b,c}'s own loop ``_w_sum`` repeats inline.
+order with compensated accumulation and a common stopping rule,
+``sum_terms``.  W_{p,b,c} with real p, b, c (and a positive shifted
+order p + (b+2)/2) is summed by ``_w_real``, the same rule on floats,
+bit for bit, over term-ratio denominators that its ``StruveParams``
+keeps from call to call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, DivergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma, nearest_pole
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
@@ -70,8 +73,8 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     estimate of 2 x the largest |t_j| of that run.  Raises
     ConvergenceError when ``ctl.max_terms`` terms pass without the rule
     firing, and RangeError when a term or a partial sum is non-finite or
-    its modulus overflows.  W_{p,b,c} (``struve_w``, ``struve_w_full``)
-    does not come through here: ``_w_sum`` repeats this rule inline.
+    its modulus overflows.  W_{p,b,c} with real parameters does not come
+    through here: ``_w_real`` repeats this rule inline, in floats.
     """
     rel_tol = ctl.rel_tol
     needed = ctl.consecutive_small
@@ -119,22 +122,34 @@ class StruveParams:
     c: complex
     # log Gamma(p + (b+2)/2), the leading term's constant.
     _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
+    # Not fields, so set per instance only when needed: the floats
+    # (p + 1, -c, p + (b+2)/2, log Gamma(p + (b+2)/2)) when all are real
+    # (None sends W through sum_terms), and the term-ratio denominators
+    # (k + 3/2)(k + p + (b+2)/2) known so far, replaced by a longer tuple
+    # when a sum needs more (never grown in place: threads share params).
+    _real = None
+    _denominators = ()
 
     def __post_init__(self):
         for name in ("p", "b", "c"):
             v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise DomainError(f"StruveParams.{name} must be finite")
             object.__setattr__(self, name, v)
         # Every term's second gamma argument is p + (b+2)/2 + k; a pole
         # there (k = 0 is the worst case) poisons the whole series.
-        pole = nearest_pole(self.p + (self.b + 2) / 2)
-        if pole is not None:
+        shifted = self.shifted_order
+        try:
+            lgs = log_gamma(shifted)
+        except GammaPoleError as exc:
             raise DomainError(
-                f"p + (b+2)/2 = {pole} is a non-positive integer; "
+                f"p + (b+2)/2 = {exc.location} is a non-positive integer; "
                 "the generalized Struve series is undefined"
-            )
-        object.__setattr__(self, "_log_gamma_shifted", log_gamma(self.shifted_order))
+            ) from None
+        object.__setattr__(self, "_log_gamma_shifted", lgs)
+        p, c = self.p, self.c
+        if not (p.imag or self.b.imag or c.imag or lgs.imag):
+            object.__setattr__(self, "_real", (p.real + 1, -c.real, shifted.real, lgs.real))
 
     @property
     def shifted_order(self) -> complex:
@@ -148,88 +163,86 @@ def _require_positive_z(z) -> float:
     return z
 
 
-def _w_start(params: StruveParams, z: float) -> tuple[complex, complex, complex]:
-    """W_{p,b,c}(z)'s log leading term, term-ratio numerator -c (z/2)^2
-    and shifted order p + (b+2)/2."""
+def _w_terms(params: StruveParams, z: float):
+    """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
+
+    W with complex parameters and the derivative series sum them through
+    sum_terms; _w_real makes the same terms in floats.
+    """
     half = z / 2.0
     log_t0 = (params.p + 1) * math.log(half) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
-    return log_t0, -params.c * half * half, params.shifted_order
-
-
-def _w_terms(params: StruveParams, z: float):
-    """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
-
-    The derivative series use them; _w_sum makes the same terms inline.
-    """
-    log_t0, ratio_base, second = _w_start(params, z)
+    ratio_base = -params.c * half * half
+    second = params.shifted_order
     term = cmath.exp(log_t0)
     for k in itertools.count():
         yield term
         term = term * ratio_base / ((k + 1.5) * (k + second))
 
 
-def _w_sum(params: StruveParams, z, ctl: SeriesControl) -> tuple[complex, int, float]:
-    """(value, terms, tail estimate) of sum_terms(_w_terms(params, z), ctl).
-
-    One loop that makes the terms by _w_terms' recurrence and applies
-    sum_terms' stopping rule, Kahan step, tail estimate and errors
-    inline, bit for bit.  When the leading term, the term ratio's
-    numerator and the second gamma's argument are all real (real p, b, c
-    and a real log Gamma(p + (b+2)/2), i.e. a positive shifted order),
-    every imaginary part of the complex loop is a signed zero, so the
-    loop runs on their real parts as floats.
+def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex, int, float]:
+    """(value, terms, tail estimate) of sum_terms(_w_terms(params, z), ctl)
+    for a float z and params with ``_real`` set, bit for bit: with p, b, c
+    and log Gamma(p + (b+2)/2) real, every imaginary part there is a
+    signed zero, so this loop runs _w_terms' recurrence and sum_terms'
+    rule on floats (where no modulus overflows while its parts are finite).
     """
-    log_t0, ratio_base, second = _w_start(params, _require_positive_z(z))
-    # cmath.exp even on the real path: near _EXP_LIMIT it rounds
-    # differently from math.exp.
-    term = cmath.exp(log_t0)
-    if log_t0.imag == 0 and ratio_base.imag == 0 and second.imag == 0:
-        term = term.real
-        ratio_base = ratio_base.real
-        second = second.real
-        total = carry = 0.0
-        isfinite = math.isfinite
-    else:
-        total = carry = 0j
-        isfinite = cmath.isfinite
+    if not 0.0 < z < math.inf:
+        _require_positive_z(z)  # raises
+    p1, neg_c, second, lgs = params._real
+    half = z / 2.0
+    log_t0 = p1 * math.log(half) - _LOG_GAMMA_3_2 - lgs
+    if log_t0 > _EXP_LIMIT:
+        raise RangeError("leading series term overflows")
+    # cmath.exp: near _EXP_LIMIT it rounds differently from math.exp.
+    term = cmath.exp(log_t0).real
+    ratio = neg_c * half * half
+    dens = params._denominators
+    known = len(dens)
+    more = []
     rel_tol = ctl.rel_tol
     needed = ctl.consecutive_small
+    isfinite = math.isfinite
+    total = carry = run_max = 0.0
     small_run = 0
-    run_max = 0.0
-    k = 0
-    try:
-        for k in range(ctl.max_terms):
-            value = term + carry
-            previous = total
-            total = previous + value
-            carry = value - (total - previous)
-            partial = total + carry
-            if not isfinite(partial):
-                if not isfinite(term):
-                    raise RangeError(f"series term {k} is non-finite")
-                raise RangeError(f"partial sum overflows at term {k}")
-            mag = abs(term)
-            if mag <= rel_tol * abs(partial):
-                small_run += 1
-                if mag > run_max:
-                    run_max = mag
-                if small_run >= needed:
-                    return complex(partial), k + 1, _TAIL_SAFETY * run_max
-            else:
-                small_run = 0
-                run_max = 0.0
-            term = term * ratio_base / ((k + 1.5) * (k + second))
-    except OverflowError:
-        raise RangeError(f"series modulus overflows at term {k}") from None
+    for k in range(ctl.max_terms):
+        value = term + carry
+        previous = total
+        total = previous + value
+        carry = value - (total - previous)
+        partial = total + carry
+        if not isfinite(partial):
+            if not isfinite(term):
+                raise RangeError(f"series term {k} is non-finite")
+            raise RangeError(f"partial sum overflows at term {k}")
+        mag = abs(term)
+        if mag <= rel_tol * abs(partial):
+            small_run += 1
+            if mag > run_max:
+                run_max = mag
+            if small_run >= needed:
+                if more:
+                    object.__setattr__(params, "_denominators", dens + tuple(more))
+                return complex(partial), k + 1, _TAIL_SAFETY * run_max
+        else:
+            small_run = 0
+            run_max = 0.0
+        if k < known:
+            den = dens[k]
+        else:
+            den = (k + 1.5) * (k + second)
+            more.append(den)
+        term = term * ratio / den
     raise ConvergenceError(
         f"series did not meet tolerance within {ctl.max_terms} terms"
     )
 
 
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    return SeriesResult(*_w_sum(params, z, ctl))
+    if params._real is None:
+        return sum_terms(_w_terms(params, _require_positive_z(z)), ctl)
+    return SeriesResult(*_w_real(params, float(z), ctl))
 
 
 def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -237,7 +250,9 @@ def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> c
 
     sum_{k>=0} (-c)^k (z/2)^(2k+p+1) / (Gamma(k+3/2) Gamma(k+p+(b+2)/2)).
     """
-    return _w_sum(params, z, ctl)[0]
+    if params._real is None:
+        return struve_w_full(params, z, ctl).value
+    return _w_real(params, float(z), ctl)[0]
 
 
 def _struve_derivative_terms(params: StruveParams, z: float, order: int):

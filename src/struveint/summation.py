@@ -1,13 +1,13 @@
 """Compensated (Kahan) accumulation for deterministic series summation.
 
-Callers of ``KahanSum``: ``lauricella.lauricella_eval_full``, for the
-terms within one total-degree shell, and ``quadrature.integrate_kernel``,
-for each refinement round's panel sum.  Two loops inline the same
+``KahanSum``'s caller is ``lauricella.lauricella_eval_full``, for the
+terms within one total-degree shell.  Three loops inline the same
 ``add`` then ``value`` arithmetic to skip a method call per term:
-``series.sum_terms``, the stopping rule that every series but W_{p,b,c}
-runs through (the Lauricella series with whole-shell sums as its
-terms), and ``series._w_sum``, the Struve series' own loop, which
-repeats that rule bit for bit.
+``series.sum_terms``, the stopping rule that every series runs through
+(the Lauricella series with whole-shell sums as its terms); its
+real-arithmetic copy ``series._w_real``, which sums W_{p,b,c} for real
+p, b, c bit for bit as ``sum_terms`` would; and
+``quadrature.integrate_kernel``, for each refinement round's panel sum.
 """
 
 from __future__ import annotations

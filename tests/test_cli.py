@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -364,7 +365,7 @@ def test_verify_jobs_worker_count(jobs, good, cpus, expected, tmp_path, capsys, 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     path = write_cases(tmp_path, [dict(GOOD_CASE, mu="50")] + [GOOD_CASE] * good)
     code, out, _ = run(capsys, "verify", str(path), "--jobs", str(jobs))

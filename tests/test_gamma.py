@@ -87,10 +87,12 @@ def test_non_finite_inputs_rejected():
 
 def test_import_does_not_load_scipy_special():
     # log_gamma imports scipy.special only for complex or non-positive z,
-    # and nothing in the library or the CLI imports numpy.
+    # nothing in the library or the CLI imports numpy, and the CLI loads
+    # the process pool only for verify --jobs above 1.
     src = os.path.dirname(os.path.dirname(struveint.__file__))
+    heavy = {"numpy", "scipy", "concurrent.futures.process", "multiprocessing"}
     for module in ("struveint", "struveint.cli"):
-        code = f"import sys, {module}; print(sorted({{'numpy', 'scipy'}} & set(sys.modules)))"
+        code = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from struveint import (
     DomainError,
     IntegralCase,
     gamma,
+    integrate_kernel,
     kernel_factor,
     lauricella_eval,
     lhs_integrand,
@@ -18,6 +21,7 @@ from struveint import (
     rhs_spec_theorem1,
     rhs_spec_theorem2,
     struve_arguments,
+    struve_w_full,
     verify_case,
 )
 
@@ -289,3 +293,56 @@ def test_verify_independent_routes_disagree_when_tampered():
     rep = verify_case(case, tol=1e-20)
     assert not rep.passed
     assert "exceeds tolerance" in rep.reason
+
+
+# --- verify_case's left side against one built from public calls ------------------
+
+@st.composite
+def verify_cases(draw):
+    """Both variants, n = 1..3, real or complex p, b, c, in ranges where
+    both sides evaluate."""
+    n = draw(st.integers(1, 3))
+    real = draw(st.booleans())
+
+    def value(lo, hi):
+        x = draw(st.floats(lo, hi))
+        return x if real else complex(x, draw(st.floats(-0.3, 0.3)))
+
+    mu = draw(st.floats(0.5, 1.5))
+    return IntegralCase(
+        draw(st.sampled_from(("theorem1", "theorem2"))),
+        a=draw(st.floats(0.5, 2.0)),
+        lam=mu + draw(st.floats(0.5, 2.0)),
+        mu=mu,
+        b=value(0.5, 2.0),
+        c=value(-1.0, 1.5),
+        p=tuple(value(0.0, 2.0) for _ in range(n)),
+        y=tuple(draw(st.floats(0.5, 2.0)) for _ in range(n)),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=verify_cases())
+def test_verify_lhs_matches_public_struve_product(case):
+    # verify_case's left side, bit for bit and with the same diagnostics,
+    # is integrate_kernel over prod_j struve_w_full(...).value at
+    # struve_arguments(case, x), composed from public calls only.
+    rep = verify_case(case)
+    assume(rep.lhs_diag)  # both sides evaluated
+    params = case.struve_params()
+
+    def g(x):
+        prod = 1.0 + 0j
+        for prm, u in zip(params, struve_arguments(case, x)):
+            prod *= struve_w_full(prm, u).value
+        return prod
+
+    quad = integrate_kernel(g, case.a, case.mu, case.lam)
+    assert (rep.lhs.real.hex(), rep.lhs.imag.hex()) == (quad.value.real.hex(), quad.value.imag.hex())
+    assert rep.lhs_diag == {
+        "panels_used": quad.panels_used,
+        "cutoff_theta": quad.cutoff_theta,
+        "error_estimate": quad.error_estimate,
+        "converged": quad.converged,
+        "evaluations": quad.evaluations,
+    }

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from struveint import (
     kernel_factor,
     oberhettinger_closed_form,
 )
+from struveint.gammafn import _EXP_LIMIT
 from struveint.quadrature import (
     _GAUSS_POINTS,
     _GAUSS_WEIGHTS,
@@ -19,6 +21,7 @@ from struveint.quadrature import (
     _THETA_CAP,
     _head_bound,
     _Integrand,
+    _panel,
 )
 
 BASE_GRID = [
@@ -278,3 +281,103 @@ def test_evaluations_count_every_call_of_g():
         res = integrate_kernel(g, 1.0, mu, lam)
         assert res.converged
         assert res.evaluations == len(calls)
+
+
+# --- one panel's 15 nodes in one loop against a per-node integrand ----------------
+
+def reference_node(g, a, mu, lam, t, calls):
+    """The substituted integrand at one node, node by node: kernel weight
+    (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t), then g unless it is 0."""
+    s = math.sinh(0.5 * t)
+    w = 2.0 * s * s
+    log_w = math.log(w) if w >= 1e-300 else math.log(2.0) + 2.0 * math.log(s)
+    if t < 1e-3:
+        log_sinh = math.log(t) + math.log1p(t * t / 6.0)
+    else:
+        log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
+    lt = (mu - 1.0) * log_w + log_sinh - lam * t
+    if lt.real > _EXP_LIMIT:
+        raise RangeError("substituted integrand overflows")
+    kern = cmath.exp(lt)
+    if kern == 0:
+        return 0j
+    calls.append(a * w)
+    val = kern * complex(g(a * w))
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise RangeError(f"integrand non-finite at theta = {t:.6g}")
+    return val
+
+
+def reference_panel(g, a, mu, lam, lo, hi):
+    """(Kronrod value, Gauss value, calls of g) summed as _panel sums."""
+    calls = []
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    values = [reference_node(g, a, mu, lam, mid + half * xi, calls) for xi, _ in _KRONROD]
+    kronrod = 0j
+    for (_, wi), fi in zip(_KRONROD, values):
+        kronrod += wi * fi
+    gauss = 0j
+    for wi, fi in zip(_GAUSS_WEIGHTS, values[1::2]):
+        gauss += wi * fi
+    return half * kronrod, half * gauss, calls
+
+
+def panel_outcome(run):
+    try:
+        kronrod, gauss, calls = run()
+    except RangeError as exc:
+        return str(exc)
+    bits = tuple(v.hex() for z in (kronrod, gauss) for v in (z.real, z.imag))
+    return bits, calls
+
+
+def one_loop_panel(g, a, mu, lam, lo, hi):
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return g(x)
+
+    intg = _Integrand(recorded, a, complex(mu), complex(lam))
+    kronrod, gauss = _panel(intg, lo, hi)
+    assert intg.evaluations == len(calls)
+    return kronrod, gauss, calls
+
+
+PANEL_CASES = [
+    # (g, a, mu, lam, lo, hi): interior, head (t < 1e-3) and far-tail
+    # panels, complex parameters, and a head so short that cosh t - 1
+    # underflows.
+    (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.5, 2.5),
+    (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.0, 1e-4),
+    (lambda x: math.exp(-1e-3 * x), 2.0, 1.3, 1.9, 30.0, 32.0),
+    (lambda x: 1.0, 1.0, 0.03, 2.0, 0.0, 1e-250),
+]
+
+
+@pytest.mark.parametrize("case", PANEL_CASES)
+def test_panel_matches_per_node_integrand(case):
+    expected = panel_outcome(lambda: reference_panel(*case))
+    assert len(expected[1]) == 15
+    assert panel_outcome(lambda: one_loop_panel(*case)) == expected
+
+
+def test_panel_skips_g_where_the_weight_underflows():
+    # e^(-1000 t) underflows to 0 from t ~ 0.745 on: those nodes add 0
+    # and are not evaluations.
+    case = (lambda x: 1.0 + x, 1.0, 1.0, 1000.0, 0.7, 0.8)
+    expected = panel_outcome(lambda: reference_panel(*case))
+    assert 0 < len(expected[1]) < 15
+    assert panel_outcome(lambda: one_loop_panel(*case)) == expected
+
+
+def test_panel_errors_name_the_failing_node():
+    non_finite = (lambda x: math.inf if x > 1.2 else 1.0, 1.0, 0.8, 2.0, 1.0, 2.0)
+    message = panel_outcome(lambda: reference_panel(*non_finite))
+    assert message.startswith("integrand non-finite at theta = ")
+    assert panel_outcome(lambda: one_loop_panel(*non_finite)) == message
+    # (cosh t - 1)^(-1.5) at t ~ 1e-300 is beyond the double range.
+    overflow = (lambda x: 1.0, 1.0, -0.5, 2.0, 0.0, 1e-300)
+    assert panel_outcome(lambda: reference_panel(*overflow)) == "substituted integrand overflows"
+    assert panel_outcome(lambda: one_loop_panel(*overflow)) == "substituted integrand overflows"

@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
@@ -493,3 +495,54 @@ def test_struve_w_fused_loop_crafted():
     params = StruveParams(-1.3, 0.0, 1.0)
     assert params._log_gamma_shifted.imag != 0
     assert assert_fused_matches(params, 1.0, SeriesControl())[0].startswith("-")
+
+
+def test_struve_w_real_loop_past_known_denominators():
+    # W_{1,1,1} at z = 30..60 takes 57..91 terms, so each call below
+    # needs more term-ratio denominators than the params know, on fresh
+    # params and on params that earlier calls have extended.
+    shared = StruveParams(1.0, 1.0, 1.0)
+    for z in (30.0, 40.0, 50.0, 60.0):
+        known = len(shared._denominators)
+        expected = assert_fused_matches(StruveParams(1.0, 1.0, 1.0), z, SeriesControl())
+        assert 57 <= expected[2] <= 91
+        assert expected[2] - 1 > known
+        assert outcome(lambda: struve_w_full(shared, z)) == expected
+        assert len(shared._denominators) == expected[2] - 1
+    # Calls that need fewer than are known leave them as they are.
+    known = shared._denominators
+    for z in (60.0, 0.5, 35.0):
+        assert_fused_matches(shared, z, SeriesControl())
+        assert shared._denominators is known
+
+
+def test_struve_w_shared_params_across_threads():
+    # Four threads sum W over one StruveParams, each growing its
+    # denominators in a different order; every value matches a serial
+    # run on fresh params.
+    zs = [0.3, 2.0, 55.0, 7.5, 30.0, 60.0, 1.0, 45.0]
+    serial = [outcome(lambda: struve_w_full(StruveParams(1.0, 1.0, 1.0), z)) for z in zs]
+    shared = StruveParams(1.0, 1.0, 1.0)
+    orders = [zs, zs[::-1], zs[1::2] + zs[::2], sorted(zs)]
+    results = [None] * len(orders)
+    barrier = threading.Barrier(len(orders), timeout=30)
+
+    def work(i):
+        barrier.wait()
+        results[i] = [(z, outcome(lambda: struve_w_full(shared, z))) for z in orders[i] * 20]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = dict(zip(zs, serial))
+    for got in results:
+        assert len(got) == 20 * len(zs)
+        assert all(value == expected[z] for z, value in got)
