@@ -131,35 +131,48 @@ def _parse_list(text: str, field: str):
     return tuple(parse_complex(v, field) for v in text.split(","))
 
 
+def _setting(flag, controls: dict, name: str, convert, default):
+    """The command-line flag, else ``convert`` of the case file's control,
+    else the default; CaseParseError naming a control that does not convert."""
+    if flag is not None:
+        return flag
+    if name not in controls:
+        return default
+    try:
+        return convert(controls[name])
+    except (TypeError, ValueError, OverflowError):
+        raise CaseParseError(f"controls.{name}: expected a number, got {controls[name]!r}") from None
+
+
 def _series_control(args, controls: dict) -> SeriesControl:
     """``--max-terms`` over the case file's controls over the defaults."""
-    kw = {}
-    if args.max_terms is not None:
-        kw["max_terms"] = args.max_terms
-    elif "max_terms" in controls:
-        kw["max_terms"] = int(controls["max_terms"])
-    if "series_rel_tol" in controls:
-        kw["rel_tol"] = float(controls["series_rel_tol"])
-    return SeriesControl(**kw)
+    return SeriesControl(
+        _setting(None, controls, "series_rel_tol", float, SeriesControl.rel_tol),
+        _setting(args.max_terms, controls, "max_terms", int, SeriesControl.max_terms),
+    )
+
+
+def _spec_field(raw: dict, name: str):
+    """One field of a Lauricella spec file; CaseParseError naming it."""
+    if name not in raw:
+        raise CaseParseError(f"lauricella spec file: missing field '{name}'")
+    try:
+        if name == "n":
+            return int(raw[name])
+        if name.startswith("global"):
+            return [(parse_complex(a, name), tuple(float(e) for e in exps)) for a, exps in raw[name]]
+        return [[(parse_complex(b, name), float(e)) for b, e in row] for row in raw[name]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseParseError(f"lauricella spec file: {name}: {exc}") from None
 
 
 def _load_lauricella_spec(path: str) -> LauricellaSpec:
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    try:
-        return LauricellaSpec(
-            global_upper=[(parse_complex(a, "global_upper"), tuple(e)) for a, e in raw["global_upper"]],
-            global_lower=[(parse_complex(c, "global_lower"), tuple(e)) for c, e in raw["global_lower"]],
-            per_var_upper=[
-                [(parse_complex(b, "per_var_upper"), e) for b, e in row] for row in raw["per_var_upper"]
-            ],
-            per_var_lower=[
-                [(parse_complex(d, "per_var_lower"), e) for d, e in row] for row in raw["per_var_lower"]
-            ],
-            n=int(raw["n"]),
-        )
-    except KeyError as exc:
-        raise CaseParseError(f"lauricella spec file: missing field {exc}")
+    if not isinstance(raw, dict):
+        raise CaseParseError("lauricella spec file: expected an object")
+    names = ("global_upper", "global_lower", "per_var_upper", "per_var_lower", "n")
+    return LauricellaSpec(**{name: _spec_field(raw, name) for name in names})
 
 
 def cmd_eval(args) -> int:
@@ -254,8 +267,9 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
     try:
         a = float(raw["a"])
         y = tuple(float(v) for v in raw["y"])
-    except (TypeError, ValueError) as exc:
-        raise CaseParseError(f"{where}.a/.y: {exc}")
+        n = int(raw.get("n", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseParseError(f"{where}.a/.y/.n: {exc}")
     p_raw = raw["p"] if isinstance(raw["p"], list) else [raw["p"]]
     p = tuple(parse_complex(v, f"{where}.p") for v in p_raw)
     return IntegralCase(
@@ -267,7 +281,7 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
         c=parse_complex(raw["c"], f"{where}.c"),
         p=p,
         y=y,
-        n=int(raw.get("n", 0)),
+        n=n,
     )
 
 
@@ -356,25 +370,20 @@ def cmd_verify(args) -> int:
             document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CaseParseError(f"cannot read case file {args.input}: {exc}")
-    if not isinstance(document, dict) or "cases" not in document:
+    if not isinstance(document, dict) or not isinstance(document.get("cases"), list):
         raise CaseParseError("case file must be an object with a 'cases' list")
-
     controls = document.get("controls", {})
-    tol = _checked_tolerance(args.tol if args.tol is not None else controls.get("tol", DEFAULT_TOLERANCE))
-    qkw = {}
-    if args.quad_tol is not None:
-        qkw["rel_tol"] = args.quad_tol
-    elif "quad_rel_tol" in controls:
-        qkw["rel_tol"] = float(controls["quad_rel_tol"])
-    qctl = QuadControl(**qkw)
+    if not isinstance(controls, dict):
+        raise CaseParseError("controls: expected an object")
+
+    tol = _checked_tolerance(_setting(args.tol, controls, "tol", float, DEFAULT_TOLERANCE))
+    qctl = QuadControl(rel_tol=_setting(args.quad_tol, controls, "quad_rel_tol", float, QuadControl.rel_tol))
     sctl = _series_control(args, controls)
 
     parsed: list[tuple[dict, IntegralCase | VerificationReport]] = []
     for i, raw in enumerate(document["cases"]):
         try:
             parsed.append((raw, case_from_dict(raw, i)))
-        except CaseParseError:
-            raise
         except DomainError as exc:
             parsed.append((raw, _failed_report(None, tol, str(exc), 0.0)))
 
@@ -418,23 +427,29 @@ def cmd_verify(args) -> int:
 
 
 def _scalar_choices(text: str, field: str) -> list[complex]:
-    """'v' | 'v1,v2,...' | 'start:end:step' -> list of choices."""
+    """'v' | 'v1,v2,...' | 'start:end:step' -> list of choices.
+
+    A range's values start + i*step are exact decimals, each rounded to
+    a float once, so '0.1:1.0:0.1' gives 0.1, 0.2, ..., 1.0 exactly as
+    written and includes its end.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise CaseParseError(f"{field}: range must be start:end:step")
+        # Imported here: ~0.4 MiB and ~2 ms that no other path needs.
+        from decimal import Decimal, DecimalException
         try:
-            start, end, step = (float(v) for v in parts)
-        except ValueError:
-            raise CaseParseError(f"{field}: range bounds must be real numbers")
-        if step <= 0 or end < start:
-            raise CaseParseError(f"{field}: need start <= end and step > 0")
-        out = []
-        v = start
-        while v <= end + 1e-9 * max(1.0, abs(end)):
-            out.append(complex(v))
-            v += step
-        return out
+            start, end, step = (Decimal(v) for v in parts)
+        except DecimalException:
+            raise CaseParseError(f"{field}: range bounds must be real numbers") from None
+        if not all(math.isfinite(float(v)) for v in (start, end, step)) or step <= 0 or end < start:
+            raise CaseParseError(f"{field}: need finite bounds, start <= end and step > 0")
+        try:
+            count = int((end - start) // step) + 1
+        except DecimalException:  # a quotient beyond the context's 28 digits
+            raise CaseParseError(f"{field}: range has over 10^28 values") from None
+        return [complex(float(start + i * step)) for i in range(count)]
     return [parse_complex(v, field) for v in text.split(",")]
 
 
@@ -558,7 +573,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CaseParseError, StruveintError, ValueError, OSError) as exc:
+    except (StruveintError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@
 The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like 4(k_1+...+k_n)
-cannot overflow, with exactly one exponentiation per multi-index.
+cannot overflow, with exactly one exponentiation per multi-index.  Each
+total-degree shell's terms are collected in a list and added by
+``series.kahan_sum``; the shell sums are the terms of ``series.sum_terms``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, sum_terms
-from .summation import KahanSum
+from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, kahan_sum, sum_terms
 
 DEFAULT_MAX_DEGREE = 400
 
@@ -237,7 +238,7 @@ def lauricella_eval_full(
         nonlocal terms_used
         for degree in range(max_degree + 1):
             extend(degree)
-            shell = KahanSum()
+            shell = []
             for k in shell_iterator(spec.n, degree):
                 if any(zs[m] == 0 and k[m] > 0 for m in range(spec.n)):
                     continue
@@ -259,8 +260,8 @@ def lauricella_eval_full(
                     raise RangeError(f"term at multi-index {k} overflows")
                 if not math.isfinite(mag):
                     raise RangeError(f"term at multi-index {k} is non-finite")
-                shell.add(cmath.exp(complex(mag, ang)) * phase)
-            yield shell.value
+                shell.append(cmath.exp(complex(mag, ang)) * phase)
+            yield kahan_sum(shell)
         raise ConvergenceError(
             f"shell sums did not fall below tolerance by total degree {max_degree}"
         )

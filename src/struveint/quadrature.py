@@ -15,15 +15,16 @@ the published table of QUADPACK's QK15 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
 a test solves the rule at 40 digits and checks every tabulated double.
-A panel takes its 15 nodes in one loop: each node's kernel weight, then
-one call of g unless the weight underflowed to 0.  The eight pilot
-panels that size the tail become the first panels of the layout.  The
-leftmost panel is bisected geometrically toward 0 while a closed-form
-bound on the remaining head mass exceeds its tolerance share, and the
-tail is cut where an exponential envelope certifies the remainder.
+A panel takes its 15 nodes in one loop: each node's kernel weight, then,
+unless the weight underflowed to 0, one call of g and the node's terms
+of the Kronrod and Gauss sums.  The eight pilot panels that size the
+tail become the first panels of the layout.  The leftmost panel is
+bisected geometrically toward 0 while a closed-form bound on the
+remaining head mass exceeds its tolerance share, and the tail is cut
+where an exponential envelope certifies the remainder.
 
 Refinement runs in rounds over one list of panels kept in theta order.
-Each round takes the compensated panel sum (Kahan's step inlined) and
+Each round takes the compensated panel sum (``series.kahan_sum``) and
 the error sum once and stops when the errors plus the tail bound meet
 the target; otherwise it bisects the fewest worst panels whose errors
 cover the excess, worst first and no more than the panel cap leaves
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
+from .series import kahan_sum
 
 
 # QK15 (see the module docstring): the Kronrod (node, weight) pairs for
@@ -62,9 +64,11 @@ _QK15_GAUSS = (
 
 _GAUSS_POINTS = 7
 # Both rules over all of [-1, 1] in ascending node order; the embedded
-# Gauss rule's nodes are the odd-indexed Kronrod nodes.
+# Gauss rule's nodes are the odd-indexed Kronrod nodes.  _panel runs on
+# _RULE, their (node, Kronrod weight, Gauss weight or 0.0) triples.
 _KRONROD = tuple((-x, w) for x, w in _QK15[:-1]) + _QK15[::-1]
 _GAUSS_WEIGHTS = _QK15_GAUSS[:-1] + _QK15_GAUSS[::-1]
+_RULE = tuple((x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0) for i, (x, w) in enumerate(_KRONROD))
 
 # Tail truncation, driven by the decay rate Re(lambda_eff) - Re(mu) of the
 # substituted integrand: the tail bound must be a _TAIL_SAFETY-th of the
@@ -151,14 +155,14 @@ class _Integrand:
 
 def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[complex, complex]:
     """15-point Kronrod value and its embedded 7-point Gauss value; a
-    node whose kernel weight underflows to 0 adds 0 without a call of g."""
+    node whose kernel weight underflows to 0 adds nothing and calls no g."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     g, a, mu_m1, lam = intg.g, intg.a, intg.mu - 1.0, intg.lam
     log, log1p, exp, isfinite = math.log, math.log1p, math.exp, math.isfinite
-    values = []
+    kronrod = gauss = 0j
     calls = 0
-    for xi, _ in _KRONROD:
+    for xi, wk, wg in _RULE:
         t = mid + half * xi
         w = _cosh_m1(t)
         log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
@@ -171,20 +175,14 @@ def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[complex, complex]:
             raise RangeError("substituted integrand overflows")
         kern = cmath.exp(lt)
         if kern == 0:
-            values.append(0j)
             continue
         calls += 1
         val = kern * complex(g(a * w))
         if not (isfinite(val.real) and isfinite(val.imag)):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
-        values.append(val)
+        kronrod += wk * val
+        gauss += wg * val
     intg.evaluations += calls
-    kronrod = 0j
-    for (_, wi), fi in zip(_KRONROD, values):
-        kronrod += wi * fi
-    gauss = 0j
-    for wi, fi in zip(_GAUSS_WEIGHTS, values[1::2]):
-        gauss += wi * fi
     return half * kronrod, half * gauss
 
 
@@ -308,14 +306,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
     while True:
-        # KahanSum's add then value, inlined.
-        total = carry = 0j
-        for rec in panels:
-            value = rec[2] + carry
-            previous = total
-            total = previous + value
-            carry = value - (total - previous)
-        raw = total + carry
+        raw = kahan_sum(rec[2] for rec in panels)
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound
         target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw))

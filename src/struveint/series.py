@@ -8,7 +8,10 @@ order with compensated accumulation and a common stopping rule,
 ``sum_terms``.  W_{p,b,c} with real p, b, c (and a positive shifted
 order p + (b+2)/2) is summed by ``_w_real``, the same rule on floats,
 bit for bit, over term-ratio denominators that its ``StruveParams``
-keeps from call to call.
+keeps from call to call.  Kahan's compensated step is written three
+times: ``kahan_sum`` for finite sequences (a Lauricella shell, a
+quadrature round's panels), and inline in ``sum_terms`` and
+``_w_real``, which test every partial sum against the stopping rule.
 """
 
 from __future__ import annotations
@@ -27,28 +30,27 @@ _LOG_GAMMA_3_2 = math.lgamma(1.5)
 # reported tail estimate; covers the geometric remainder of any series
 # whose term ratio has dropped below ~1/2 by the time the rule fires.
 _TAIL_SAFETY = 2.0
+# Successive small terms that stop a series.
+_STOP_RUN = 3
 
 
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy shared by every infinite series in the library.
 
-    The sum stops once ``consecutive_small`` successive terms satisfy
+    The sum stops once three successive terms satisfy
     |term| <= rel_tol * |partial sum|; hitting ``max_terms`` first is a
     convergence failure.
     """
 
     rel_tol: float = 1e-16
     max_terms: int = 10_000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not 0 < self.rel_tol < math.inf:
             raise DomainError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if self.consecutive_small < 1:
-            raise DomainError("consecutive_small must be >= 1")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -61,23 +63,34 @@ class SeriesResult:
     tail_estimate: float
 
 
+def kahan_sum(values) -> complex:
+    """Kahan's compensated sum of a finite sequence, from 0j: the running
+    total plus the carry of the low-order bits each addition lost."""
+    total = carry = 0j
+    for value in values:
+        value = value + carry
+        previous = total
+        total = previous + value
+        carry = value - (total - previous)
+    return total + carry
+
+
 def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     """Sum a term stream under the standard stopping rule.
 
     ``terms`` yields successive series terms t_0, t_1, ... (ascending k),
-    accumulated with Kahan's compensated step (the arithmetic of
-    ``KahanSum.add`` then ``.value``, inlined).  With S_k the compensated
-    partial sum through t_k, the sum stops at the first k that ends a run
-    of ``ctl.consecutive_small`` consecutive terms with
-    |t_j| <= ctl.rel_tol * |S_j|; it returns S_k, k + 1 terms, and a tail
-    estimate of 2 x the largest |t_j| of that run.  Raises
-    ConvergenceError when ``ctl.max_terms`` terms pass without the rule
-    firing, and RangeError when a term or a partial sum is non-finite or
-    its modulus overflows.  W_{p,b,c} with real parameters does not come
-    through here: ``_w_real`` repeats this rule inline, in floats.
+    accumulated with ``kahan_sum``'s step, inlined because the rule reads
+    every partial sum.  With S_k the compensated partial sum through t_k,
+    the sum stops at the first k that ends a run of ``_STOP_RUN``
+    consecutive terms with |t_j| <= ctl.rel_tol * |S_j|; it returns S_k,
+    k + 1 terms, and a tail estimate of 2 x the largest |t_j| of that
+    run.  Raises ConvergenceError when ``ctl.max_terms`` terms pass
+    without the rule firing, and RangeError when a term or a partial sum
+    is non-finite or its modulus overflows.  W_{p,b,c} with real
+    parameters does not come through here: ``_w_real`` repeats this rule
+    inline, in floats.
     """
     rel_tol = ctl.rel_tol
-    needed = ctl.consecutive_small
     total = carry = 0j
     small_run = 0
     run_max = 0.0
@@ -100,7 +113,7 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
                 small_run += 1
                 if mag > run_max:
                     run_max = mag
-                if small_run >= needed:
+                if small_run >= _STOP_RUN:
                     return SeriesResult(partial, k + 1, _TAIL_SAFETY * run_max)
             else:
                 small_run = 0
@@ -186,7 +199,8 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
     for a float z and params with ``_real`` set, bit for bit: with p, b, c
     and log Gamma(p + (b+2)/2) real, every imaginary part there is a
     signed zero, so this loop runs _w_terms' recurrence and sum_terms'
-    rule on floats (where no modulus overflows while its parts are finite).
+    rule, Kahan step inlined, on floats (where no modulus overflows while
+    its parts are finite).
     """
     if not 0.0 < z < math.inf:
         _require_positive_z(z)  # raises
@@ -202,7 +216,6 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
     known = len(dens)
     more = []
     rel_tol = ctl.rel_tol
-    needed = ctl.consecutive_small
     isfinite = math.isfinite
     total = carry = run_max = 0.0
     small_run = 0
@@ -221,7 +234,7 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
             small_run += 1
             if mag > run_max:
                 run_max = mag
-            if small_run >= needed:
+            if small_run >= _STOP_RUN:
                 if more:
                     object.__setattr__(params, "_denominators", dens + tuple(more))
                 return complex(partial), k + 1, _TAIL_SAFETY * run_max
@@ -250,9 +263,7 @@ def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> c
 
     sum_{k>=0} (-c)^k (z/2)^(2k+p+1) / (Gamma(k+3/2) Gamma(k+p+(b+2)/2)).
     """
-    if params._real is None:
-        return struve_w_full(params, z, ctl).value
-    return _w_real(params, float(z), ctl)[0]
+    return struve_w_full(params, z, ctl).value
 
 
 def _struve_derivative_terms(params: StruveParams, z: float, order: int):

@@ -200,6 +200,30 @@ def test_grid_malformed_range_exit_2(capsys):
     assert "--mu" in err
 
 
+def test_grid_decimal_range_has_no_float_drift(tmp_path, capsys):
+    out_path = tmp_path / "cases.json"
+    code, _, _ = run(
+        capsys, "grid", "--variant", "theorem1", "--n", "1",
+        "--mu", "0.1:1.0:0.1", "--lambda", "2", "--p", "1", "--b", "1",
+        "--c", "1", "--a", "1", "--y", "1", "--output", str(out_path),
+    )
+    assert code == 0
+    mus = [case["mu"] for case in json.loads(out_path.read_text())["cases"]]
+    assert mus == ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"]
+
+
+@pytest.mark.parametrize("mu", ["0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:x:0.5", "0:1e400:0.5", "0:1e30:1"])
+def test_grid_bad_range_bound_exit_2(mu, capsys):
+    code, out, err = run(
+        capsys, "grid", "--variant", "theorem1",
+        "--mu", mu, "--lambda", "2", "--p", "1", "--b", "1",
+        "--c", "1", "--a", "1", "--y", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --mu: ")
+
+
 # --- verify -----------------------------------------------------------------------
 
 def write_cases(tmp_path, cases, controls=None):
@@ -412,6 +436,42 @@ def test_verify_non_finite_control_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+SPEC = {
+    "global_upper": [["2.5", [1.0]]],
+    "global_lower": [["3.5", [1.0]]],
+    "per_var_upper": [[]],
+    "per_var_lower": [[["1.5", 1.0]]],
+    "n": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        ("verify", {"cases": 5}, "'cases'"),
+        ("verify", {"cases": [GOOD_CASE], "controls": []}, "controls"),
+        ("verify", {"cases": [GOOD_CASE], "controls": {"quad_rel_tol": None}}, "controls.quad_rel_tol"),
+        ("verify", {"cases": [GOOD_CASE], "controls": {"max_terms": None}}, "controls.max_terms"),
+        ("verify", {"cases": [{**GOOD_CASE, "n": None}]}, "cases[0].a/.y/.n"),
+        ("lauricella", {**SPEC, "global_upper": 5}, "global_upper"),
+        ("lauricella", {**SPEC, "global_upper": [[1, 2]]}, "global_upper"),
+        ("lauricella", [], "lauricella spec"),
+    ],
+)
+def test_malformed_input_file_exit_2(command, document, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    if command == "verify":
+        argv = ("verify", str(path))
+    else:
+        argv = ("eval", "lauricella", f"spec={path}", "z=-0.5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert field in err
 
 
 def test_version_flag(capsys):

@@ -37,9 +37,9 @@ from struveint.series import (
     _pfq_terms,
     _struve_derivative_terms,
     _w_terms,
+    kahan_sum,
     sum_terms,
 )
-from struveint.summation import KahanSum
 
 GAMMA_3_2 = math.gamma(1.5)
 
@@ -279,8 +279,6 @@ def test_series_control_validation():
             SeriesControl(rel_tol=bad)
     with pytest.raises(DomainError):
         SeriesControl(max_terms=0)
-    with pytest.raises(DomainError):
-        SeriesControl(consecutive_small=0)
 
 
 def test_non_convergence_reported():
@@ -309,20 +307,26 @@ def test_truncation_soundness():
 
 # --- sum_terms against the reference loop --------------------------------------
 
+STOP_RUN = 3
+
+
 def reference_sum_terms(terms, ctl):
-    """The stopping rule as a KahanSum plus a deque window of the last
-    ``consecutive_small`` magnitudes: the loop sum_terms must match bit
-    for bit.  A modulus beyond the double range is a RangeError."""
-    acc = KahanSum()
-    window = deque(maxlen=ctl.consecutive_small)
+    """The stopping rule as a Kahan step plus a deque window of the last
+    three magnitudes: the loop sum_terms must match bit for bit.  A
+    modulus beyond the double range is a RangeError."""
+    acc = carry = 0j
+    window = deque(maxlen=STOP_RUN)
     small_run = 0
     it = iter(terms)
     for k in range(ctl.max_terms):
         term = complex(next(it))
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise RangeError(f"series term {k} is non-finite")
-        acc.add(term)
-        total = acc.value
+        step = term + carry
+        previous = acc
+        acc = previous + step
+        carry = step - (acc - previous)
+        total = acc + carry
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise RangeError(f"partial sum overflows at term {k}")
         try:
@@ -333,7 +337,7 @@ def reference_sum_terms(terms, ctl):
         window.append(mag)
         if small:
             small_run += 1
-            if small_run >= ctl.consecutive_small:
+            if small_run >= STOP_RUN:
                 return SeriesResult(total, k + 1, 2.0 * max(window))
         else:
             small_run = 0
@@ -366,7 +370,6 @@ controls = st.builds(
     SeriesControl,
     rel_tol=st.floats(-17.0, -3.0).map(lambda e: 10.0**e),
     max_terms=st.sampled_from((5, 30, 10_000)),
-    consecutive_small=st.sampled_from((1, 3, 5)),
 )
 arguments = st.floats(-3.0, 1.8).map(lambda e: 10.0**e)
 
@@ -403,6 +406,37 @@ def term_streams(draw):
 @given(make_terms=term_streams(), ctl=controls)
 def test_sum_terms_matches_reference_loop(make_terms, ctl):
     assert_matches_reference(make_terms, ctl)
+
+
+def reference_kahan(values):
+    """Kahan's step on the real and imaginary parts as separate floats
+    (complex addition is componentwise), from +0.0 each."""
+    parts = []
+    for get in (lambda v: v.real, lambda v: v.imag):
+        total = carry = 0.0
+        for v in values:
+            y = get(complex(v)) + carry
+            t = total + y
+            carry = y - (t - total)
+            total = t
+        parts.append((total + carry).hex())
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.builds(complex, st.floats(allow_nan=False), st.floats(allow_nan=False))))
+def test_kahan_sum_matches_reference_step(values):
+    total = kahan_sum(values)
+    assert [total.real.hex(), total.imag.hex()] == reference_kahan(values)
+
+
+def test_kahan_sum_crafted():
+    assert (kahan_sum([]).real.hex(), kahan_sum([]).imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    # The carry keeps the ones that plain summation loses to 1e16.
+    assert kahan_sum([1e16, 1, 1]) == 1e16 + 2 != sum([1e16, 1, 1])
+    # Kahan's step, unlike Neumaier's variant, loses the carried 1 when
+    # the next term is larger than the running total: -1e16 + 1 rounds.
+    assert kahan_sum([1e16, 1, -1e16]) == 0
 
 
 def test_sum_terms_crafted_streams():
@@ -460,7 +494,7 @@ def struve_draws(draw):
 
 
 struve_controls = st.sampled_from(
-    (SeriesControl(), SeriesControl(max_terms=5), SeriesControl(rel_tol=1e-8, consecutive_small=1))
+    (SeriesControl(), SeriesControl(max_terms=5), SeriesControl(rel_tol=1e-8))
 )
 
 
