@@ -443,7 +443,12 @@ def _scalar_choices(text: str, field: str) -> list[complex]:
             start, end, step = (Decimal(v) for v in parts)
         except DecimalException:
             raise CaseParseError(f"{field}: range bounds must be real numbers") from None
-        if not all(math.isfinite(float(v)) for v in (start, end, step)) or step <= 0 or end < start:
+        # is_finite() first: float() raises on a signalling NaN.
+        if (
+            not all(v.is_finite() and math.isfinite(float(v)) for v in (start, end, step))
+            or step <= 0
+            or end < start
+        ):
             raise CaseParseError(f"{field}: need finite bounds, start <= end and step > 0")
         try:
             count = int((end - start) // step) + 1

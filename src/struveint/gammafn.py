@@ -34,15 +34,109 @@ def nearest_pole(z: complex) -> int | None:
     return None
 
 
+# Stirling's series coefficients B_2k / (2k (2k - 1)), k = 1..8.
+_STIRLING = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+    1.0 / 156.0,
+    -3617.0 / 122400.0,
+)
+# |z|^2 from which Stirling's series is used unshifted.  At |z| = 10 its
+# first omitted term, B_18 / (18 * 17 z^17), is below 2e-18, and at most
+# 2^9 times that for Re z > 0; a larger threshold only adds cancellation
+# between the series and the shift's logs (|z| = 15 doubles the worst
+# error near z = 2).
+_STIRLING_MIN_ABS2 = 100.0
+# (z - 1/2) log z - z + log(2 pi)/2 = (z - 1/2)(log z - 1) + _STIRLING_CONST
+_STIRLING_CONST = 0.5 * math.log(2.0 * math.pi) - 0.5
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_gamma_right(z: complex) -> complex:
+    """log Gamma(z) for Re z >= 1/2: shift up to |z| >= 10, then Stirling.
+
+    Every z + j has a positive real part, so the principal logs subtracted
+    for the shift add up to the principal branch with no 2 pi correction;
+    so does the log of a product of two of them, whose args are each
+    below pi/2, which halves the logs taken.
+    """
+    shift = 0j
+    # No abs(): it raises OverflowError where the squares only give inf.
+    while z.real * z.real + z.imag * z.imag < _STIRLING_MIN_ABS2:
+        shift += cmath.log(z * (z + 1.0))
+        z += 2.0
+    # 1/z before squaring: z * z is nan + inf j once |z| passes ~1e154.
+    inv = 1.0 / z
+    w = inv * inv
+    series = _STIRLING[-1]
+    for coef in _STIRLING[-2::-1]:
+        series = series * w + coef
+    return (z - 0.5) * (cmath.log(z) - 1.0) + _STIRLING_CONST + series * inv - shift
+
+
+def _log_gamma_reflected(z: complex) -> complex:
+    """log Gamma(z) for Re z < 1/2, Im z >= +0, by reflection.
+
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), with
+    log sin(pi z) = -i pi z - log 2 + i pi/2 + log(1 - e^(2 pi i z)).  For
+    Im z >= 0, |e^(2 pi i z)| <= 1 and 1 - e^(2 pi i z) stays in the right
+    half-plane, so this log sin is analytic in the upper half-plane and
+    continuous onto the real axis from above.  Its imaginary part
+    pi/2 - pi Re z is the principal arg of sin(pi z) moved by the multiple
+    of 2 pi that puts log Gamma on its principal branch (Hare 1997), so
+    no branch correction is needed; and cmath.sin, which overflows near
+    |Im z| = 225, is never called.
+    """
+    x, y = z.real, z.imag
+    # 1 - e^(i theta - s), theta = 2 pi (x - round(x)), s = 2 pi y, built
+    # from expm1 and sin^2(theta/2) so it keeps full relative accuracy
+    # next to the poles, where it tends to 0.
+    theta = 2.0 * math.pi * (x - round(x))
+    s = 2.0 * math.pi * y
+    half_sin = math.sin(0.5 * theta)
+    one_minus = complex(
+        2.0 * half_sin * half_sin - math.expm1(-s) * math.cos(theta),
+        -math.exp(-s) * math.sin(theta),
+    )
+    return (
+        _LOG_2PI
+        + complex(-math.pi * y, math.pi * (x - 0.5))
+        - cmath.log(one_minus)
+        - _log_gamma_right(1.0 - z)
+    )
+
+
+def _log_gamma_complex(z: complex) -> complex:
+    """Principal log Gamma(z) off the poles, with stdlib arithmetic only."""
+    if z.real >= 0.5:
+        return _log_gamma_right(z)
+    if math.copysign(1.0, z.imag) < 0.0:
+        # Conjugate symmetry; -0j maps to +0j, the other side of the cut.
+        return _log_gamma_reflected(z.conjugate()).conjugate()
+    return _log_gamma_reflected(z)
+
+
 def log_gamma(z) -> complex:
     """Principal branch of log Gamma(z).
 
     Real positive ``z`` gives an exactly real result, from
     ``math.lgamma`` (``inf`` where that overflows, above z ~ 2.6e305).
-    Other ``z`` go to ``scipy.special.loggamma``, imported only then, so
-    importing the library does not load scipy.  Raises
-    :class:`GammaPoleError` when ``z`` is within tolerance of a
-    non-positive integer.
+    Other ``z`` take the stdlib-only ``_log_gamma_complex``: for
+    Re z >= 1/2 a shift to |z| >= 10 and Stirling's series with 8
+    Bernoulli terms; below that the reflection formula with the branch of
+    log sin(pi z) that lands on the principal branch (D. E. G. Hare,
+    "Computing the principal branch of log-Gamma", J. Algorithms 25
+    (1997) 221-236), and conjugate symmetry below the real axis.  On the
+    negative real axis the sign of a zero imaginary part picks the side
+    of the cut, as in ``scipy.special.loggamma``: -2.5+0j gives
+    imaginary part -3 pi, -2.5-0j gives +3 pi.  Against mpmath,
+    |err| / max(1, |ref|) stays below 1e-14 for Re z in [-30, 40],
+    |Im z| <= 30.  Raises :class:`GammaPoleError` when ``z`` is within
+    tolerance of a non-positive integer.
     """
     z = _as_complex(z)
     pole = nearest_pole(z)
@@ -53,9 +147,7 @@ def log_gamma(z) -> complex:
             return complex(math.lgamma(z.real), 0.0)
         except OverflowError:
             return complex(math.inf, 0.0)
-    import scipy.special
-
-    return complex(scipy.special.loggamma(z))
+    return _log_gamma_complex(z)
 
 
 def gamma(z) -> complex:

@@ -118,7 +118,10 @@ class QuadResult:
 
 def kernel_factor(x: float, a: float) -> float:
     """x + a + sqrt(x^2 + 2ax), the kernel base of every integrand."""
-    return x + a + math.sqrt(x * (x + 2.0 * a))
+    square = x * (x + 2.0 * a)
+    if square == math.inf:  # from x ~ 1.3e154 (a = 1)
+        return x + a + math.sqrt(x) * math.sqrt(x + 2.0 * a)
+    return x + a + math.sqrt(square)
 
 
 def _cosh_m1(t: float) -> float:

@@ -33,6 +33,13 @@ def struve_w(p, b, c, z, terms=120):
         return complex(half * total)
 
 
+def log_gamma(z):
+    """Principal log Gamma(z); mpmath has no signed zero, so the negative
+    real axis gives the limit from above (imaginary part -pi * ceil(-x))."""
+    with mp.workdps(DPS):
+        return complex(mp.loggamma(_mpc(z)))
+
+
 def struve_h(nu, z, terms=120):
     """The alternating series with second gamma G(k + nu + 1/2)."""
     return struve_w(nu, -1, 1, z, terms=terms)

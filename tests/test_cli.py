@@ -212,16 +212,30 @@ def test_grid_decimal_range_has_no_float_drift(tmp_path, capsys):
     assert mus == ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1.0"]
 
 
-@pytest.mark.parametrize("mu", ["0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:x:0.5", "0:1e400:0.5", "0:1e30:1"])
+@pytest.mark.parametrize(
+    "mu", ["0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:x:0.5", "0:1e400:0.5", "0:1e30:1", "0:1:snan", "-sNaN:1:0.5"]
+)
 def test_grid_bad_range_bound_exit_2(mu, capsys):
     code, out, err = run(
         capsys, "grid", "--variant", "theorem1",
-        "--mu", mu, "--lambda", "2", "--p", "1", "--b", "1",
+        f"--mu={mu}", "--lambda", "2", "--p", "1", "--b", "1",
         "--c", "1", "--a", "1", "--y", "1",
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: --mu: ")
+
+
+@pytest.mark.parametrize("a", ["0:1:snan", "-sNaN:1:0.5"])
+def test_grid_signalling_nan_bound_names_option(a, capsys):
+    code, out, err = run(
+        capsys, "grid", "--variant", "theorem1",
+        "--mu", "0.5", "--lambda", "2", "--p", "1", "--b", "1",
+        "--c", "1", f"--a={a}", "--y", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --a: need finite bounds, start <= end and step > 0\n"
 
 
 # --- verify -----------------------------------------------------------------------

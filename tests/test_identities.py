@@ -217,6 +217,18 @@ def test_integrand_substitution_identity():
     assert rel(kernel_factor(x, case.a), case.a * math.e) < 1e-14
 
 
+def test_integrand_finite_at_large_x():
+    # theorem2's arguments saturate at y/2, so x^(mu-1) (2x)^(-lambda) W(y/2)
+    # is the whole integrand; an overflowing kernel base would give the
+    # Struve factor a zero argument.
+    case = IntegralCase("theorem2", a=1.0, lam=1.0, mu=0.5, b=1.0, c=1.0, p=(1.0,), y=(1.0,))
+    x = 1e160
+    value = lhs_integrand(case, x)
+    expected = x ** -0.5 * (2.0 * x) ** -1.0 * struve_w_full(case.struve_params()[0], 0.5).value
+    assert value != 0
+    assert rel(value, expected) <= 1e-12
+
+
 def test_integrand_requires_positive_x():
     with pytest.raises(DomainError):
         lhs_integrand(make_case(), 0.0)

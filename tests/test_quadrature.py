@@ -209,6 +209,13 @@ def test_kernel_factor_substitution_identity():
         assert rel(kernel_factor(x, a), a * math.e) < 1e-14
 
 
+def test_kernel_factor_does_not_overflow_at_large_x():
+    # x (x + 2a) overflows from x ~ 1.3e154; sqrt(x) sqrt(x + 2a) does not.
+    assert rel(kernel_factor(1e160, 1.0), 2e160) <= 1e-15
+    for x in (1e154, 1e200, 1e300):
+        assert rel(kernel_factor(x, 1.0), 2.0 * x) <= 1e-15
+
+
 def test_tail_cutoff_cap_binds():
     # Decay rate 0.1: the envelope would certify the tail only well past
     # the cap, so the cutoff stops at the cap and the result is flagged.
