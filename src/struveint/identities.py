@@ -41,10 +41,6 @@ THEOREM1 = "theorem1"
 THEOREM2 = "theorem2"
 VARIANTS = (THEOREM1, THEOREM2)
 
-# Below this |rhs| magnitude the relative error is meaningless and the
-# comparison switches to an absolute one at the same floor.
-REL_ERR_FLOOR = 1e-12
-
 DEFAULT_TOLERANCE = 1e-6
 
 
@@ -378,9 +374,11 @@ def verify_case(
 
     The left side runs the kernel quadrature with the Struve product
     folded into g (lambda_eff stays the case's lambda); the right side is
-    the prefactor times the Lauricella series.  Evaluation failures are
-    recorded in the report (passed = False with a reason), not raised;
-    a tolerance outside (0, inf) raises DomainError.
+    the prefactor times the Lauricella series.  The case passes when the
+    quadrature converged and rel_err = |lhs - rhs| / |rhs| is at most
+    tol, with rel_err 0 when lhs == rhs and inf when only rhs is 0.
+    Evaluation failures are recorded in the report (passed = False with a
+    reason), not raised; a tolerance outside (0, inf) raises DomainError.
     """
     tol = _checked_tolerance(tol)
     start = time.perf_counter()
@@ -400,11 +398,13 @@ def verify_case(
         return _failed_report(case, tol, str(exc), time.perf_counter() - start)
 
     abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(rhs), REL_ERR_FLOOR)
-    if abs(rhs) < REL_ERR_FLOOR:
-        passed = abs_err <= REL_ERR_FLOOR
+    if lhs == rhs:
+        rel_err = 0.0
+    elif rhs == 0:
+        rel_err = math.inf
     else:
-        passed = rel_err <= tol
+        rel_err = abs_err / abs(rhs)
+    passed = rel_err <= tol
     reason = None
     if not quad.converged:
         passed = False

@@ -18,7 +18,8 @@ from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleErr
 from .gammafn import _EXP_LIMIT, log_gamma
 from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, kahan_sum, sum_terms
 
-DEFAULT_MAX_DEGREE = 400
+# Total degree after which the shell sums give up (ConvergenceError).
+_MAX_DEGREE = 400
 
 
 def _norm_global(block, n: int, label: str):
@@ -195,8 +196,6 @@ def lauricella_eval_full(
     spec: LauricellaSpec,
     z,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    *,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> LauricellaResult:
     zs = [complex(v) for v in z]
     if len(zs) != spec.n:
@@ -233,6 +232,7 @@ def lauricella_eval_full(
 
     global_cache: dict = {}
     terms_used = 0
+    max_degree = _MAX_DEGREE
 
     def shell_sums():
         nonlocal terms_used
@@ -277,8 +277,6 @@ def lauricella_eval(
     spec: LauricellaSpec,
     z,
     ctl: SeriesControl = DEFAULT_CONTROL,
-    *,
-    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> complex:
     """Sum the generalized Lauricella series at the argument vector z.
 
@@ -287,4 +285,4 @@ def lauricella_eval(
     series stops when the last few of them are each negligible against
     the partial sum they were added to.
     """
-    return lauricella_eval_full(spec, z, ctl, max_degree=max_degree).value
+    return lauricella_eval_full(spec, z, ctl).value

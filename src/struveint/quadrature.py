@@ -78,28 +78,23 @@ _TAIL_SAFETY = 10.0
 _THETA_CAP = 200.0
 _MIN_RATE = 1e-6
 
+# Refinement stops, unconverged, once the list holds this many panels.
+# The initial layout is always evaluated in full (16 panels for g = 1,
+# a = 1, mu = 0.3, lambda = 1.1, even at a cap of 1); a refinement that
+# reaches the cap ends with exactly _MAX_PANELS panels.
+_MAX_PANELS = 2000
+
 
 @dataclass(frozen=True)
 class QuadControl:
-    """Tolerances and panel cap of ``integrate_kernel``.
-
-    A result is converged when its error estimate is at most
-    max(abs_tol, rel_tol * |value|).  ``max_panels`` caps refinement,
-    not the initial layout: the layout is always evaluated in full (16
-    panels for g = 1, a = 1, mu = 0.3, lambda = 1.1, even at
-    max_panels = 1), and a refinement that reaches the cap ends with
-    exactly max_panels panels, unconverged.
-    """
+    """Relative tolerance of ``integrate_kernel``: a result is converged
+    when its error estimate is at most rel_tol * |value|."""
 
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-15
-    max_panels: int = 2000
 
     def __post_init__(self):
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise DomainError("quadrature tolerances must be positive and finite")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be >= 1")
+        if not 0 < self.rel_tol < math.inf:
+            raise DomainError("quadrature tolerance must be positive and finite")
 
 
 DEFAULT_QUAD = QuadControl()
@@ -243,7 +238,6 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     lam = complex(lambda_eff)
     intg = _Integrand(g, a, mu, lam)
     scale = cmath.exp((mu - lam) * math.log(a))
-    abs_scale = abs(scale)
 
     def panel(lo: float, hi: float) -> tuple[float, float, complex, float]:
         """(lo, hi, value, error estimate) of one panel."""
@@ -278,7 +272,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         step = theta_pilot / 8.0
         pilot = [panel(i * step, (i + 1) * step) for i in range(8)]
         pilot_value = sum(rec[2] for rec in pilot)
-        tail_target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(pilot_value)) / _TAIL_SAFETY
+        tail_target = ctl.rel_tol * abs(pilot_value) / _TAIL_SAFETY
 
         # Walk the cutoff outward until the envelope bound (with |g|
         # re-sampled beyond each candidate) certifies the remainder.
@@ -312,9 +306,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         raw = kahan_sum(rec[2] for rec in panels)
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound
-        target = max(ctl.abs_tol / abs_scale, ctl.rel_tol * abs(raw))
+        target = ctl.rel_tol * abs(raw)
         converged = err_total <= target
-        room = ctl.max_panels - len(panels)
+        room = _MAX_PANELS - len(panels)
         if converged or room <= 0:
             break
         excess = err_total - target
@@ -347,7 +341,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         raise RangeError("integral value is non-finite")
     return QuadResult(
         value=value,
-        error_estimate=abs_scale * err_total,
+        error_estimate=abs(scale) * err_total,
         panels_used=len(panels),
         cutoff_theta=theta_max,
         converged=converged,

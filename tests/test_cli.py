@@ -5,6 +5,7 @@ import math
 import pytest
 
 import struveint.cli as cli
+from struveint import identities
 from struveint.cli import format_complex, main, parse_complex
 from struveint.errors import CaseParseError
 
@@ -423,12 +424,18 @@ def test_verify_csv_projection(tmp_path, capsys):
     assert lines[1].split(",")[1] == "theorem1"
 
 
-def test_verify_tolerance_override(tmp_path, capsys):
+def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
+    # A right side off by 1e-8 relative passes the default tolerance
+    # and fails --tol 1e-9.
+    true_prefactor = identities.prefactor_theorem1
+    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: true_prefactor(case) * (1 + 1e-8))
     path = write_cases(tmp_path, [GOOD_CASE])
-    code, out, _ = run(capsys, "verify", str(path), "--tol", "1e-20")
-    assert code == 1  # nothing is that accurate
-    report = json.loads(out)
-    assert report["cases"][0]["tolerance"] == 1e-20
+    assert run(capsys, "verify", str(path))[0] == 0
+    code, out, _ = run(capsys, "verify", str(path), "--tol", "1e-9")
+    assert code == 1
+    entry = json.loads(out)["cases"][0]
+    assert entry["tolerance"] == 1e-9
+    assert "exceeds tolerance" in entry["reason"]
 
 
 def test_verify_file_controls_respected(tmp_path, capsys):

@@ -10,6 +10,7 @@ from struveint import (
     DomainError,
     IntegralCase,
     gamma,
+    identities,
     integrate_kernel,
     kernel_factor,
     lauricella_eval,
@@ -24,6 +25,7 @@ from struveint import (
     struve_w_full,
     verify_case,
 )
+from struveint.quadrature import QuadResult
 
 CENTRAL_T1 = dict(variant="theorem1", a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,), y=(1.0,))
 
@@ -281,13 +283,14 @@ def test_verify_specialized_struve_cases_end_to_end():
     assert rel(rhs_corollary(case2, 4), rep2.lhs) < 1e-9
 
 
-def test_verify_records_failure_instead_of_raising():
+def test_verify_records_failure_instead_of_raising(monkeypatch):
     # Unreachable tolerance inside a starved quadrature budget: the
     # report carries the reason, no exception escapes.
-    from struveint import QuadControl
+    from struveint import QuadControl, quadrature
 
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
     case = make_case()
-    rep = verify_case(case, qctl=QuadControl(rel_tol=1e-14, abs_tol=1e-30, max_panels=3))
+    rep = verify_case(case, qctl=QuadControl(rel_tol=1e-14))
     assert not rep.passed
     assert rep.reason is not None
 
@@ -298,13 +301,72 @@ def test_verify_rejects_tolerance_outside_open_interval():
             verify_case(make_case(), tol=bad)
 
 
-def test_verify_independent_routes_disagree_when_tampered():
-    # Sanity guard on the comparison logic itself: a wrong tolerance
-    # cannot turn a mismatched pair into a pass.
-    case = make_case()
-    rep = verify_case(case, tol=1e-20)
+def test_verify_independent_routes_disagree_when_tampered(monkeypatch):
+    # Sanity guard on the comparison logic itself: a right side off by
+    # 1e-8 relative fails at tol 1e-9.
+    true_prefactor = identities.prefactor_theorem1
+    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: true_prefactor(case) * (1 + 1e-8))
+    rep = verify_case(make_case(), tol=1e-9)
     assert not rep.passed
     assert "exceeds tolerance" in rep.reason
+
+
+def test_verify_exact_agreement_has_zero_rel_err(monkeypatch):
+    # lhs == rhs gives rel_err 0.0, which passes any tolerance.
+    case = make_case()
+    quad = QuadResult(verify_case(case).rhs, 0.0, 1, 1.0, True, 0)
+    monkeypatch.setattr(identities, "integrate_kernel", lambda *args: quad)
+    rep = verify_case(case, tol=1e-300)
+    assert rep.lhs == rep.rhs
+    assert rep.rel_err == 0.0
+    assert rep.passed
+
+
+def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
+    # rhs == 0 != lhs gives rel_err inf and a failed report.
+    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: 0j)
+    rep = verify_case(make_case())
+    assert rep.rhs == 0 and rep.lhs != 0
+    assert rep.rel_err == math.inf
+    assert not rep.passed
+    assert "exceeds tolerance" in rep.reason
+
+
+def _oracle_rhs(case):
+    """Prefactor times Lauricella series of an n = 1 case, at 40 digits."""
+    (p,), (y,) = case.p, case.y
+    lam, mu, b, c, a = case.lam, case.mu, case.b, case.c, case.a
+    s = lam + p + 1
+    per_var_upper = [[(1.0, 1.0)]]
+    per_var_lower = [[(1.5, 1.0), (p + (b + 2) / 2, 1.0)]]
+    if case.variant == "theorem1":
+        pref = oracle.prefactor_fixed_argument(a, lam, mu, b, (p,), (y,))
+        global_upper = [(1 + s, [2.0]), (s - mu, [2.0])]
+        global_lower = [(s, [2.0]), (1 + s + mu, [2.0])]
+        z = (-c * y * y / (4 * a * a),)
+    else:
+        pref = oracle.prefactor_scaled_argument(a, lam, mu, b, (p,), (y,))
+        global_upper = [(2 * mu + 2 * p + 2, [4.0]), (1 + s, [2.0])]
+        global_lower = [(1 + lam + mu + 2 * p + 2, [4.0]), (s, [2.0])]
+        z = (-c * y * y / 16.0,)
+    return pref * oracle.lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        IntegralCase("theorem2", a=1e2, lam=4.46, mu=0.53, b=1.0, c=1.0, p=(0.97,), y=(0.53,)),
+        IntegralCase("theorem1", a=1e4, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,), y=(1.0,)),
+    ],
+    ids=["theorem2-a1e2", "theorem1-a1e4"],
+)
+def test_verify_large_a_is_relative(case):
+    # At large a both sides are tiny (|rhs| ~ 1e-15 at a = 1e4); the
+    # quadrature and the verdict must still hold to relative accuracy.
+    rep = verify_case(case)
+    assert rel(rep.lhs, _oracle_rhs(case)) <= 1e-10
+    assert rep.rel_err == rep.abs_err / abs(rep.rhs)
+    assert not rep.passed or rep.rel_err <= rep.tolerance_used
 
 
 # --- verify_case's left side against one built from public calls ------------------

@@ -15,6 +15,7 @@ from struveint import (
     LauricellaSpec,
     SeriesControl,
     fox_wright,
+    lauricella,
     lauricella_eval,
     lauricella_eval_full,
     omega,
@@ -305,12 +306,13 @@ def test_boundary_margin_gate():
         lauricella_eval(spec, (0.95,))
 
 
-def test_max_degree_exhaustion():
+def test_max_degree_exhaustion(monkeypatch):
     spec = LauricellaSpec(
         global_upper=[], global_lower=[], per_var_upper=[[(1.0, 1.0)]], per_var_lower=[[]], n=1
     )
+    monkeypatch.setattr(lauricella, "_MAX_DEGREE", 10)
     with pytest.raises(ConvergenceError, match="shell sums did not fall below tolerance by total degree 10"):
-        lauricella_eval(spec, (0.85,), max_degree=10)
+        lauricella_eval(spec, (0.85,))
 
 
 def test_term_budget_respected():

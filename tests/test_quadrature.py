@@ -12,6 +12,7 @@ from struveint import (
     integrate_kernel,
     kernel_factor,
     oberhettinger_closed_form,
+    quadrature,
 )
 from struveint.gammafn import _EXP_LIMIT
 from struveint.quadrature import (
@@ -117,7 +118,7 @@ def test_refinement_monotonicity():
         closed = oberhettinger_closed_form(a, mu, lam)
         discrepancies = []
         for tol in tols:
-            ctl = QuadControl(rel_tol=tol, abs_tol=1e-18)
+            ctl = QuadControl(rel_tol=tol)
             res = integrate_kernel(lambda x: 1.0, a, mu, lam, ctl)
             discrepancies.append(abs(res.value - closed))
         for first, second in zip(discrepancies, discrepancies[1:]):
@@ -140,31 +141,31 @@ def test_error_estimate_is_conservative_on_grid():
         assert abs(res.value - closed) <= res.error_estimate, (a, mu, lam)
 
 
-def test_result_invariants():
-    ctl = QuadControl(max_panels=500)
-    res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, ctl)
+def test_result_invariants(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 500)
+    res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1)
     assert res.error_estimate >= 0.0
-    assert res.panels_used <= ctl.max_panels
+    assert res.panels_used <= 500
     assert 0.0 < res.cutoff_theta <= _THETA_CAP
 
 
-def test_panel_budget_exhaustion_flags_result():
-    ctl = QuadControl(rel_tol=1e-13, abs_tol=1e-30, max_panels=4)
-    res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, ctl)
+def test_panel_budget_exhaustion_flags_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+    res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
     assert not res.converged
     # Still a usable estimate of the right magnitude.
     closed = oberhettinger_closed_form(1.0, 0.3, 1.1)
     assert rel(res.value, closed) < 0.1
 
 
-def test_panel_cap_limits_refinement_not_layout():
-    # max_panels caps refinement only: the initial layout is always
+def test_panel_cap_limits_refinement_not_layout(monkeypatch):
+    # The panel cap limits refinement only: the initial layout is always
     # evaluated, and the last round splits just enough panels to reach
     # the cap exactly (at cap 29 the last round wants two splits and
     # gets one).
     for cap, expected in ((1, 16), (29, 29), (30, 30)):
-        ctl = QuadControl(rel_tol=1e-13, abs_tol=1e-30, max_panels=cap)
-        res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, ctl)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+        res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
         assert not res.converged
         assert res.panels_used == expected, cap
 
@@ -194,10 +195,6 @@ def test_control_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             QuadControl(rel_tol=bad)
-        with pytest.raises(DomainError):
-            QuadControl(abs_tol=bad)
-    with pytest.raises(DomainError):
-        QuadControl(max_panels=0)
     with pytest.raises(DomainError):
         integrate_kernel(lambda x: 1.0, 0.0, 1.0, 2.0)
 
