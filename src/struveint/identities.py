@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import DomainError, StruveintError
+from .errors import DomainError, RangeError, StruveintError
 from .gammafn import _EXP_LIMIT, log_gamma
 from .lauricella import LauricellaSpec, lauricella_eval_full
 from .quadrature import DEFAULT_QUAD, QuadControl, integrate_kernel, kernel_factor
@@ -125,7 +125,7 @@ def _common_factor_logs(case: IntegralCase) -> complex:
 
 def _exp_checked(log_val: complex, what: str) -> complex:
     if log_val.real > _EXP_LIMIT:
-        raise DomainError(f"{what} overflows double precision")
+        raise RangeError(f"{what} overflows double precision")
     return cmath.exp(log_val)
 
 

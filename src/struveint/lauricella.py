@@ -200,10 +200,14 @@ def lauricella_eval_full(
     zs = [complex(v) for v in z]
     if len(zs) != spec.n:
         raise DomainError(f"argument vector must have length n = {spec.n}")
+    try:
+        moduli = [abs(v) for v in zs]
+    except OverflowError:
+        raise RangeError("an argument's modulus exceeds the double range") from None
     for m, margin in enumerate(spec.convergence_margins()):
-        if margin == 0 and abs(zs[m]) >= _RADIUS_MARGIN * spec.boundary_radius(m):
+        if margin == 0 and moduli[m] >= _RADIUS_MARGIN * spec.boundary_radius(m):
             raise DomainError(
-                f"|z_{m}| = {abs(zs[m]):.6g} is outside the certified radius "
+                f"|z_{m}| = {moduli[m]:.6g} is outside the certified radius "
                 f"for a boundary (margin 0) variable"
             )
 
@@ -212,7 +216,7 @@ def lauricella_eval_full(
     pv_logs = [[] for _ in range(spec.n)]
     z_logmag = [[] for _ in range(spec.n)]
     z_phase = [[] for _ in range(spec.n)]
-    units = [v / abs(v) if v != 0 else 0j for v in zs]
+    units = [v / r if v != 0 else 0j for v, r in zip(zs, moduli)]
 
     def extend(degree: int) -> None:
         for m in range(spec.n):
@@ -227,7 +231,7 @@ def lauricella_eval_full(
                     z_logmag[m].append(-math.inf)
                     z_phase[m].append(0j)
                 else:
-                    z_logmag[m].append(z_logmag[m][j - 1] + math.log(abs(zs[m])) - math.log(j))
+                    z_logmag[m].append(z_logmag[m][j - 1] + math.log(moduli[m]) - math.log(j))
                     z_phase[m].append(z_phase[m][j - 1] * units[m])
 
     global_cache: dict = {}

@@ -18,10 +18,10 @@ a test solves the rule at 40 digits and checks every tabulated double.
 A panel takes its 15 nodes in one loop: each node's kernel weight, then,
 unless the weight underflowed to 0, one call of g and the node's terms
 of the Kronrod and Gauss sums.  The eight pilot panels that size the
-tail become the first panels of the layout.  The leftmost panel is
-bisected geometrically toward 0 while a closed-form bound on the
-remaining head mass exceeds its tolerance share, and the tail is cut
-where an exponential envelope certifies the remainder.
+tail become the first panels of the layout.  Every panel, the leftmost
+included, is judged by |K15 - G7| alone, as in QUADPACK's adaptive
+rules, and the tail is cut where an exponential envelope bounds the
+remainder.
 
 Refinement runs in rounds over one list of panels kept in theta order.
 Each round takes the compensated panel sum (``series.kahan_sum``) and
@@ -107,7 +107,7 @@ class QuadResult:
     panels_used: int
     cutoff_theta: float
     converged: bool
-    # Calls of g, counting the pilot panels and the head and tail probes.
+    # Calls of g, counting the pilot panels and the tail probes.
     evaluations: int
 
 
@@ -151,9 +151,9 @@ class _Integrand:
         return complex(self.g(self.a * _cosh_m1(t)))
 
 
-def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[complex, complex]:
-    """15-point Kronrod value and its embedded 7-point Gauss value; a
-    node whose kernel weight underflows to 0 adds nothing and calls no g."""
+def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, complex, float]:
+    """(lo, hi, 15-point Kronrod value, |K15 - G7|) of one panel; a node
+    whose kernel weight underflows to 0 adds nothing and calls no g."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     g, a, mu_m1, lam = intg.g, intg.a, intg.mu - 1.0, intg.lam
@@ -181,25 +181,8 @@ def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[complex, complex]:
         kronrod += wk * val
         gauss += wg * val
     intg.evaluations += calls
-    return half * kronrod, half * gauss
-
-
-def _head_bound(intg: _Integrand, h: float) -> float:
-    """Certified bound on |int_0^h| of the substituted integrand, Re(mu) > 0.
-
-    d/dt (cosh t - 1)^s = s (cosh t - 1)^(s-1) sinh t gives the closed
-    form int_0^h (cosh t - 1)^(Re mu - 1) sinh t dt = (cosh h - 1)^Re(mu)/Re(mu).
-    """
-    re_mu = intg.mu.real
-    if re_mu <= 0:
-        return math.inf
-    samples = [abs(intg.g_at(h * frac)) for frac in (0.25, 0.5, 0.75, 1.0)]
-    g_max = 2.0 * max(samples)
-    env = max(1.0, math.exp(-intg.lam.real * h))
-    w = _cosh_m1(h)
-    # w ** re_mu would be 0 once w underflows.
-    head = w**re_mu if w >= _TINY_COSH_M1 else math.exp(re_mu * _log_tiny_cosh_m1(h))
-    return g_max * env * head / re_mu
+    kronrod *= half
+    return lo, hi, kronrod, abs(kronrod - half * gauss)
 
 
 def _tail_coefficient(intg: _Integrand, theta_c: float) -> float:
@@ -239,20 +222,6 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     intg = _Integrand(g, a, mu, lam)
     scale = cmath.exp((mu - lam) * math.log(a))
 
-    def panel(lo: float, hi: float) -> tuple[float, float, complex, float]:
-        """(lo, hi, value, error estimate) of one panel."""
-        value, gauss = _panel(intg, lo, hi)
-        err = abs(value - gauss)
-        if lo == 0.0:
-            bound = _head_bound(intg, hi)
-            if math.isfinite(bound):
-                err = max(err, bound)
-            else:
-                # No certified bound (Re(mu) <= 0): lean on the panel
-                # magnitude itself so refinement keeps pushing inward.
-                err = max(err, abs(value))
-        return lo, hi, value, err
-
     pilot = []
     rate = lam.real - mu.real
     if rate < _MIN_RATE:
@@ -270,7 +239,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         # the cutoff start the layout below.
         theta_pilot = 3.0 + 20.0 / max(rate, 0.25)
         step = theta_pilot / 8.0
-        pilot = [panel(i * step, (i + 1) * step) for i in range(8)]
+        pilot = [_panel(intg, i * step, (i + 1) * step) for i in range(8)]
         pilot_value = sum(rec[2] for rec in pilot)
         tail_target = ctl.rel_tol * abs(pilot_value) / _TAIL_SAFETY
 
@@ -298,7 +267,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     pieces = math.ceil((theta_max - start) / 2.0)
     width = (theta_max - start) / max(pieces, 1)
     cuts.extend(start + width * (i + 1) for i in range(pieces))
-    panels.extend(panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    panels.extend(_panel(intg, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
@@ -332,7 +301,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
                     )
             mid_point = 0.5 * (lo + hi)
             refined += panels[kept_from:i]
-            refined += (panel(lo, mid_point), panel(mid_point, hi))
+            refined += (_panel(intg, lo, mid_point), _panel(intg, mid_point, hi))
             kept_from = i + 1
         panels = refined + panels[kept_from:]
 

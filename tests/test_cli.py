@@ -150,6 +150,16 @@ def test_eval_lauricella_spec_file(tmp_path, capsys):
     assert "shells=" in out
 
 
+def test_eval_lauricella_argument_overflow_exit_2(tmp_path, capsys):
+    # |z| beyond the double range is a typed error (exit 2), not a traceback.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC))
+    code, out, err = run(capsys, "eval", "lauricella", f"spec={path}", "z=1.5e308+1.5e308i")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the double range" in err
+
+
 # --- grid -------------------------------------------------------------------------
 
 def test_grid_generates_range(tmp_path, capsys):
@@ -311,9 +321,9 @@ def test_verify_failed_cases_are_standard_json(tmp_path, capsys):
 
 
 def test_verify_tiny_mu_case_is_a_failed_report(tmp_path, capsys):
-    # Head bisection for mu = 0.02 reaches nodes where cosh t - 1
-    # underflows; the case fails on its own and the run goes on.
-    path = write_cases(tmp_path, [dict(GOOD_CASE, mu="0.02"), GOOD_CASE])
+    # Head bisection for mu = 0.01 reaches nodes where the endpoint
+    # factor overflows; the case fails on its own and the run goes on.
+    path = write_cases(tmp_path, [dict(GOOD_CASE, mu="0.01"), GOOD_CASE])
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", str(path), "--output", str(report_path))
     assert code == 1

@@ -9,6 +9,7 @@ import oracle
 from struveint import (
     DomainError,
     IntegralCase,
+    RangeError,
     gamma,
     identities,
     integrate_kernel,
@@ -105,6 +106,13 @@ def test_prefactor_theorem2_n3_oracle():
     )
     ref = oracle.prefactor_scaled_argument(2.0, 4.0, 0.8, 1.3, (0.5, 1.0, 1.5), (0.5, 1.0, 1.5))
     assert rel(prefactor_theorem2(case), ref) < 1e-13
+
+
+def test_prefactor_overflow_is_range_error():
+    # a^(mu - lam - P - n) at a = 1e-300 is far beyond the double range.
+    for variant, prefactor in (("theorem1", prefactor_theorem1), ("theorem2", prefactor_theorem2)):
+        with pytest.raises(RangeError, match="prefactor overflows double precision"):
+            prefactor(make_case(variant=variant, a=1e-300))
 
 
 def test_prefactor_variant_guard():

@@ -13,6 +13,7 @@ from struveint import (
     FoxWrightSpec,
     GammaPoleError,
     LauricellaSpec,
+    RangeError,
     SeriesControl,
     fox_wright,
     lauricella,
@@ -327,3 +328,14 @@ def test_argument_length_checked():
     spec = one_var_spec([1.0], [1.5])
     with pytest.raises(DomainError):
         lauricella_eval(spec, (0.1, 0.2))
+
+
+def test_argument_beyond_double_range_is_range_error():
+    # |1.5e308 + 1.5e308i| is not a double: a typed error, not a bare
+    # OverflowError, with and without the boundary-margin gate.
+    gated = LauricellaSpec(
+        global_upper=[], global_lower=[], per_var_upper=[[(1.0, 1.0)]], per_var_lower=[[]], n=1
+    )
+    for spec in (one_var_spec([1.0], [1.5]), gated):
+        with pytest.raises(RangeError, match="exceeds the double range"):
+            lauricella_eval_full(spec, (1.5e308 + 1.5e308j,))
