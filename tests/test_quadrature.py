@@ -60,12 +60,21 @@ def test_unit_integrand_analytic_value():
 
 
 def test_unit_integrand_vs_closed_form_singular_endpoint():
-    # At mu = 0.03 and 0.02 head bisection reaches nodes where
-    # cosh t - 1 underflows to 0.
-    for a, mu, lam in ((2.0, 0.5, 1.5), (1.0, 0.03, 2.0), (1.0, 0.02, 2.0)):
+    # At mu = 0.03 head bisection reaches nodes where cosh t - 1
+    # underflows to 0.
+    for a, mu, lam in ((2.0, 0.5, 1.5), (1.0, 0.03, 2.0)):
         res = integrate_kernel(lambda x: 1.0, a, mu, lam)
         assert res.converged, mu
         assert rel(res.value, oberhettinger_closed_form(a, mu, lam)) < 1e-11, mu
+
+
+@pytest.mark.parametrize("mu", [0.02])
+def test_tiny_mu_endpoint_converges(mu):
+    # The leftmost panel is refined by its own |K15 - G7|, so the head
+    # stops short of the panels where the endpoint factor overflows.
+    res = integrate_kernel(lambda x: 1.0, 1.0, mu, 2.0)
+    assert res.converged, mu
+    assert rel(res.value, oberhettinger_closed_form(1.0, mu, 2.0)) < 1e-11, mu
 
 
 @pytest.mark.parametrize("mu", [0.01])
