@@ -264,10 +264,15 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
         if fld not in raw:
             raise CaseParseError(f"{where}.{fld}: missing")
     variant = str(raw["variant"]).lower()
+    if not isinstance(raw["y"], list):
+        raise CaseParseError(f"{where}.y: expected a list of numbers, got {raw['y']!r}")
+    n_raw = raw.get("n", 0)
+    if isinstance(n_raw, float) and not n_raw.is_integer():
+        raise CaseParseError(f"{where}.n: expected an integer, got {n_raw!r}")
     try:
         a = float(raw["a"])
         y = tuple(float(v) for v in raw["y"])
-        n = int(raw.get("n", 0))
+        n = int(n_raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CaseParseError(f"{where}.a/.y/.n: {exc}")
     p_raw = raw["p"] if isinstance(raw["p"], list) else [raw["p"]]

@@ -4,8 +4,8 @@ The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like 4(k_1+...+k_n)
 cannot overflow, with exactly one exponentiation per multi-index.  Each
-total-degree shell's terms are collected in a list and added by
-``series.kahan_sum``; the shell sums are the terms of ``series.sum_terms``.
+total-degree shell's terms are collected in a list and summed by
+``series.fsum_complex``; the shell sums are the terms of ``sum_terms``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, kahan_sum, sum_terms
+from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, fsum_complex, sum_terms
 
 # Total degree after which the shell sums give up (ConvergenceError).
 _MAX_DEGREE = 400
@@ -200,10 +200,7 @@ def lauricella_eval_full(
     zs = [complex(v) for v in z]
     if len(zs) != spec.n:
         raise DomainError(f"argument vector must have length n = {spec.n}")
-    try:
-        moduli = [abs(v) for v in zs]
-    except OverflowError:
-        raise RangeError("an argument's modulus exceeds the double range") from None
+    moduli = [_modulus(v) for v in zs]
     for m, margin in enumerate(spec.convergence_margins()):
         if margin == 0 and moduli[m] >= _RADIUS_MARGIN * spec.boundary_radius(m):
             raise DomainError(
@@ -265,7 +262,7 @@ def lauricella_eval_full(
                 if not math.isfinite(mag):
                     raise RangeError(f"term at multi-index {k} is non-finite")
                 shell.append(cmath.exp(complex(mag, ang)) * phase)
-            yield kahan_sum(shell)
+            yield fsum_complex(shell)
         raise ConvergenceError(
             f"shell sums did not fall below tolerance by total degree {max_degree}"
         )

@@ -24,11 +24,11 @@ rules, and the tail is cut where an exponential envelope bounds the
 remainder.
 
 Refinement runs in rounds over one list of panels kept in theta order.
-Each round takes the compensated panel sum (``series.kahan_sum``) and
-the error sum once and stops when the errors plus the tail bound meet
-the target; otherwise it bisects the fewest worst panels whose errors
-cover the excess, worst first and no more than the panel cap leaves
-room for.  The last round's sums are the result.
+Each round takes the exactly rounded panel sum (``series.fsum_complex``)
+and the error sum once and stops when the errors plus the tail bound
+meet the target; otherwise it bisects the fewest worst panels whose
+errors cover the excess, worst first and no more than the panel cap
+leaves room for.  The last round's sums are the result.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .series import kahan_sum
+from .series import fsum_complex
 
 
 # QK15 (see the module docstring): the Kronrod (node, weight) pairs for
@@ -272,7 +272,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
     while True:
-        raw = kahan_sum(rec[2] for rec in panels)
+        raw = fsum_complex([rec[2] for rec in panels])
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound
         target = ctl.rel_tol * abs(raw)

@@ -4,14 +4,13 @@ Covers the two Struve-type series (alternating and all-positive, both
 with the half-shifted second gamma), the three-parameter generalized
 Struve family W_{p,b,c}, the gamma-weighted Fox-Wright series, and the
 plain generalized hypergeometric pFq.  All sums run in ascending term
-order with compensated accumulation and a common stopping rule,
-``sum_terms``.  W_{p,b,c} with real p, b, c (and a positive shifted
-order p + (b+2)/2) is summed by ``_w_real``, the same rule on floats,
-bit for bit, over term-ratio denominators that its ``StruveParams``
-keeps from call to call.  Kahan's compensated step is written three
-times: ``kahan_sum`` for finite sequences (a Lauricella shell, a
-quadrature round's panels), and inline in ``sum_terms`` and
-``_w_real``, which test every partial sum against the stopping rule.
+order under a common stopping rule, ``sum_terms``, which reads a plain
+running sum and returns the correctly rounded sum of the terms it kept
+(``math.fsum``; ``fsum_complex`` for complex terms, also used for a
+Lauricella shell and a quadrature round's panels).  W_{p,b,c} with
+real p, b, c (and a positive shifted order p + (b+2)/2) is summed by
+``_w_real``, the same rule on floats, bit for bit, over term-ratio
+denominators that its ``StruveParams`` keeps from call to call.
 """
 
 from __future__ import annotations
@@ -63,46 +62,46 @@ class SeriesResult:
     tail_estimate: float
 
 
-def kahan_sum(values) -> complex:
-    """Kahan's compensated sum of a finite sequence, from 0j: the running
-    total plus the carry of the low-order bits each addition lost."""
-    total = carry = 0j
-    for value in values:
-        value = value + carry
-        previous = total
-        total = previous + value
-        carry = value - (total - previous)
-    return total + carry
+def _fsum(values) -> float:
+    """math.fsum, the correctly rounded sum (J. R. Shewchuk, Discrete
+    Comput. Geom. 18 (1997) 305-363); RangeError where it overflows."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # ValueError: inf + -inf
+        raise RangeError("exactly rounded sum overflows") from None
+
+
+def fsum_complex(values) -> complex:
+    """Correctly rounded sum of a sequence of complex numbers, part by
+    part (complex addition is componentwise); +0.0 parts when empty."""
+    return complex(_fsum([v.real for v in values]), _fsum([v.imag for v in values]))
 
 
 def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     """Sum a term stream under the standard stopping rule.
 
-    ``terms`` yields successive series terms t_0, t_1, ... (ascending k),
-    accumulated with ``kahan_sum``'s step, inlined because the rule reads
-    every partial sum.  With S_k the compensated partial sum through t_k,
-    the sum stops at the first k that ends a run of ``_STOP_RUN``
-    consecutive terms with |t_j| <= ctl.rel_tol * |S_j|; it returns S_k,
-    k + 1 terms, and a tail estimate of 2 x the largest |t_j| of that
-    run.  Raises ConvergenceError when ``ctl.max_terms`` terms pass
-    without the rule firing, and RangeError when a term or a partial sum
-    is non-finite or its modulus overflows.  W_{p,b,c} with real
-    parameters does not come through here: ``_w_real`` repeats this rule
-    inline, in floats.
+    ``terms`` yields successive series terms t_0, t_1, ... (ascending k).
+    With S_k the plain running sum through t_k, the sum stops at the
+    first k that ends a run of ``_STOP_RUN`` consecutive terms with
+    |t_j| <= ctl.rel_tol * |S_j|; it returns ``fsum_complex`` of
+    t_0 .. t_k, k + 1 terms, and a tail estimate of 2 x the largest
+    |t_j| of that run.  Raises ConvergenceError when ``ctl.max_terms``
+    terms pass without the rule firing, and RangeError when a term or a
+    partial sum is non-finite or its modulus overflows.  W_{p,b,c} with
+    real parameters does not come through here: ``_w_real`` repeats
+    this rule inline, in floats.
     """
     rel_tol = ctl.rel_tol
-    total = carry = 0j
+    partial = 0j
+    kept = []
     small_run = 0
     run_max = 0.0
     k = 0
     try:
         for k, term in enumerate(itertools.islice(terms, ctl.max_terms)):
             term = complex(term)
-            value = term + carry
-            previous = total
-            total = previous + value
-            carry = value - (total - previous)
-            partial = total + carry
+            kept.append(term)
+            partial += term
             # A non-finite term always leaves the partial sum non-finite.
             if not cmath.isfinite(partial):
                 if not cmath.isfinite(term):
@@ -114,7 +113,7 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
                 if mag > run_max:
                     run_max = mag
                 if small_run >= _STOP_RUN:
-                    return SeriesResult(partial, k + 1, _TAIL_SAFETY * run_max)
+                    return SeriesResult(fsum_complex(kept), k + 1, _TAIL_SAFETY * run_max)
             else:
                 small_run = 0
                 run_max = 0.0
@@ -199,8 +198,8 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
     for a float z and params with ``_real`` set, bit for bit: with p, b, c
     and log Gamma(p + (b+2)/2) real, every imaginary part there is a
     signed zero, so this loop runs _w_terms' recurrence and sum_terms'
-    rule, Kahan step inlined, on floats (where no modulus overflows while
-    its parts are finite).
+    rule on floats (where no modulus overflows while its parts are
+    finite) and sums the kept terms with ``_fsum``.
     """
     if not 0.0 < z < math.inf:
         _require_positive_z(z)  # raises
@@ -217,14 +216,13 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
     more = []
     rel_tol = ctl.rel_tol
     isfinite = math.isfinite
-    total = carry = run_max = 0.0
+    partial = run_max = 0.0
+    kept = []
+    keep = kept.append
     small_run = 0
     for k in range(ctl.max_terms):
-        value = term + carry
-        previous = total
-        total = previous + value
-        carry = value - (total - previous)
-        partial = total + carry
+        keep(term)
+        partial += term
         if not isfinite(partial):
             if not isfinite(term):
                 raise RangeError(f"series term {k} is non-finite")
@@ -237,7 +235,7 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
             if small_run >= _STOP_RUN:
                 if more:
                     object.__setattr__(params, "_denominators", dens + tuple(more))
-                return complex(partial), k + 1, _TAIL_SAFETY * run_max
+                return complex(_fsum(kept)), k + 1, _TAIL_SAFETY * run_max
         else:
             small_run = 0
             run_max = 0.0
@@ -358,6 +356,14 @@ class FoxWrightSpec:
 _RADIUS_MARGIN = 0.9
 
 
+def _modulus(z: complex) -> float:
+    """|z| of an argument; RangeError where it exceeds the double range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise RangeError("an argument's modulus exceeds the double range") from None
+
+
 def _fox_wright_terms(spec: FoxWrightSpec, z: complex):
     ln_r = math.log(abs(z))
     unit = z / abs(z)
@@ -382,7 +388,7 @@ def fox_wright_full(spec: FoxWrightSpec, z, ctl: SeriesControl = DEFAULT_CONTROL
             (log_gamma(b) for b, _ in spec.lower), 0j
         )
         return SeriesResult(cmath.exp(lg), 1, 0.0)
-    if spec.delta == 0 and abs(z) >= _RADIUS_MARGIN * spec.radius:
+    if spec.delta == 0 and _modulus(z) >= _RADIUS_MARGIN * spec.radius:
         raise DomainError(
             f"|z| = {abs(z):.6g} is outside the certified radius "
             f"{_RADIUS_MARGIN * spec.radius:.6g} for a boundary (Delta = 0) series"
@@ -423,7 +429,7 @@ def pfq_full(upper, lower, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesRes
             )
     if len(upper) > len(lower) + 1 and z != 0:
         raise DivergenceError("pFq diverges for p > q + 1 and z != 0")
-    if len(upper) == len(lower) + 1 and abs(z) >= 1 and z != 0:
+    if len(upper) == len(lower) + 1 and z != 0 and _modulus(z) >= 1:
         raise DivergenceError("pFq with p = q + 1 requires |z| < 1")
     return sum_terms(_pfq_terms(upper, lower, z), ctl)
 

@@ -160,6 +160,22 @@ def test_eval_lauricella_argument_overflow_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds the double range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pfq", "upper=2", "lower=", "z=1.5e308+1.5e308i"),
+        ("fox_wright", "upper=1:1", "lower=", "z=1.5e308+1.5e308i"),
+    ],
+)
+def test_eval_argument_overflow_exit_2(argv, capsys):
+    # pFq's |z| < 1 gate and the Delta = 0 radius gate take |z|; beyond
+    # the double range that is a typed error (exit 2), not a traceback.
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the double range" in err
+
+
 # --- grid -------------------------------------------------------------------------
 
 def test_grid_generates_range(tmp_path, capsys):
@@ -489,6 +505,9 @@ SPEC = {
         ("lauricella", {**SPEC, "global_upper": 5}, "global_upper"),
         ("lauricella", {**SPEC, "global_upper": [[1, 2]]}, "global_upper"),
         ("lauricella", [], "lauricella spec"),
+        # A string y would be read digit by digit, as y = (1, 2).
+        ("verify", {"cases": [{**GOOD_CASE, "p": ["1", "0.5"], "y": "12"}]}, "cases[0].y"),
+        ("verify", {"cases": [{**GOOD_CASE, "n": 2.5}]}, "cases[0].n"),
     ],
 )
 def test_malformed_input_file_exit_2(command, document, field, tmp_path, capsys):

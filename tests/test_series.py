@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +38,7 @@ from struveint.series import (
     _pfq_terms,
     _struve_derivative_terms,
     _w_terms,
-    kahan_sum,
+    fsum_complex,
     sum_terms,
 )
 
@@ -286,6 +287,19 @@ def test_non_convergence_reported():
         pfq([2.0], [], 0.99, SeriesControl(max_terms=25))
 
 
+def test_argument_beyond_double_range_is_range_error():
+    # |1.5e308 + 1.5e308i| is not a double: pFq's |z| < 1 gate and the
+    # Fox-Wright Delta = 0 radius gate raise a typed error, not a bare
+    # OverflowError.
+    z = 1.5e308 + 1.5e308j
+    with pytest.raises(RangeError, match="exceeds the double range"):
+        pfq_full([2.0], [], z)
+    boundary = FoxWrightSpec(upper=((1.0, 1.0),))
+    assert boundary.delta == 0
+    with pytest.raises(RangeError, match="exceeds the double range"):
+        fox_wright_full(boundary, z)
+
+
 def test_truncation_soundness():
     # Doubling the budget and halving the tolerance moves the value by
     # less than the reported tail estimate.
@@ -310,11 +324,22 @@ def test_truncation_soundness():
 STOP_RUN = 3
 
 
+def exact_float(parts):
+    """The float nearest the exact sum of finite floats (ties to even),
+    computed in rationals; RangeError where it leaves the double range."""
+    try:
+        return float(sum(map(Fraction, parts), Fraction(0)))
+    except OverflowError:
+        raise RangeError("exactly rounded sum overflows") from None
+
+
 def reference_sum_terms(terms, ctl):
-    """The stopping rule as a Kahan step plus a deque window of the last
-    three magnitudes: the loop sum_terms must match bit for bit.  A
-    modulus beyond the double range is a RangeError."""
-    acc = carry = 0j
+    """The stopping rule as a plain running sum plus a deque window of
+    the last three magnitudes, returning the exact sum of the kept terms
+    rounded once: the loop sum_terms must match bit for bit.  A modulus
+    beyond the double range is a RangeError."""
+    total = 0j
+    kept = []
     window = deque(maxlen=STOP_RUN)
     small_run = 0
     it = iter(terms)
@@ -322,11 +347,8 @@ def reference_sum_terms(terms, ctl):
         term = complex(next(it))
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise RangeError(f"series term {k} is non-finite")
-        step = term + carry
-        previous = acc
-        acc = previous + step
-        carry = step - (acc - previous)
-        total = acc + carry
+        kept.append(term)
+        total += term
         if not (math.isfinite(total.real) and math.isfinite(total.imag)):
             raise RangeError(f"partial sum overflows at term {k}")
         try:
@@ -338,7 +360,10 @@ def reference_sum_terms(terms, ctl):
         if small:
             small_run += 1
             if small_run >= STOP_RUN:
-                return SeriesResult(total, k + 1, 2.0 * max(window))
+                value = complex(
+                    exact_float(t.real for t in kept), exact_float(t.imag for t in kept)
+                )
+                return SeriesResult(value, k + 1, 2.0 * max(window))
         else:
             small_run = 0
     raise ConvergenceError(f"series did not meet tolerance within {ctl.max_terms} terms")
@@ -408,35 +433,55 @@ def test_sum_terms_matches_reference_loop(make_terms, ctl):
     assert_matches_reference(make_terms, ctl)
 
 
-def reference_kahan(values):
-    """Kahan's step on the real and imaginary parts as separate floats
-    (complex addition is componentwise), from +0.0 each."""
-    parts = []
-    for get in (lambda v: v.real, lambda v: v.imag):
-        total = carry = 0.0
-        for v in values:
-            y = get(complex(v)) + carry
-            t = total + y
-            carry = y - (t - total)
-            total = t
-        parts.append((total + carry).hex())
-    return parts
+def may_overflow_on_the_way(parts):
+    """Whether some prefix sum plus the next value reaches 2**1023 in
+    magnitude, so that math.fsum may overflow before its exact result."""
+    prefix = Fraction(0)
+    for part in parts:
+        if abs(prefix) + abs(Fraction(part)) >= 2**1023:
+            return True
+        prefix += Fraction(part)
+    return False
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(st.builds(complex, st.floats(allow_nan=False), st.floats(allow_nan=False))))
-def test_kahan_sum_matches_reference_step(values):
-    total = kahan_sum(values)
-    assert [total.real.hex(), total.imag.hex()] == reference_kahan(values)
+@given(
+    values=st.lists(
+        st.builds(
+            complex,
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_fsum_complex_matches_exact_sum(values):
+    parts = ([v.real for v in values], [v.imag for v in values])
+    try:
+        expected = [exact_float(part).hex() for part in parts]
+    except RangeError:
+        with pytest.raises(RangeError, match="exactly rounded sum overflows"):
+            fsum_complex(values)
+        return
+    try:
+        total = fsum_complex(values)
+    except RangeError:
+        # The exact sum is a double, but a partial sum on the way is not.
+        assert any(may_overflow_on_the_way(part) for part in parts)
+        return
+    assert [total.real.hex(), total.imag.hex()] == expected
 
 
-def test_kahan_sum_crafted():
-    assert (kahan_sum([]).real.hex(), kahan_sum([]).imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
-    # The carry keeps the ones that plain summation loses to 1e16.
-    assert kahan_sum([1e16, 1, 1]) == 1e16 + 2 != sum([1e16, 1, 1])
-    # Kahan's step, unlike Neumaier's variant, loses the carried 1 when
-    # the next term is larger than the running total: -1e16 + 1 rounds.
-    assert kahan_sum([1e16, 1, -1e16]) == 0
+def test_fsum_complex_crafted():
+    assert (fsum_complex([]).real.hex(), fsum_complex([]).imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    # Plain summation loses the ones to 1e16; the exact sum keeps them.
+    assert fsum_complex([1e16, 1, 1]) == 1e16 + 2 != sum([1e16, 1, 1])
+    # Kahan's step lost the 1 here (-1e16 + 1 rounds); the exact sum is 1.
+    assert fsum_complex([1e16, 1, -1e16]) == 1
+    assert fsum_complex([1e16j, 1j, -1e16j]) == 1j
+    with pytest.raises(RangeError, match="exactly rounded sum overflows"):
+        fsum_complex([1e308, 1e308])
+    with pytest.raises(RangeError, match="exactly rounded sum overflows"):
+        fsum_complex([math.inf, -math.inf])
 
 
 def test_sum_terms_crafted_streams():
@@ -449,9 +494,14 @@ def test_sum_terms_crafted_streams():
         (stream(1.0, complex(0.0, math.nan)), ("RangeError", "series term 1 is non-finite")),
         (stream(1e308, 1e308), ("RangeError", "partial sum overflows at term 1")),
         (stream(complex(1.5e308, 1.5e308)), ("RangeError", "series modulus overflows at term 0")),
+        # Each 2**969 is below half an ulp of the running sum, which stays
+        # finite; the three together round the exact sum past the range.
+        (stream(sys.float_info.max, *[2.0**969] * 3), ("RangeError", "exactly rounded sum overflows")),
     ]
     for make_terms, expected in cases:
         assert assert_matches_reference(make_terms, ctl) == expected
+    # The running sum loses the 1 to 1e16, the returned exact sum keeps it.
+    assert assert_matches_reference(stream(1e16, 1.0, -1e16), ctl) == ("0x1.0000000000000p+0", "0x0.0p+0", 6, "0x0.0p+0")
     # The tail comes from the stopping run only, not from the earlier
     # small term 1e-17.
     assert assert_matches_reference(stream(1.0, 1e-17, 0.5), ctl)[2:] == (6, "0x0.0p+0")
