@@ -1,11 +1,17 @@
-"""Multi-variable (Srivastava-Daoust) series by simplex-shell summation.
+"""Multi-variable (Srivastava-Daoust) series, summed by total degree.
 
 The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like 4(k_1+...+k_n)
-cannot overflow, with exactly one exponentiation per multi-index.  Each
-total-degree shell's terms are collected in a list and summed by
-``series.fsum_complex``; the shell sums are the terms of ``sum_terms``.
+cannot overflow.  The sums of the total-degree shells are the terms of
+``sum_terms``.  When every global exponent vector is constant across the
+variables (every spec the identities build, and every n = 1 spec), the
+global block depends on the multi-index only through its degree K, and
+shell K is that block times the K-th Cauchy-product coefficient of the
+per-variable series: O(n K) work per degree and one complex
+exponentiation.  Any other spec visits every multi-index of the shell,
+one exponentiation each.  Shells and convolution coefficients are
+summed by ``series.fsum_complex``.
 """
 
 from __future__ import annotations
@@ -186,10 +192,131 @@ def omega(spec: LauricellaSpec, k) -> complex:
 
 @dataclass(frozen=True)
 class LauricellaResult:
+    """The series value; ``shells``, the last total degree summed;
+    ``terms``, what ``SeriesControl.max_terms`` counted (degrees when every
+    global exponent vector is constant across variables, else
+    multi-indices); and the tail estimate of ``sum_terms``."""
+
     value: complex
     shells: int
     terms: int
     tail_estimate: float
+
+
+class _Factors:
+    """Per-variable factor tables of one evaluation, and the two ways of
+    summing its series degree by degree (the terms of ``sum_terms``).
+
+    Variable m's factor f_m(j) is its own Pochhammer ratio times
+    z_m^j / j!.  It is kept as a log-magnitude ``scale[m][j]`` and a
+    unit-modulus ``unit[m][j]``, so no factor is exponentiated on its
+    own.  ``used`` counts what the term budget counts: multi-indices on
+    the shell path, degrees on the degree path.
+    """
+
+    def __init__(self, spec: LauricellaSpec, zs):
+        self.spec = spec
+        self.zs = zs
+        self.moduli = [_modulus(v) for v in zs]
+        self.scale = [[] for _ in zs]
+        self.unit = [[] for _ in zs]
+        # log|z_m^j / j!| and the phase of z_m^j at the last j tabled.
+        self._power = [(0.0, 1.0 + 0j) for _ in zs]
+        self.used = 0
+
+    def extend(self, degree: int) -> None:
+        """Table every f_m(j) through j = degree (only j = 0 when z_m = 0)."""
+        for m, (z, r) in enumerate(zip(self.zs, self.moduli)):
+            scale, unit = self.scale[m], self.unit[m]
+            while len(scale) <= (degree if z != 0 else 0):
+                j = len(scale)
+                if j > 0:
+                    logmag, phase = self._power[m]
+                    self._power[m] = (logmag + math.log(r) - math.log(j), phase * (z / r))
+                logmag, phase = self._power[m]
+                lg = _per_var_log(self.spec, m, j)
+                scale.append(lg.real + logmag)
+                unit.append(cmath.exp(complex(0.0, lg.imag)) * phase)
+
+    def shell_sums(self, max_terms: int):
+        """Each shell's sum over all C(K+n-1, n-1) multi-indices of degree K."""
+        spec = self.spec
+        zero = [m for m, z in enumerate(self.zs) if z == 0]
+        cache: dict = {}
+        for degree in range(_MAX_DEGREE + 1):
+            self.extend(degree)
+            shell = []
+            for k in shell_iterator(spec.n, degree):
+                if any(k[m] for m in zero):
+                    continue
+                self.used += 1
+                if self.used > max_terms:
+                    raise ConvergenceError(f"multi-index budget of {max_terms} terms exhausted")
+                lg = _global_log(spec, k, cache)
+                mag = lg.real
+                phase = 1.0 + 0j
+                for m, km in enumerate(k):
+                    mag += self.scale[m][km]
+                    phase *= self.unit[m][km]
+                if mag > _EXP_LIMIT:
+                    raise RangeError(f"term at multi-index {k} overflows")
+                if not math.isfinite(mag):
+                    raise RangeError(f"term at multi-index {k} is non-finite")
+                shell.append(cmath.exp(complex(mag, lg.imag)) * phase)
+            yield fsum_complex(shell)
+        raise ConvergenceError(
+            f"shell sums did not fall below tolerance by total degree {_MAX_DEGREE}"
+        )
+
+    def degree_sums(self, max_terms: int):
+        """Each shell's sum as G(K) C(K); needs every global exponent vector
+        constant across variables, so the global block G depends on the
+        multi-index only through its degree K.
+
+        C(K) is the K-th coefficient of the Cauchy product of the nonzero
+        variables' factor sequences, built by one O(K) convolution step
+        per variable.  Each coefficient is a log scale plus an exactly
+        rounded mantissa; log G(K) joins the scale before the one
+        exponentiation, so a G(K) or a factor outside the double range on
+        its own cannot overflow a finite shell.
+        """
+        spec = self.spec
+        active = [m for m, z in enumerate(self.zs) if z != 0]
+        # conv[i]: (scales, mantissas) of the product of the first i + 1
+        # active sequences; the first is that variable's own table.
+        conv = [(self.scale[m], self.unit[m]) for m in active[:1]]
+        conv += [([], []) for _ in active[1:]]
+        origin = (0,) * (spec.n - 1)
+        for degree in range(_MAX_DEGREE + 1):
+            self.extend(degree)
+            self.used += 1
+            if self.used > max_terms:
+                raise ConvergenceError(f"degree budget of {max_terms} terms exhausted")
+            for i in range(1, len(active)):
+                prev_scale, prev_mant = conv[i - 1]
+                scale, unit = self.scale[active[i]], self.unit[active[i]]
+                logs = [prev_scale[degree - j] + scale[j] for j in range(degree + 1)]
+                top = max(logs)
+                conv[i][0].append(top)
+                conv[i][1].append(fsum_complex([
+                    math.exp(v - top) * prev_mant[degree - j] * unit[j]
+                    for j, v in enumerate(logs)
+                ]))
+            if active:
+                top, mant = conv[-1][0][degree], conv[-1][1][degree]
+            elif degree == 0:
+                top, mant = 0.0, 1.0 + 0j
+            else:
+                yield 0j  # every z_m = 0: only the degree-0 shell has terms
+                continue
+            lg = _global_log(spec, (degree,) + origin, {})
+            mag = lg.real + top
+            if mag > _EXP_LIMIT:
+                raise RangeError(f"shell of total degree {degree} overflows")
+            yield cmath.exp(complex(mag, lg.imag)) * mant
+        raise ConvergenceError(
+            f"shell sums did not fall below tolerance by total degree {_MAX_DEGREE}"
+        )
 
 
 def lauricella_eval_full(
@@ -200,78 +327,24 @@ def lauricella_eval_full(
     zs = [complex(v) for v in z]
     if len(zs) != spec.n:
         raise DomainError(f"argument vector must have length n = {spec.n}")
-    moduli = [_modulus(v) for v in zs]
+    factors = _Factors(spec, zs)
     for m, margin in enumerate(spec.convergence_margins()):
-        if margin == 0 and moduli[m] >= _RADIUS_MARGIN * spec.boundary_radius(m):
+        if margin == 0 and factors.moduli[m] >= _RADIUS_MARGIN * spec.boundary_radius(m):
             raise DomainError(
-                f"|z_{m}| = {moduli[m]:.6g} is outside the certified radius "
+                f"|z_{m}| = {factors.moduli[m]:.6g} is outside the certified radius "
                 f"for a boundary (margin 0) variable"
             )
-
-    # Per-variable data, extended shell by shell: block logs, the
-    # log-magnitude of z_m^j / j!, and the (unit) phase of z_m^j.
-    pv_logs = [[] for _ in range(spec.n)]
-    z_logmag = [[] for _ in range(spec.n)]
-    z_phase = [[] for _ in range(spec.n)]
-    units = [v / r if v != 0 else 0j for v, r in zip(zs, moduli)]
-
-    def extend(degree: int) -> None:
-        for m in range(spec.n):
-            while len(pv_logs[m]) <= degree:
-                j = len(pv_logs[m])
-                pv_logs[m].append(_per_var_log(spec, m, j))
-                if j == 0:
-                    z_logmag[m].append(0.0)
-                    z_phase[m].append(1.0 + 0j)
-                elif zs[m] == 0:
-                    # Never read: multi-indices with k_m > 0 are skipped.
-                    z_logmag[m].append(-math.inf)
-                    z_phase[m].append(0j)
-                else:
-                    z_logmag[m].append(z_logmag[m][j - 1] + math.log(moduli[m]) - math.log(j))
-                    z_phase[m].append(z_phase[m][j - 1] * units[m])
-
-    global_cache: dict = {}
-    terms_used = 0
-    max_degree = _MAX_DEGREE
-
-    def shell_sums():
-        nonlocal terms_used
-        for degree in range(max_degree + 1):
-            extend(degree)
-            shell = []
-            for k in shell_iterator(spec.n, degree):
-                if any(zs[m] == 0 and k[m] > 0 for m in range(spec.n)):
-                    continue
-                terms_used += 1
-                if terms_used > ctl.max_terms:
-                    raise ConvergenceError(
-                        f"multi-index budget of {ctl.max_terms} terms exhausted"
-                    )
-                lg = _global_log(spec, k, global_cache)
-                mag = lg.real
-                ang = lg.imag
-                phase = 1.0 + 0j
-                for m in range(spec.n):
-                    lg_m = pv_logs[m][k[m]]
-                    mag += lg_m.real + z_logmag[m][k[m]]
-                    ang += lg_m.imag
-                    phase *= z_phase[m][k[m]]
-                if mag > _EXP_LIMIT:
-                    raise RangeError(f"term at multi-index {k} overflows")
-                if not math.isfinite(mag):
-                    raise RangeError(f"term at multi-index {k} is non-finite")
-                shell.append(cmath.exp(complex(mag, ang)) * phase)
-            yield fsum_complex(shell)
-        raise ConvergenceError(
-            f"shell sums did not fall below tolerance by total degree {max_degree}"
-        )
-
+    # The degree path needs every global exponent vector constant across
+    # the variables; the shell path takes any spec.
+    if all(len(set(exps)) == 1 for _, exps in spec.global_upper + spec.global_lower):
+        sums = factors.degree_sums(ctl.max_terms)
+    else:
+        sums = factors.shell_sums(ctl.max_terms)
     # Whole-shell sums are the terms of the common stopping rule.  The
-    # generator owns both budgets (multi-indices and total degree), so
-    # sum_terms' own term cap is set one past the last shell.
-    res = sum_terms(shell_sums(), replace(ctl, max_terms=max_degree + 2))
-    return LauricellaResult(res.value, res.terms - 1, terms_used, res.tail_estimate)
+    # generator owns both budgets (ctl.max_terms and the total degree),
+    # so sum_terms' own term cap is set one past the last shell.
+    res = sum_terms(sums, replace(ctl, max_terms=_MAX_DEGREE + 2))
+    return LauricellaResult(res.value, res.terms - 1, factors.used, res.tail_estimate)
 
 
 def lauricella_eval(
@@ -281,9 +354,9 @@ def lauricella_eval(
 ) -> complex:
     """Sum the generalized Lauricella series at the argument vector z.
 
-    Multi-indices are visited in non-decreasing total degree (simplex
-    shells); the whole-shell sums go through ``series.sum_terms``, so the
-    series stops when the last few of them are each negligible against
-    the partial sum they were added to.
+    The series is summed shell by shell in non-decreasing total degree;
+    the whole-shell sums go through ``series.sum_terms``, so the series
+    stops when the last few of them are each negligible against the
+    partial sum they were added to.
     """
     return lauricella_eval_full(spec, z, ctl).value

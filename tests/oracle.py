@@ -8,6 +8,8 @@ anchor for the double-precision implementations.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 DPS = 40
@@ -110,26 +112,50 @@ def lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_
 
     ``global_upper``/``global_lower`` are (param, exponent-vector) pairs,
     ``per_var_upper``/``per_var_lower`` are per-variable lists of
-    (param, exponent) pairs, ``z`` the argument vector.
+    (param, exponent) pairs, ``z`` the argument vector.  Every
+    multi-index of every shell is visited; each Pochhammer symbol and
+    each variable's factor is computed once and reused.
     """
     with mp.workdps(DPS):
         n = len(z)
         zs = [_mpc(v) for v in z]
+        pochs, factors, globals_ = {}, {}, {}
 
         def poch(lam, nu):
-            return mp.gamma(_mpc(lam) + nu) / mp.gamma(_mpc(lam))
+            key = (complex(lam), nu)
+            if key not in pochs:
+                pochs[key] = mp.gamma(_mpc(lam) + nu) / mp.gamma(_mpc(lam))
+            return pochs[key]
 
-        def omega(k):
-            val = mp.mpc(1)
-            for a, th in global_upper:
-                val *= poch(a, mp.fsum(t * ki for t, ki in zip(th, k)))
-            for cc, ps in global_lower:
-                val /= poch(cc, mp.fsum(t * ki for t, ki in zip(ps, k)))
-            for m in range(n):
+        def factor(m, j):
+            if (m, j) not in factors:
+                val = zs[m] ** j / mp.factorial(j)
                 for b, ph in per_var_upper[m]:
-                    val *= poch(b, ph * k[m])
+                    val *= poch(b, ph * j)
                 for d, de in per_var_lower[m]:
-                    val /= poch(d, de * k[m])
+                    val /= poch(d, de * j)
+                factors[m, j] = val
+            return factors[m, j]
+
+        def global_block(subscripts):
+            if subscripts not in globals_:
+                val = mp.mpc(1)
+                for (a, _), nu in zip(global_upper, subscripts):
+                    val *= poch(a, nu)
+                for (cc, _), nu in zip(global_lower, subscripts[len(global_upper):]):
+                    val /= poch(cc, nu)
+                globals_[subscripts] = val
+            return globals_[subscripts]
+
+        def omega_z(k):
+            # Each subscript is the exactly rounded sum of the exponent
+            # times index products (which are doubles themselves).
+            val = global_block(tuple(
+                math.fsum(t * ki for t, ki in zip(th, k))
+                for _, th in (*global_upper, *global_lower)
+            ))
+            for m in range(n):
+                val *= factor(m, k[m])
             return val
 
         def shells(deg, parts):
@@ -143,10 +169,7 @@ def lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_
         total = mp.mpc(0)
         for deg in range(max_degree + 1):
             for k in shells(deg, n):
-                term = omega(k)
-                for m in range(n):
-                    term *= zs[m] ** k[m] / mp.factorial(k[m])
-                total += term
+                total += omega_z(k)
         return complex(total)
 
 

@@ -340,24 +340,38 @@ def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
     assert "exceeds tolerance" in rep.reason
 
 
-def _oracle_rhs(case):
-    """Prefactor times Lauricella series of an n = 1 case, at 40 digits."""
-    (p,), (y,) = case.p, case.y
+def _oracle_rhs(case, max_degree=60):
+    """Prefactor times Lauricella series of a case, at 40 digits."""
     lam, mu, b, c, a = case.lam, case.mu, case.b, case.c, case.a
-    s = lam + p + 1
-    per_var_upper = [[(1.0, 1.0)]]
-    per_var_lower = [[(1.5, 1.0), (p + (b + 2) / 2, 1.0)]]
+    n = len(case.p)
+    p_sum = sum(case.p)
+    s = lam + p_sum + n
+    twos, fours = [2.0] * n, [4.0] * n
+    per_var_upper = [[(1.0, 1.0)] for _ in case.p]
+    per_var_lower = [[(1.5, 1.0), (pj + (b + 2) / 2, 1.0)] for pj in case.p]
     if case.variant == "theorem1":
-        pref = oracle.prefactor_fixed_argument(a, lam, mu, b, (p,), (y,))
-        global_upper = [(1 + s, [2.0]), (s - mu, [2.0])]
-        global_lower = [(s, [2.0]), (1 + s + mu, [2.0])]
-        z = (-c * y * y / (4 * a * a),)
+        pref = oracle.prefactor_fixed_argument(a, lam, mu, b, case.p, case.y)
+        global_upper = [(1 + s, twos), (s - mu, twos)]
+        global_lower = [(s, twos), (1 + s + mu, twos)]
+        z = [-c * yj * yj / (4 * a * a) for yj in case.y]
     else:
-        pref = oracle.prefactor_scaled_argument(a, lam, mu, b, (p,), (y,))
-        global_upper = [(2 * mu + 2 * p + 2, [4.0]), (1 + s, [2.0])]
-        global_lower = [(1 + lam + mu + 2 * p + 2, [4.0]), (s, [2.0])]
-        z = (-c * y * y / 16.0,)
-    return pref * oracle.lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z)
+        pref = oracle.prefactor_scaled_argument(a, lam, mu, b, case.p, case.y)
+        global_upper = [(2 * mu + 2 * p_sum + 2 * n, fours), (1 + s, twos)]
+        global_lower = [(1 + lam + mu + 2 * p_sum + 2 * n, fours), (s, twos)]
+        z = [-c * yj * yj / 16.0 for yj in case.y]
+    return pref * oracle.lauricella(
+        global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=max_degree
+    )
+
+
+def test_verify_theorem1_n4_within_default_budget():
+    # The right side stops after 30 total degrees.  Summed multi-index by
+    # multi-index, the 10,000-term default budget ran out first
+    # (ConvergenceError).
+    case = IntegralCase("theorem1", a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,) * 4, y=(4.0,) * 4)
+    rep = verify_case(case)
+    assert rep.passed
+    assert rel(rep.rhs, _oracle_rhs(case, max_degree=32)) <= 1e-10
 
 
 @pytest.mark.parametrize(

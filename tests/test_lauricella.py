@@ -1,9 +1,13 @@
 import cmath
+import itertools
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from struveint import (
@@ -15,6 +19,7 @@ from struveint import (
     LauricellaSpec,
     RangeError,
     SeriesControl,
+    StruveintError,
     fox_wright,
     lauricella,
     lauricella_eval,
@@ -23,6 +28,7 @@ from struveint import (
     pfq,
     shell_iterator,
 )
+from struveint.series import sum_terms
 
 
 def rel(actual, expected):
@@ -261,6 +267,88 @@ def test_permutation_symmetry():
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
+@st.composite
+def uniform_specs(draw):
+    """A spec whose global exponent vectors are constant across its
+    n = 1..4 variables, and an argument vector with some zero components."""
+    n = draw(st.integers(1, 4))
+    real = draw(st.booleans())
+    exps = st.sampled_from((0.5, 1.0, 2.0, 3.0, 4.0))
+
+    def param():
+        x = draw(st.floats(0.3, 3.0))
+        return x if real else complex(x, draw(st.floats(-1.0, 1.0)))
+
+    def block(sizes, exp_of):
+        return [(param(), exp_of(draw(exps))) for _ in range(draw(sizes))]
+
+    global_upper = block(st.integers(0, 2), lambda e: (e,) * n)
+    global_lower = block(st.integers(0, 2), lambda e: (e,) * n)
+    per_var_upper = [block(st.integers(0, 1), float) for _ in range(n)]
+    per_var_lower = [block(st.integers(1, 2), float) for _ in range(n)]
+    # An entire series in every variable (margin at least 1).
+    margin = 1 + sum(e[0] for _, e in global_lower) - sum(e[0] for _, e in global_upper)
+    assume(all(
+        margin + sum(e for _, e in lo) - sum(e for _, e in up) >= 1
+        for up, lo in zip(per_var_upper, per_var_lower)
+    ))
+    spec = LauricellaSpec(global_upper, global_lower, per_var_upper, per_var_lower, n)
+    # Every z_m on one ray, so that the terms of a shell do not cancel,
+    # and |z_m| at most 1.5 boundary radii, so that the terms cannot grow
+    # far before they decay.
+    ray = draw(st.sampled_from((1.0, -1.0))) if real else cmath.rect(1.0, draw(st.floats(-math.pi, math.pi)))
+    z = tuple(
+        ray * draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5))) * spec.boundary_radius(m)
+        for m in range(n)
+    )
+    return spec, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=uniform_specs())
+def test_degree_path_matches_shell_path(draw):
+    # Both ways of forming the shell sums, through the same stopping rule,
+    # with no term budget: the same error, or values within 1e-12 of the
+    # shells' total magnitude (a sum that cancels across shells keeps
+    # fewer digits than its shells, the same in both paths).
+    spec, z = draw
+    ctl = SeriesControl(max_terms=lauricella._MAX_DEGREE + 2)
+
+    def sums(path):
+        return getattr(lauricella._Factors(spec, [complex(v) for v in z]), path)(sys.maxsize)
+
+    outcomes = []
+    for path in ("shell_sums", "degree_sums"):
+        try:
+            outcomes.append(sum_terms(sums(path), ctl))
+        except StruveintError as exc:
+            outcomes.append(type(exc))
+    shell, degree = outcomes
+    if isinstance(shell, type) or isinstance(degree, type):
+        assert shell == degree
+    else:
+        magnitude = sum(abs(t) for t in itertools.islice(sums("shell_sums"), shell.terms))
+        assert abs(degree.value - shell.value) <= 1e-12 * magnitude
+
+
+def test_degree_path_global_block_beyond_double_range():
+    # (1)_{2K} = (2K)! overflows a double from K = 86, and each variable's
+    # factor z^k / (k! (1)_{3k}) underflows to 0 from k = 79 (z = 1500)
+    # or 83 (z = 3000).  The series runs to degree 128, every shell
+    # finite, so only the logs of G(K) and of the factors may be combined.
+    global_upper = [(1.0, (2.0, 2.0))]
+    per_var_upper = [[], []]
+    per_var_lower = [[(1.0, 3.0)], [(1.0, 3.0)]]
+    spec = LauricellaSpec(global_upper, [], per_var_upper, per_var_lower, n=2)
+    z = (3000.0, 1500.0)
+    result = lauricella_eval_full(spec, z)
+    assert math.lgamma(2 * result.shells + 1) > math.log(sys.float_info.max)
+    expected = oracle.lauricella(
+        global_upper, [], per_var_upper, per_var_lower, z, max_degree=result.shells + 10
+    )
+    assert rel(result.value, expected) <= 1e-12
+
+
 def test_tail_estimate_bounds_oracle_remainder():
     # Entire-series spec shaped like the identity builders produce
     # (margins 2); the reported tail must bound the remainder that ten
@@ -320,8 +408,35 @@ def test_term_budget_respected():
     spec = one_var_spec([1.0], [1.5])
     # n = 1 gives one multi-index per shell, so the multi-index budget
     # binds on the same shell as a cap on the number of shells would.
-    with pytest.raises(ConvergenceError, match="multi-index budget of 5 terms exhausted"):
+    with pytest.raises(ConvergenceError, match="degree budget of 5 terms exhausted"):
         lauricella_eval(spec, (-0.5,), SeriesControl(max_terms=5))
+
+
+def two_var_spec(exps):
+    """n = 2 spec with global exponent vector ``exps`` in both blocks."""
+    return LauricellaSpec(
+        global_upper=[(2.5, exps)],
+        global_lower=[(3.5, exps)],
+        per_var_upper=[[(1.0, 1.0)], [(1.0, 1.0)]],
+        per_var_lower=[[(1.5, 1.0), (2.0, 1.0)], [(1.5, 1.0), (2.5, 1.0)]],
+        n=2,
+    )
+
+
+def test_term_budget_counts_degrees_for_uniform_exponents():
+    # Uniform global exponents: the budget counts degrees, not the
+    # K + 1 multi-indices of each n = 2 shell.
+    spec = two_var_spec((2.0, 2.0))
+    z = (-1.0, -2.0)
+    result = lauricella_eval_full(spec, z)
+    assert result.terms == result.shells + 1 < math.comb(result.shells + 2, 2)
+    exact = SeriesControl(max_terms=result.terms)
+    assert lauricella_eval(spec, z, exact) == result.value
+    with pytest.raises(ConvergenceError, match="degree budget of 5 terms exhausted"):
+        lauricella_eval(spec, z, SeriesControl(max_terms=5))
+    # Non-uniform exponents take the shell path, which counts multi-indices.
+    with pytest.raises(ConvergenceError, match="multi-index budget of 5 terms exhausted"):
+        lauricella_eval(two_var_spec((2.0, 4.0)), z, SeriesControl(max_terms=5))
 
 
 def test_argument_length_checked():
