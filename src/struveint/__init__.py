@@ -32,8 +32,6 @@ from .lauricella import (
     LauricellaSpec,
     lauricella_eval,
     lauricella_eval_full,
-    omega,
-    shell_iterator,
 )
 from .quadrature import (
     QuadControl,
@@ -51,10 +49,6 @@ from .series import (
     fox_wright_full,
     pfq,
     pfq_full,
-    struve_h_paper,
-    struve_h_paper_full,
-    struve_l_paper,
-    struve_l_paper_full,
     struve_w,
     struve_w_derivative,
     struve_w_derivative_full,
@@ -93,7 +87,6 @@ __all__ = [
     "lhs_integrand",
     "log_gamma",
     "oberhettinger_closed_form",
-    "omega",
     "pfq",
     "pfq_full",
     "prefactor_theorem1",
@@ -101,12 +94,7 @@ __all__ = [
     "rhs_corollary",
     "rhs_spec_theorem1",
     "rhs_spec_theorem2",
-    "shell_iterator",
     "struve_arguments",
-    "struve_h_paper",
-    "struve_h_paper_full",
-    "struve_l_paper",
-    "struve_l_paper_full",
     "struve_w",
     "struve_w_derivative",
     "struve_w_derivative_full",

@@ -42,8 +42,6 @@ from .series import (
     StruveParams,
     fox_wright_full,
     pfq_full,
-    struve_h_paper_full,
-    struve_l_paper_full,
     struve_w_full,
 )
 
@@ -188,11 +186,11 @@ def cmd_eval(args) -> int:
                 parse_complex(params["b"], "b"),
                 parse_complex(params["c"], "c"),
             )
-            res = struve_w_full(prm, float(params["z"]), ctl)
         else:
+            # H and L of the paper are W_{nu,-1,1} and W_{nu,-1,-1}.
             _need(params, ("nu", "z"), name)
-            runner = struve_h_paper_full if name == "struve_h" else struve_l_paper_full
-            res = runner(parse_complex(params["nu"], "nu"), float(params["z"]), ctl)
+            prm = StruveParams(parse_complex(params["nu"], "nu"), -1, 1 if name == "struve_h" else -1)
+        res = struve_w_full(prm, float(params["z"]), ctl)
         value = res.value
         diag = f"terms={res.terms} tail_estimate={res.tail_estimate:.3e}"
     elif name == "fox_wright":

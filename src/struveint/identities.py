@@ -5,9 +5,9 @@ Each identity equates a semi-infinite integral of a product of
 generalized Struve factors against an Oberhettinger-type kernel (the
 left side, evaluated here by adaptive quadrature) with a gamma/power
 prefactor times a generalized Lauricella series (the right side,
-evaluated by simplex-shell summation).  The two sides share no code
-path beyond the gamma kernel, which is the point: agreement certifies
-the order-interchange the identities rest on.
+summed by total degree).  The two sides share no code path beyond the
+gamma kernel, which is the point: agreement certifies the
+order-interchange the identities rest on.
 
 Variant "theorem1" feeds each Struve factor the bounded argument
 y_j / (x + a + sqrt(x^2 + 2ax)); variant "theorem2" uses

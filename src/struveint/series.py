@@ -288,28 +288,6 @@ def struve_w_derivative(params: StruveParams, z, order: int, ctl: SeriesControl 
     return struve_w_derivative_full(params, z, order, ctl).value
 
 
-def struve_h_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    return struve_w_full(StruveParams(nu, -1, 1), z, ctl)
-
-
-def struve_h_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """Alternating Struve-type series with second gamma Gamma(k + nu + 1/2).
-
-    Note the half-unit shift: this is the W_{nu,-1,1} normalization, not
-    the DLMF Struve function (whose second gamma is Gamma(k + nu + 3/2)).
-    """
-    return struve_h_paper_full(nu, z, ctl).value
-
-
-def struve_l_paper_full(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    return struve_w_full(StruveParams(nu, -1, -1), z, ctl)
-
-
-def struve_l_paper(nu, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """All-positive companion of struve_h_paper (the (-1)^k factor absent)."""
-    return struve_l_paper_full(nu, z, ctl).value
-
-
 @dataclass(frozen=True)
 class FoxWrightSpec:
     """Parameter/weight pairs (alpha_j, A_j), (beta_j, B_j) of a pPsiq series.

@@ -107,14 +107,15 @@ def fox_wright(upper, lower, z, terms=300):
         return complex(total)
 
 
-def lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=60):
-    """Naive multi-index sum of the Srivastava-Daoust series.
+def lauricella_shells(global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=60):
+    """Shell sums S_0, ..., S_max_degree of the Srivastava-Daoust series,
+    each the naive sum over every multi-index of that total degree.
 
     ``global_upper``/``global_lower`` are (param, exponent-vector) pairs,
     ``per_var_upper``/``per_var_lower`` are per-variable lists of
-    (param, exponent) pairs, ``z`` the argument vector.  Every
-    multi-index of every shell is visited; each Pochhammer symbol and
-    each variable's factor is computed once and reused.
+    (param, exponent) pairs, ``z`` the argument vector.  Any exponent
+    vectors are accepted; each Pochhammer symbol and each variable's
+    factor is computed once and reused.  The sums are mpmath values.
     """
     with mp.workdps(DPS):
         n = len(z)
@@ -166,22 +167,15 @@ def lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_
                 for rest in shells(deg - first, parts - 1):
                     yield (first,) + rest
 
-        total = mp.mpc(0)
-        for deg in range(max_degree + 1):
-            for k in shells(deg, n):
-                total += omega_z(k)
-        return complex(total)
+        return [mp.fsum(omega_z(k) for k in shells(deg, n)) for deg in range(max_degree + 1)]
 
 
-def lauricella_partial_shells(global_upper, global_lower, per_var_upper, per_var_lower, z, degrees):
-    """Per-shell sums S_D for D in ``degrees`` (used for tail-bound checks)."""
+def lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=60):
+    """Naive multi-index sum of the series through total degree max_degree."""
     with mp.workdps(DPS):
-        n = len(z)
-        out = []
-        for deg in degrees:
-            full = lauricella(global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=deg)
-            out.append(full)
-        return out
+        return complex(mp.fsum(lauricella_shells(
+            global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree
+        )))
 
 
 def oberhettinger(a, mu, lam):

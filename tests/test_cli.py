@@ -54,6 +54,20 @@ def test_eval_struve_w(capsys):
     assert out.splitlines()[0] == "1.128379167095513e+00"
 
 
+@pytest.mark.parametrize(
+    "argv, value, diag",
+    [
+        (("struve_h", "nu=0.5", "z=1"), "3.356983535709017e-01", "# terms=12 tail_estimate=6.559e-18"),
+        (("struve_l", "nu=0.7", "z=2"), "2.047519605903489e+00", "# terms=14 tail_estimate=2.243e-16"),
+    ],
+)
+def test_eval_struve_h_and_l(argv, value, diag, capsys):
+    # The paper's H_nu and L_nu, W_{nu,-1,1} and W_{nu,-1,-1}.
+    code, out, _ = run(capsys, "eval", *argv)
+    assert code == 0
+    assert out.splitlines() == [value, diag]
+
+
 def test_eval_pfq_with_empty_lower(capsys):
     code, out, _ = run(capsys, "eval", "pfq", "upper=2", "lower=", "z=0.5")
     assert code == 0
@@ -148,6 +162,24 @@ def test_eval_lauricella_spec_file(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "lauricella", f"spec={path}", "z=-0.5")
     assert code == 0
     assert "shells=" in out
+
+
+def test_eval_lauricella_mixed_exponents_exit_2(tmp_path, capsys):
+    # A global exponent vector that differs across variables is refused
+    # (exit 2) and the error names its block.
+    spec = {
+        "global_upper": [["2.5", [2.0, 4.0]]],
+        "global_lower": [["3.5", [2.0, 2.0]]],
+        "per_var_upper": [[["1", 1.0]], [["1", 1.0]]],
+        "per_var_lower": [[["1.5", 1.0], ["2", 1.0]], [["1.5", 1.0], ["2.5", 1.0]]],
+        "n": 2,
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "eval", "lauricella", f"spec={path}", "z=-1,-2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "global_upper" in err
 
 
 def test_eval_lauricella_argument_overflow_exit_2(tmp_path, capsys):

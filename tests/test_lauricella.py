@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 import random
 import sys
@@ -19,16 +18,12 @@ from struveint import (
     LauricellaSpec,
     RangeError,
     SeriesControl,
-    StruveintError,
     fox_wright,
     lauricella,
     lauricella_eval,
     lauricella_eval_full,
-    omega,
     pfq,
-    shell_iterator,
 )
-from struveint.series import sum_terms
 
 
 def rel(actual, expected):
@@ -44,109 +39,6 @@ def one_var_spec(upper, lower):
         per_var_lower=[[]],
         n=1,
     )
-
-
-# --- shell iteration -----------------------------------------------------------
-
-def test_shell_iterator_order():
-    assert list(shell_iterator(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert list(shell_iterator(1, 5)) == [(5,)]
-    assert list(shell_iterator(3, 0)) == [(0, 0, 0)]
-
-
-def test_shell_iterator_counts_compositions():
-    # C(d + n - 1, n - 1) weak compositions, each exactly once.
-    shells = list(shell_iterator(3, 6))
-    assert len(shells) == math.comb(8, 2)
-    assert len(set(shells)) == len(shells)
-    assert all(sum(k) == 6 for k in shells)
-
-
-# --- omega ----------------------------------------------------------------------
-
-def test_omega_at_origin_is_one():
-    spec = LauricellaSpec(
-        global_upper=[(2.5, (2.0, 2.0))],
-        global_lower=[(1.5, (2.0, 2.0))],
-        per_var_upper=[[(1.0, 1.0)], [(1.0, 1.0)]],
-        per_var_lower=[[(1.5, 1.0)], [(1.5, 1.0)]],
-        n=2,
-    )
-    assert omega(spec, (0, 0)) == 1
-
-
-def test_omega_single_pochhammer():
-    spec = LauricellaSpec(
-        global_upper=[], global_lower=[], per_var_upper=[[(2.0, 1.0)]], per_var_lower=[[]], n=1
-    )
-    assert rel(omega(spec, (3,)), 24.0) < 1e-13  # (2)_3 = 2*3*4
-
-
-def test_omega_theorem_style_spec_hand_expanded():
-    # n = 1, exponents (2, 2) globally and unit per-variable weights: the
-    # coefficient at k = 2 is an explicit product of rising factorials.
-    lam, mu, p = 2.0, 0.75, 1.0
-    s = lam + p + 1
-    spec = LauricellaSpec(
-        global_upper=[(1 + s, (2.0,)), (s - mu, (2.0,))],
-        global_lower=[(s, (2.0,)), (1 + s + mu, (2.0,))],
-        per_var_upper=[[(1.0, 1.0)]],
-        per_var_lower=[[(1.5, 1.0), (p + 1.5, 1.0)]],
-        n=1,
-    )
-    k = 2
-    expected = complex(
-        mp.rf(1 + s, 2 * k)
-        * mp.rf(s - mu, 2 * k)
-        * mp.rf(1.0, k)
-        / (
-            mp.rf(s, 2 * k)
-            * mp.rf(1 + s + mu, 2 * k)
-            * mp.rf(1.5, k)
-            * mp.rf(p + 1.5, k)
-        )
-    )
-    assert rel(omega(spec, (k,)), expected) < 1e-13
-
-
-def test_omega_multiplicative_with_empty_global_blocks():
-    blocks_a = ([(1.0, 1.0)], [(1.5, 1.0), (2.5, 1.0)])
-    blocks_b = ([(2.0, 2.0)], [(1.25, 1.0)])
-    joint = LauricellaSpec(
-        global_upper=[],
-        global_lower=[],
-        per_var_upper=[blocks_a[0], blocks_b[0]],
-        per_var_lower=[blocks_a[1], blocks_b[1]],
-        n=2,
-    )
-    parts = [
-        LauricellaSpec(global_upper=[], global_lower=[], per_var_upper=[up], per_var_lower=[lo], n=1)
-        for up, lo in (blocks_a, blocks_b)
-    ]
-    for k in [(0, 0), (1, 2), (3, 1), (4, 4)]:
-        exact = omega(parts[0], (k[0],)) * omega(parts[1], (k[1],))
-        assert omega(joint, k) == exact  # bitwise: same factor order
-
-
-def test_omega_pole_names_block():
-    spec = LauricellaSpec(
-        global_upper=[(1.0, (1.0,))],
-        global_lower=[(-2.0, (1.0,))],
-        per_var_upper=[[]],
-        per_var_lower=[[]],
-        n=1,
-    )
-    with pytest.raises(GammaPoleError) as excinfo:
-        omega(spec, (1,))
-    assert "global_lower" in str(excinfo.value)
-
-
-def test_omega_validates_multi_index():
-    spec = one_var_spec([1.0], [])
-    with pytest.raises(DomainError):
-        omega(spec, (1, 2))
-    with pytest.raises(DomainError):
-        omega(spec, (-1,))
 
 
 # --- spec validation ------------------------------------------------------------
@@ -174,6 +66,20 @@ def test_exponent_positivity_enforced():
 
 
 # --- evaluation -----------------------------------------------------------------
+
+def test_omega_pole_names_block():
+    # A pole of a Pochhammer symbol in Omega names its block.
+    spec = LauricellaSpec(
+        global_upper=[(1.0, (1.0,))],
+        global_lower=[(-2.0, (1.0,))],
+        per_var_upper=[[]],
+        per_var_lower=[[]],
+        n=1,
+    )
+    with pytest.raises(GammaPoleError) as excinfo:
+        lauricella_eval(spec, (0.5,))
+    assert "global_lower[0]" in str(excinfo.value)
+
 
 def test_value_at_zero_argument():
     spec = LauricellaSpec(
@@ -247,16 +153,18 @@ def test_single_variable_consistency_with_fox_wright():
 
 
 def test_permutation_symmetry():
+    global_upper = [(2.2, (4.0, 4.0)), (1.7, (2.0, 2.0))]
+    global_lower = [(3.1, (4.0, 4.0)), (2.9, (2.0, 2.0))]
     spec = LauricellaSpec(
-        global_upper=[(2.2, (2.0, 4.0)), (1.7, (2.0, 2.0))],
-        global_lower=[(3.1, (2.0, 4.0)), (2.9, (2.0, 2.0))],
+        global_upper=global_upper,
+        global_lower=global_lower,
         per_var_upper=[[(1.0, 1.0)], [(1.2, 1.0)]],
         per_var_lower=[[(1.5, 1.0), (2.0, 1.0)], [(1.6, 1.0), (2.4, 1.0)]],
         n=2,
     )
     swapped = LauricellaSpec(
-        global_upper=[(2.2, (4.0, 2.0)), (1.7, (2.0, 2.0))],
-        global_lower=[(3.1, (4.0, 2.0)), (2.9, (2.0, 2.0))],
+        global_upper=global_upper,
+        global_lower=global_lower,
         per_var_upper=[[(1.2, 1.0)], [(1.0, 1.0)]],
         per_var_lower=[[(1.6, 1.0), (2.4, 1.0)], [(1.5, 1.0), (2.0, 1.0)]],
         n=2,
@@ -304,31 +212,21 @@ def uniform_specs(draw):
     return spec, z
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(draw=uniform_specs())
 def test_degree_path_matches_shell_path(draw):
-    # Both ways of forming the shell sums, through the same stopping rule,
-    # with no term budget: the same error, or values within 1e-12 of the
-    # shells' total magnitude (a sum that cancels across shells keeps
-    # fewer digits than its shells, the same in both paths).
+    # The degree sums against the oracle's shell sums, each over every
+    # multi-index at 40 digits, through the shell the series stopped at:
+    # within 1e-12 of the shells' total magnitude (a sum that cancels
+    # across shells keeps fewer digits than its shells).
     spec, z = draw
-    ctl = SeriesControl(max_terms=lauricella._MAX_DEGREE + 2)
-
-    def sums(path):
-        return getattr(lauricella._Factors(spec, [complex(v) for v in z]), path)(sys.maxsize)
-
-    outcomes = []
-    for path in ("shell_sums", "degree_sums"):
-        try:
-            outcomes.append(sum_terms(sums(path), ctl))
-        except StruveintError as exc:
-            outcomes.append(type(exc))
-    shell, degree = outcomes
-    if isinstance(shell, type) or isinstance(degree, type):
-        assert shell == degree
-    else:
-        magnitude = sum(abs(t) for t in itertools.islice(sums("shell_sums"), shell.terms))
-        assert abs(degree.value - shell.value) <= 1e-12 * magnitude
+    result = lauricella_eval_full(spec, z)
+    blocks = (spec.global_upper, spec.global_lower, spec.per_var_upper, spec.per_var_lower)
+    shells = oracle.lauricella_shells(*blocks, z, max_degree=result.shells)
+    with mp.workdps(oracle.DPS):
+        expected = complex(mp.fsum(shells))
+    magnitude = float(sum(abs(s) for s in shells))
+    assert abs(result.value - expected) <= 1e-12 * magnitude
 
 
 def test_degree_path_global_block_beyond_double_range():
@@ -434,9 +332,20 @@ def test_term_budget_counts_degrees_for_uniform_exponents():
     assert lauricella_eval(spec, z, exact) == result.value
     with pytest.raises(ConvergenceError, match="degree budget of 5 terms exhausted"):
         lauricella_eval(spec, z, SeriesControl(max_terms=5))
-    # Non-uniform exponents take the shell path, which counts multi-indices.
-    with pytest.raises(ConvergenceError, match="multi-index budget of 5 terms exhausted"):
-        lauricella_eval(two_var_spec((2.0, 4.0)), z, SeriesControl(max_terms=5))
+    # Mixed exponents are not summed at all.
+    with pytest.raises(DomainError, match="global_upper"):
+        two_var_spec((2.0, 4.0))
+
+
+def test_mixed_global_exponents_name_block():
+    with pytest.raises(DomainError, match="global_lower: exponent vector must be the same"):
+        LauricellaSpec(
+            global_upper=[(2.5, (2.0, 2.0))],
+            global_lower=[(3.5, (4.0, 2.0))],
+            per_var_upper=[[], []],
+            per_var_lower=[[], []],
+            n=2,
+        )
 
 
 def test_argument_length_checked():

@@ -25,8 +25,6 @@ from struveint import (
     gamma,
     pfq,
     pfq_full,
-    struve_h_paper,
-    struve_l_paper,
     struve_w,
     struve_w_derivative,
     struve_w_full,
@@ -102,43 +100,47 @@ def test_struve_w_requires_positive_z():
         struve_w(StruveParams(1.0, 1.0, 1.0), -1.0)
 
 
+H_PARAMS = (-1.0, 1.0)  # (b, c) of the paper's H_nu = W_{nu,-1,1}
+L_PARAMS = (-1.0, -1.0)  # and of its all-positive companion L_nu
+
+
 def test_struve_h_leading_behavior():
     # k = 0 term: (z/2)/(G(3/2) G(1/2)) = z/pi.
     z = 1e-6
-    assert rel(struve_h_paper(0.0, z), z / math.pi) < 1e-12
-    assert rel(struve_l_paper(0.0, z), z / math.pi) < 1e-12
+    assert rel(struve_w(StruveParams(0.0, *H_PARAMS), z), z / math.pi) < 1e-12
+    assert rel(struve_w(StruveParams(0.0, *L_PARAMS), z), z / math.pi) < 1e-12
 
 
 def test_struve_h_oracle_value():
     # Frozen from the 40-digit series oracle at >= 40 terms.
-    assert rel(struve_h_paper(0.5, 1.0), 0.33569835357090155) < 1e-14
+    assert rel(struve_w(StruveParams(0.5, *H_PARAMS), 1.0), 0.33569835357090155) < 1e-14
 
 
 def test_struve_h_is_w_with_b_minus1_c1():
     for p in (0.0, 0.5, 1.0, 2.3):
         for z in (0.1, 0.5, 1.0, 2.0, 5.0):
-            h = struve_h_paper(p, z)
-            w = struve_w(StruveParams(p, -1.0, 1.0), z)
-            assert abs(h - w) <= 1e-14 * abs(h)
+            h = oracle.struve_h(p, z)
+            assert abs(struve_w(StruveParams(p, *H_PARAMS), z) - h) <= 1e-14 * abs(h)
 
 
 def test_struve_l_is_w_with_b_minus1_c_minus1():
     for z in (0.5, 1.0, 2.0):
-        l = struve_l_paper(0.7, z)
-        w = struve_w(StruveParams(0.7, -1.0, -1.0), z)
-        assert abs(l - w) <= 1e-14 * abs(l)
+        l = oracle.struve_l(0.7, z)
+        assert abs(struve_w(StruveParams(0.7, *L_PARAMS), z) - l) <= 1e-14 * abs(l)
 
 
 def test_struve_h_and_l_reject_non_finite_order():
     for nu in (math.nan, math.inf):
-        for f in (struve_h_paper, struve_l_paper):
+        for bc in (H_PARAMS, L_PARAMS):
             with pytest.raises(DomainError):
-                f(nu, 1.0)
+                StruveParams(nu, *bc)
 
 
 def test_struve_l_dominates_h():
     # All-positive terms versus alternating ones.
-    assert struve_l_paper(0.0, 1.0).real >= struve_h_paper(0.0, 1.0).real
+    h = struve_w(StruveParams(0.0, *H_PARAMS), 1.0)
+    l = struve_w(StruveParams(0.0, *L_PARAMS), 1.0)
+    assert l.real >= h.real
 
 
 # --- derivatives ----------------------------------------------------------------
