@@ -8,7 +8,6 @@ Exit codes: 0 success / all cases pass, 1 verification failures,
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -110,6 +109,14 @@ def _need(params: dict, names, function: str):
         raise CaseParseError(f"{function}: missing parameter(s) {', '.join(missing)}")
 
 
+def _real(text: str, field: str) -> float:
+    """A real parameter of ``eval``; CaseParseError naming its field."""
+    try:
+        return float(text)
+    except ValueError:
+        raise CaseParseError(f"{field}: cannot parse real number {text!r}") from None
+
+
 def _parse_pairs(text: str, field: str):
     """'a:A,b:B' -> ((a, A), ...) for Fox-Wright parameter blocks."""
     if not text:
@@ -119,7 +126,7 @@ def _parse_pairs(text: str, field: str):
         if ":" not in chunk:
             raise CaseParseError(f"{field}: entry {chunk!r} is not of the form param:weight")
         param, _, weight = chunk.partition(":")
-        out.append((parse_complex(param, field), float(weight)))
+        out.append((parse_complex(param, field), _real(weight, field)))
     return tuple(out)
 
 
@@ -127,27 +134,6 @@ def _parse_list(text: str, field: str):
     if not text:
         return ()
     return tuple(parse_complex(v, field) for v in text.split(","))
-
-
-def _setting(flag, controls: dict, name: str, convert, default):
-    """The command-line flag, else ``convert`` of the case file's control,
-    else the default; CaseParseError naming a control that does not convert."""
-    if flag is not None:
-        return flag
-    if name not in controls:
-        return default
-    try:
-        return convert(controls[name])
-    except (TypeError, ValueError, OverflowError):
-        raise CaseParseError(f"controls.{name}: expected a number, got {controls[name]!r}") from None
-
-
-def _series_control(args, controls: dict) -> SeriesControl:
-    """``--max-terms`` over the case file's controls over the defaults."""
-    return SeriesControl(
-        _setting(None, controls, "series_rel_tol", float, SeriesControl.rel_tol),
-        _setting(args.max_terms, controls, "max_terms", int, SeriesControl.max_terms),
-    )
 
 
 def _spec_field(raw: dict, name: str):
@@ -175,7 +161,7 @@ def _load_lauricella_spec(path: str) -> LauricellaSpec:
 
 def cmd_eval(args) -> int:
     params = _parse_kv(args.params)
-    ctl = _series_control(args, {})
+    ctl = SeriesControl(max_terms=args.max_terms)
     name = args.function
     diag = ""
     if name in ("struve_h", "struve_l", "struve_w"):
@@ -190,7 +176,7 @@ def cmd_eval(args) -> int:
             # H and L of the paper are W_{nu,-1,1} and W_{nu,-1,-1}.
             _need(params, ("nu", "z"), name)
             prm = StruveParams(parse_complex(params["nu"], "nu"), -1, 1 if name == "struve_h" else -1)
-        res = struve_w_full(prm, float(params["z"]), ctl)
+        res = struve_w_full(prm, _real(params["z"], "z"), ctl)
         value = res.value
         diag = f"terms={res.terms} tail_estimate={res.tail_estimate:.3e}"
     elif name == "fox_wright":
@@ -221,7 +207,7 @@ def cmd_eval(args) -> int:
     elif name == "oberhettinger":
         _need(params, ("a", "mu", "lambda"), name)
         value = oberhettinger_closed_form(
-            float(params["a"]),
+            _real(params["a"], "a"),
             parse_complex(params["mu"], "mu"),
             parse_complex(params["lambda"], "lambda"),
         )
@@ -318,39 +304,6 @@ def _plain(obj):
     return obj
 
 
-def _write_csv(entries, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(
-        [
-            "index", "variant", "n", "a", "lambda", "mu", "b", "c", "p", "y",
-            "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_err", "rel_err", "pass",
-        ]
-    )
-    for i, entry in enumerate(entries):
-        case = entry["case"]
-        writer.writerow(
-            [
-                i,
-                case.get("variant", ""),
-                case.get("n", ""),
-                case.get("a", ""),
-                case.get("lambda", ""),
-                case.get("mu", ""),
-                case.get("b", ""),
-                case.get("c", ""),
-                ";".join(str(v) for v in case.get("p", [])),
-                ";".join(str(v) for v in case.get("y", [])),
-                entry["lhs"]["re"],
-                entry["lhs"]["im"],
-                entry["rhs"]["re"],
-                entry["rhs"]["im"],
-                entry["abs_err"],
-                entry["rel_err"],
-                entry["pass"],
-            ]
-        )
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -375,13 +328,12 @@ def cmd_verify(args) -> int:
         raise CaseParseError(f"cannot read case file {args.input}: {exc}")
     if not isinstance(document, dict) or not isinstance(document.get("cases"), list):
         raise CaseParseError("case file must be an object with a 'cases' list")
-    controls = document.get("controls", {})
-    if not isinstance(controls, dict):
-        raise CaseParseError("controls: expected an object")
+    if "controls" in document:
+        raise CaseParseError("controls: not read; set --tol, --quad-tol and --max-terms instead")
 
-    tol = _checked_tolerance(_setting(args.tol, controls, "tol", float, DEFAULT_TOLERANCE))
-    qctl = QuadControl(rel_tol=_setting(args.quad_tol, controls, "quad_rel_tol", float, QuadControl.rel_tol))
-    sctl = _series_control(args, controls)
+    tol = _checked_tolerance(args.tol)
+    qctl = QuadControl(args.quad_tol)
+    sctl = SeriesControl(max_terms=args.max_terms)
 
     parsed: list[tuple[dict, IntegralCase | VerificationReport]] = []
     for i, raw in enumerate(document["cases"]):
@@ -414,14 +366,7 @@ def cmd_verify(args) -> int:
         "cases": entries,
         "summary": {"total": len(entries), "passed": passed, "failed": len(entries) - passed},
     }
-    if args.format == "csv":
-        import io
-
-        buffer = io.StringIO()
-        _write_csv(entries, buffer)
-        _emit(buffer.getvalue(), args.output)
-    else:
-        _emit(json.dumps(_plain(report), indent=2) + "\n", args.output)
+    _emit(json.dumps(_plain(report), indent=2) + "\n", args.output)
     print(
         f"verified {len(entries)} case(s): {passed} passed, {len(entries) - passed} failed",
         file=sys.stderr,
@@ -529,7 +474,9 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the options it reads.
     max_terms = argparse.ArgumentParser(add_help=False)
-    max_terms.add_argument("--max-terms", type=int, default=None, help="series term budget")
+    max_terms.add_argument(
+        "--max-terms", type=_positive_int, default=SeriesControl.max_terms, help="series term budget"
+    )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None, help="write output to this path instead of stdout")
 
@@ -550,9 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[max_terms, output], help="verify a case file")
     p_verify.add_argument("input", help="JSON case file")
-    p_verify.add_argument("--tol", type=float, default=None, help="verification relative tolerance")
-    p_verify.add_argument("--quad-tol", type=float, default=None, help="quadrature relative tolerance")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
+    p_verify.add_argument(
+        "--tol", type=float, default=DEFAULT_TOLERANCE, help="verification relative tolerance"
+    )
+    p_verify.add_argument(
+        "--quad-tol", type=float, default=QuadControl.rel_tol, help="quadrature relative tolerance"
+    )
     p_verify.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="worker processes (capped at the usable CPUs and the case count)",
@@ -561,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grid = sub.add_parser("grid", parents=[output], help="generate a Cartesian-product case file")
     p_grid.add_argument("--variant", required=True, choices=(THEOREM1, THEOREM2))
-    p_grid.add_argument("--n", type=int, default=1)
+    p_grid.add_argument("--n", type=_positive_int, default=1)
     p_grid.add_argument("--mu", required=True)
     p_grid.add_argument("--lambda", required=True)
     p_grid.add_argument("--p", required=True)

@@ -19,11 +19,11 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
+from .errors import DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma
 from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, fsum_complex, sum_terms
 
-# Total degree after which the shell sums give up (ConvergenceError).
+# Highest total degree summed, whatever ``SeriesControl.max_terms`` allows.
 _MAX_DEGREE = 400
 
 
@@ -160,7 +160,7 @@ class LauricellaResult:
     tail_estimate: float
 
 
-def _degree_sums(spec: LauricellaSpec, zs, moduli, max_terms: int):
+def _degree_sums(spec: LauricellaSpec, zs, moduli):
     """Each shell's sum as G(K) C(K), for K = 0, 1, ...: the global block
     G depends on the multi-index only through its total degree K.
 
@@ -195,8 +195,6 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli, max_terms: int):
             lg = _per_var_log(spec, m, degree)
             scale[m].append(lg.real + logmag)
             unit[m].append(cmath.exp(complex(0.0, lg.imag)) * phase)
-        if degree >= max_terms:
-            raise ConvergenceError(f"degree budget of {max_terms} terms exhausted")
         for i in range(1, len(active)):
             prev_scale, prev_mant = conv[i - 1]
             m_scale, m_unit = scale[active[i]], unit[active[i]]
@@ -219,9 +217,6 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli, max_terms: int):
         if mag > _EXP_LIMIT:
             raise RangeError(f"shell of total degree {degree} overflows")
         yield cmath.exp(complex(mag, lg.imag)) * mant
-    raise ConvergenceError(
-        f"shell sums did not fall below tolerance by total degree {_MAX_DEGREE}"
-    )
 
 
 def lauricella_eval_full(
@@ -239,11 +234,10 @@ def lauricella_eval_full(
                 f"|z_{m}| = {moduli[m]:.6g} is outside the certified radius "
                 f"for a boundary (margin 0) variable"
             )
-    # Whole-shell sums are the terms of the common stopping rule.  The
-    # generator owns both budgets (ctl.max_terms and the total degree),
-    # so sum_terms' own term cap is set one past the last shell.
-    sums = _degree_sums(spec, zs, moduli, ctl.max_terms)
-    res = sum_terms(sums, replace(ctl, max_terms=_MAX_DEGREE + 2))
+    # Whole-shell sums are the terms of the common stopping rule, under
+    # one budget: ctl.max_terms shells, at most total degree _MAX_DEGREE.
+    sums = _degree_sums(spec, zs, moduli)
+    res = sum_terms(sums, replace(ctl, max_terms=min(ctl.max_terms, _MAX_DEGREE + 1)))
     return LauricellaResult(res.value, res.terms - 1, res.terms, res.tail_estimate)
 
 

@@ -8,6 +8,8 @@ import struveint.cli as cli
 from struveint import identities
 from struveint.cli import format_complex, main, parse_complex
 from struveint.errors import CaseParseError
+from struveint.quadrature import QuadControl
+from struveint.series import SeriesControl
 
 
 def run(capsys, *argv):
@@ -103,6 +105,21 @@ def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "struve_w", "p=junk", "b=1", "c=1", "z=1")
     assert code == 2
     assert "p" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("struve_w", "p=1", "b=1", "c=1", "z=abc"), "z"),
+        (("oberhettinger", "a=abc", "mu=1", "lambda=2"), "a"),
+        (("fox_wright", "upper=1:x", "z=1"), "upper"),
+    ],
+)
+def test_eval_real_parameter_parse_error_names_field(argv, field, capsys):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_eval_convergence_failure_exit_3(capsys):
@@ -249,6 +266,19 @@ def test_grid_vector_flags(tmp_path, capsys):
     assert cases[0]["y"] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_grid_non_positive_n_exit_2(n, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "grid", "--variant", "theorem1", "--n", n, "--mu", "1", "--lambda", "2",
+            "--p", "1", "--b", "1", "--c", "1", "--a", "1", "--y", "1",
+        ])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: must be at least 1" in captured.err
+
+
 def test_grid_malformed_range_exit_2(capsys):
     code, _, err = run(
         capsys, "grid", "--variant", "theorem1",
@@ -299,12 +329,9 @@ def test_grid_signalling_nan_bound_names_option(a, capsys):
 
 # --- verify -----------------------------------------------------------------------
 
-def write_cases(tmp_path, cases, controls=None):
-    document = {"cases": cases}
-    if controls:
-        document["controls"] = controls
+def write_cases(tmp_path, cases):
     path = tmp_path / "cases.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps({"cases": cases}))
     return path
 
 
@@ -471,17 +498,6 @@ def test_verify_jobs_worker_count(jobs, good, cpus, expected, tmp_path, capsys, 
     assert seen == ([] if expected is None else [expected])
 
 
-def test_verify_csv_projection(tmp_path, capsys):
-    path = write_cases(tmp_path, [GOOD_CASE])
-    out_path = tmp_path / "report.csv"
-    code, _, _ = run(capsys, "verify", str(path), "--format", "csv", "--output", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().strip().splitlines()
-    assert lines[0].startswith("index,variant,n,a,lambda,mu,b,c,p,y,lhs_re")
-    assert len(lines) == 2
-    assert lines[1].split(",")[1] == "theorem1"
-
-
 def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
     # A right side off by 1e-8 relative passes the default tolerance
     # and fails --tol 1e-9.
@@ -496,25 +512,29 @@ def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
     assert "exceeds tolerance" in entry["reason"]
 
 
-def test_verify_file_controls_respected(tmp_path, capsys):
-    path = write_cases(tmp_path, [GOOD_CASE], controls={"tol": 1e-3, "max_terms": 5000})
-    code, out, _ = run(capsys, "verify", str(path))
-    assert code == 0
-    assert json.loads(out)["cases"][0]["tolerance"] == 1e-3
-
-
 def test_verify_non_finite_control_exit_2(tmp_path, capsys):
-    for key in ("quad_rel_tol", "series_rel_tol", "tol"):
-        path = write_cases(tmp_path, [GOOD_CASE], controls={key: "inf"})
-        code, out, err = run(capsys, "verify", str(path))
-        assert code == 2, key
-        assert out == ""
-        assert "finite" in err
     path = write_cases(tmp_path, [GOOD_CASE])
-    code, out, err = run(capsys, "verify", str(path), "--tol", "nan")
-    assert code == 2
-    assert out == ""
-    assert "finite" in err
+    for flag, value, message in (
+        ("--tol", "nan", "verification tolerance must be positive and finite"),
+        ("--quad-tol", "inf", "quadrature tolerance must be positive and finite"),
+        ("--quad-tol", "0", "quadrature tolerance must be positive and finite"),
+        ("--max-terms", "0", "argument --max-terms: must be at least 1"),
+    ):
+        try:
+            code = main(["verify", str(path), flag, value])
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2, flag
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_verify_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["verify", "cases.json"])
+    assert args.tol == identities.DEFAULT_TOLERANCE
+    assert args.quad_tol == QuadControl.rel_tol
+    assert args.max_terms == SeriesControl.max_terms
 
 
 SPEC = {
@@ -531,8 +551,9 @@ SPEC = {
     [
         ("verify", {"cases": 5}, "'cases'"),
         ("verify", {"cases": [GOOD_CASE], "controls": []}, "controls"),
-        ("verify", {"cases": [GOOD_CASE], "controls": {"quad_rel_tol": None}}, "controls.quad_rel_tol"),
-        ("verify", {"cases": [GOOD_CASE], "controls": {"max_terms": None}}, "controls.max_terms"),
+        # Settings come from flags only: a file's own tolerance never runs.
+        ("verify", {"cases": [GOOD_CASE], "controls": {"tol": 1e-9}}, "controls"),
+        ("verify", {"cases": [GOOD_CASE], "controls": {}}, "controls"),
         ("verify", {"cases": [{**GOOD_CASE, "n": None}]}, "cases[0].a/.y/.n"),
         ("lauricella", {**SPEC, "global_upper": 5}, "global_upper"),
         ("lauricella", {**SPEC, "global_upper": [[1, 2]]}, "global_upper"),
