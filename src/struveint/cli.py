@@ -52,13 +52,12 @@ _RE_IMAG = re.compile(rf"^({_NUM})i$")
 
 def parse_complex(text, field: str = "value") -> complex:
     """Parse '1.5', '1.5+0.25i', '0.25i' or an {re, im} mapping."""
+    if isinstance(text, bool):  # complex(True) would be 1
+        raise CaseParseError(f"{field}: expected a number, got {text!r}")
     if isinstance(text, (int, float)):
         return complex(text)
     if isinstance(text, dict):
-        try:
-            return complex(float(text.get("re", 0.0)), float(text.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise CaseParseError(f"{field}: malformed complex object {text!r}")
+        return complex(_real(text.get("re", 0.0), field), _real(text.get("im", 0.0), field))
     text = str(text).strip()
     m = _RE_REAL.match(text)
     if m:
@@ -109,11 +108,13 @@ def _need(params: dict, names, function: str):
         raise CaseParseError(f"{function}: missing parameter(s) {', '.join(missing)}")
 
 
-def _real(text: str, field: str) -> float:
-    """A real parameter of ``eval``; CaseParseError naming its field."""
+def _real(text, field: str) -> float:
+    """A real parameter of ``eval`` or a case file; CaseParseError naming its field."""
+    if isinstance(text, bool):  # float(True) would be 1.0
+        raise CaseParseError(f"{field}: expected a number, got {text!r}")
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise CaseParseError(f"{field}: cannot parse real number {text!r}") from None
 
 
@@ -250,15 +251,11 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
     variant = str(raw["variant"]).lower()
     if not isinstance(raw["y"], list):
         raise CaseParseError(f"{where}.y: expected a list of numbers, got {raw['y']!r}")
-    n_raw = raw.get("n", 0)
-    if isinstance(n_raw, float) and not n_raw.is_integer():
-        raise CaseParseError(f"{where}.n: expected an integer, got {n_raw!r}")
-    try:
-        a = float(raw["a"])
-        y = tuple(float(v) for v in raw["y"])
-        n = int(n_raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CaseParseError(f"{where}.a/.y/.n: {exc}")
+    a = _real(raw["a"], f"{where}.a")
+    y = tuple(_real(v, f"{where}.y") for v in raw["y"])
+    n = _real(raw.get("n", 0), f"{where}.n")
+    if not n.is_integer():
+        raise CaseParseError(f"{where}.n: expected an integer, got {raw['n']!r}")
     p_raw = raw["p"] if isinstance(raw["p"], list) else [raw["p"]]
     p = tuple(parse_complex(v, f"{where}.p") for v in p_raw)
     return IntegralCase(
@@ -270,7 +267,7 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
         c=parse_complex(raw["c"], f"{where}.c"),
         p=p,
         y=y,
-        n=n,
+        n=int(n),
     )
 
 

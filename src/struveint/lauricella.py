@@ -3,7 +3,9 @@
 The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like
-4(k_1+...+k_n) cannot overflow.  Every global exponent vector must be
+4(k_1+...+k_n) cannot overflow.  Each (p)_s is log Gamma(p + s) -
+log Gamma(p), with log Gamma(p) taken once per evaluation and
+log Gamma(p + s) once per degree.  Every global exponent vector must be
 the same for every variable, as in each spec the identities build; a
 spec with mixed global exponents raises DomainError.  The global block
 then depends on the multi-index only through its total degree K, and
@@ -116,10 +118,12 @@ class LauricellaSpec:
         return r
 
 
-def _pochhammer_log(param: complex, subscript: float, label: str) -> complex:
-    """log of (param)_subscript = Gamma(param + subscript)/Gamma(param)."""
+def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -> complex:
+    """log Gamma(z), z = param + subscript; a gamma pole names the parameter.
+    At subscript 0, z is param itself: param + 0.0 turns a -0.0 imaginary
+    part into +0.0, the other side of log Gamma's cut."""
     try:
-        return log_gamma(param + subscript) - log_gamma(param)
+        return log_gamma(z)
     except GammaPoleError as exc:
         raise GammaPoleError(
             exc.location,
@@ -128,22 +132,24 @@ def _pochhammer_log(param: complex, subscript: float, label: str) -> complex:
         ) from exc
 
 
-def _global_log(spec: LauricellaSpec, degree: int) -> complex:
-    """log of the global block at total degree K: each subscript is e K."""
-    total = 0j
-    for j, (a, exps) in enumerate(spec.global_upper):
-        total += _pochhammer_log(a, exps[0] * degree, f"global_upper[{j}]")
-    for j, (c, exps) in enumerate(spec.global_lower):
-        total -= _pochhammer_log(c, exps[0] * degree, f"global_lower[{j}]")
-    return total
+def _rows(block, label: str) -> list:
+    """A block's (parameter, exponent, log Gamma(parameter), label) rows;
+    a global block's exponent vector gives its one exponent."""
+    rows = []
+    for j, (param, e) in enumerate(block):
+        name = f"{label}[{j}]"
+        rows.append((param, e if isinstance(e, float) else e[0], _log_gamma_named(param, param, 0.0, name), name))
+    return rows
 
 
-def _per_var_log(spec: LauricellaSpec, m: int, km: int) -> complex:
+def _ratio_log(upper, lower, degree: int) -> complex:
+    """log of prod (upper)_(e K) / prod (lower)_(e K) at degree K, each
+    (p)_s = Gamma(p + s)/Gamma(p) with log Gamma(p) read from its row."""
     total = 0j
-    for j, (b, e) in enumerate(spec.per_var_upper[m]):
-        total += _pochhammer_log(b, e * km, f"per_var_upper[{m}][{j}]")
-    for j, (d, e) in enumerate(spec.per_var_lower[m]):
-        total -= _pochhammer_log(d, e * km, f"per_var_lower[{m}][{j}]")
+    for param, e, lg0, name in upper:
+        total += _log_gamma_named(param + e * degree, param, e * degree, name) - lg0
+    for param, e, lg0, name in lower:
+        total -= _log_gamma_named(param + e * degree, param, e * degree, name) - lg0
     return total
 
 
@@ -175,10 +181,16 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     exponentiation, so a G(K) or a factor outside the double range on
     its own cannot overflow a finite shell.
     """
+    # Each log Gamma(parameter) once, in the order degree 0 meets them, so
+    # the first gamma pole raised is the one a per-degree pass would raise.
+    per_var = [(_rows(up, f"per_var_upper[{m}]"), _rows(lo, f"per_var_lower[{m}]"))
+               for m, (up, lo) in enumerate(zip(spec.per_var_upper, spec.per_var_lower))]
+    glob = (_rows(spec.global_upper, "global_upper"), _rows(spec.global_lower, "global_lower"))
     scale = [[] for _ in zs]
     unit = [[] for _ in zs]
     # log|z_m^j / j!| and the phase of z_m^j at the last j tabled.
     power = [(0.0, 1.0 + 0j) for _ in zs]
+    log_r = [math.log(r) if z else 0.0 for z, r in zip(zs, moduli)]
     active = [m for m, z in enumerate(zs) if z != 0]
     # conv[i]: (scales, mantissas) of the product of the first i + 1
     # active sequences; the first is that variable's own table.
@@ -190,9 +202,9 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
                 continue
             if degree:
                 logmag, phase = power[m]
-                power[m] = (logmag + math.log(r) - math.log(degree), phase * (z / r))
+                power[m] = (logmag + log_r[m] - math.log(degree), phase * (z / r))
             logmag, phase = power[m]
-            lg = _per_var_log(spec, m, degree)
+            lg = _ratio_log(*per_var[m], degree)
             scale[m].append(lg.real + logmag)
             unit[m].append(cmath.exp(complex(0.0, lg.imag)) * phase)
         for i in range(1, len(active)):
@@ -212,7 +224,7 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
         else:
             yield 0j  # every z_m = 0: only the degree-0 shell has terms
             continue
-        lg = _global_log(spec, degree)
+        lg = _ratio_log(*glob, degree)
         mag = lg.real + top
         if mag > _EXP_LIMIT:
             raise RangeError(f"shell of total degree {degree} overflows")

@@ -554,13 +554,20 @@ SPEC = {
         # Settings come from flags only: a file's own tolerance never runs.
         ("verify", {"cases": [GOOD_CASE], "controls": {"tol": 1e-9}}, "controls"),
         ("verify", {"cases": [GOOD_CASE], "controls": {}}, "controls"),
-        ("verify", {"cases": [{**GOOD_CASE, "n": None}]}, "cases[0].a/.y/.n"),
+        ("verify", {"cases": [{**GOOD_CASE, "n": None}]}, "cases[0].n"),
         ("lauricella", {**SPEC, "global_upper": 5}, "global_upper"),
         ("lauricella", {**SPEC, "global_upper": [[1, 2]]}, "global_upper"),
         ("lauricella", [], "lauricella spec"),
         # A string y would be read digit by digit, as y = (1, 2).
         ("verify", {"cases": [{**GOOD_CASE, "p": ["1", "0.5"], "y": "12"}]}, "cases[0].y"),
         ("verify", {"cases": [{**GOOD_CASE, "n": 2.5}]}, "cases[0].n"),
+        # A JSON boolean is not read as the number 1.
+        ("verify", {"cases": [{**GOOD_CASE, "a": True}]}, "cases[0].a"),
+        ("verify", {"cases": [{**GOOD_CASE, "y": [True]}]}, "cases[0].y"),
+        ("verify", {"cases": [{**GOOD_CASE, "p": [True]}]}, "cases[0].p"),
+        ("verify", {"cases": [{**GOOD_CASE, "n": True}]}, "cases[0].n"),
+        ("verify", {"cases": [{**GOOD_CASE, "lambda": True}]}, "cases[0].lambda"),
+        ("verify", {"cases": [{**GOOD_CASE, "a": "x"}]}, "cases[0].a"),
     ],
 )
 def test_malformed_input_file_exit_2(command, document, field, tmp_path, capsys):

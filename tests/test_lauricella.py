@@ -22,6 +22,7 @@ from struveint import (
     lauricella,
     lauricella_eval,
     lauricella_eval_full,
+    log_gamma,
     pfq,
 )
 
@@ -79,6 +80,75 @@ def test_omega_pole_names_block():
     with pytest.raises(GammaPoleError) as excinfo:
         lauricella_eval(spec, (0.5,))
     assert "global_lower[0]" in str(excinfo.value)
+
+
+def pole_spec(global_upper=(), global_lower=(), per_var_upper=None, per_var_lower=None, n=1):
+    return LauricellaSpec(
+        global_upper=global_upper,
+        global_lower=global_lower,
+        per_var_upper=per_var_upper or [[] for _ in range(n)],
+        per_var_lower=per_var_lower or [[] for _ in range(n)],
+        n=n,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, z, message",
+    [
+        # A per-variable parameter on a pole, met at degree 0.
+        (
+            pole_spec(per_var_lower=[[(1.5, 1.0), (-1.0, 1.0)]]),
+            (0.5,),
+            "per_var_lower[0][1]: parameter (-1+0j) at subscript 0.0 hits the gamma pole at -1",
+        ),
+        # A global parameter on a pole, met at degree 0.
+        (
+            pole_spec(global_upper=[(1.0, (1.0,))], global_lower=[(-2.0, (1.0,))]),
+            (0.5,),
+            "global_lower[0]: parameter (-2+0j) at subscript 0.0 hits the gamma pole at -2",
+        ),
+        # A variable with z_m = 0 still has its parameters checked.
+        (
+            pole_spec(per_var_lower=[[(1.0, 1.0)], [(-3.0, 1.0)]], n=2),
+            (0.5, 0.0),
+            "per_var_lower[1][0]: parameter (-3+0j) at subscript 0.0 hits the gamma pole at -3",
+        ),
+        # -1.5 + 0.5 K meets the pole at -1 on degree 1.
+        (
+            pole_spec(per_var_lower=[[(-1.5, 0.5)]]),
+            (0.5,),
+            "per_var_lower[0][0]: parameter (-1.5+0j) at subscript 0.5 hits the gamma pole at -1",
+        ),
+        # Per-variable blocks are met before the global ones.
+        (
+            pole_spec(global_upper=[(-2.0, (1.0, 1.0))], per_var_lower=[[(1.0, 1.0)], [(-1.0, 1.0)]], n=2),
+            (0.5, 0.5),
+            "per_var_lower[1][0]: parameter (-1+0j) at subscript 0.0 hits the gamma pole at -1",
+        ),
+    ],
+)
+def test_gamma_pole_message(spec, z, message):
+    with pytest.raises(GammaPoleError) as excinfo:
+        lauricella_eval_full(spec, z)
+    assert str(excinfo.value) == message
+
+
+def test_log_gamma_once_per_parameter_and_once_per_degree(monkeypatch):
+    # two_var_spec has 8 parameters: 2 global, 3 per variable.
+    spec = two_var_spec((2.0, 2.0))
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(lauricella, "log_gamma", counted)
+    result = lauricella_eval_full(spec, (-1.0, -2.0))
+    assert len(calls) == 8 + 8 * result.terms
+    # A variable with z_m = 0 takes its parameters' log Gamma at degree 0 only.
+    calls.clear()
+    result = lauricella_eval_full(spec, (-1.0, 0.0))
+    assert len(calls) == 8 + 5 * result.terms + 3
 
 
 def test_value_at_zero_argument():
