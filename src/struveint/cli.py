@@ -118,6 +118,14 @@ def _real(text, field: str) -> float:
         raise CaseParseError(f"{field}: cannot parse real number {text!r}") from None
 
 
+def _integer(text, field: str) -> int:
+    """An integer of a case or spec file (1 or 1.0, not 1.5); CaseParseError naming its field."""
+    value = _real(text, field)
+    if not value.is_integer():
+        raise CaseParseError(f"{field}: expected an integer, got {text!r}")
+    return int(value)
+
+
 def _parse_pairs(text: str, field: str):
     """'a:A,b:B' -> ((a, A), ...) for Fox-Wright parameter blocks."""
     if not text:
@@ -141,14 +149,17 @@ def _spec_field(raw: dict, name: str):
     """One field of a Lauricella spec file; CaseParseError naming it."""
     if name not in raw:
         raise CaseParseError(f"lauricella spec file: missing field '{name}'")
+    where = f"lauricella spec file: {name}"
+    if name == "n":
+        return _integer(raw[name], where)
     try:
-        if name == "n":
-            return int(raw[name])
         if name.startswith("global"):
-            return [(parse_complex(a, name), tuple(float(e) for e in exps)) for a, exps in raw[name]]
-        return [[(parse_complex(b, name), float(e)) for b, e in row] for row in raw[name]]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CaseParseError(f"lauricella spec file: {name}: {exc}") from None
+            return [(parse_complex(a, where), tuple(_real(e, where) for e in exps)) for a, exps in raw[name]]
+        return [[(parse_complex(b, where), _real(e, where)) for b, e in row] for row in raw[name]]
+    except CaseParseError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # not rows of pairs
+        raise CaseParseError(f"{where}: {exc}") from None
 
 
 def _load_lauricella_spec(path: str) -> LauricellaSpec:
@@ -156,7 +167,7 @@ def _load_lauricella_spec(path: str) -> LauricellaSpec:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise CaseParseError("lauricella spec file: expected an object")
-    names = ("global_upper", "global_lower", "per_var_upper", "per_var_lower", "n")
+    names = ("n", "global_upper", "global_lower", "per_var_upper", "per_var_lower")
     return LauricellaSpec(**{name: _spec_field(raw, name) for name in names})
 
 
@@ -164,7 +175,6 @@ def cmd_eval(args) -> int:
     params = _parse_kv(args.params)
     ctl = SeriesControl(max_terms=args.max_terms)
     name = args.function
-    diag = ""
     if name in ("struve_h", "struve_l", "struve_w"):
         if name == "struve_w":
             _need(params, ("p", "b", "c", "z"), name)
@@ -205,7 +215,7 @@ def cmd_eval(args) -> int:
         res = lauricella_eval_full(spec, _parse_list(params["z"], "z"), ctl)
         value = res.value
         diag = f"shells={res.shells} terms={res.terms} tail_estimate={res.tail_estimate:.3e}"
-    elif name == "oberhettinger":
+    else:  # oberhettinger; argparse's choices admit no other name
         _need(params, ("a", "mu", "lambda"), name)
         value = oberhettinger_closed_form(
             _real(params["a"], "a"),
@@ -213,11 +223,8 @@ def cmd_eval(args) -> int:
             parse_complex(params["lambda"], "lambda"),
         )
         diag = "closed form"
-    else:
-        raise CaseParseError(f"unknown function {name!r}")
     print(_sci(value))
-    if diag:
-        print(f"# {diag}")
+    print(f"# {diag}")
     return 0
 
 
@@ -253,9 +260,7 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
         raise CaseParseError(f"{where}.y: expected a list of numbers, got {raw['y']!r}")
     a = _real(raw["a"], f"{where}.a")
     y = tuple(_real(v, f"{where}.y") for v in raw["y"])
-    n = _real(raw.get("n", 0), f"{where}.n")
-    if not n.is_integer():
-        raise CaseParseError(f"{where}.n: expected an integer, got {raw['n']!r}")
+    n = _integer(raw.get("n", 0), f"{where}.n")
     p_raw = raw["p"] if isinstance(raw["p"], list) else [raw["p"]]
     p = tuple(parse_complex(v, f"{where}.p") for v in p_raw)
     return IntegralCase(
@@ -267,7 +272,7 @@ def case_from_dict(raw: dict, index: int) -> IntegralCase:
         c=parse_complex(raw["c"], f"{where}.c"),
         p=p,
         y=y,
-        n=int(n),
+        n=n,
     )
 
 

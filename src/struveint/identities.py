@@ -102,10 +102,6 @@ class IntegralCase:
                 raise DomainError("condition violated: Re(mu + p_sum) > -n")
             if not self.lam.real > self.mu.real:
                 raise DomainError("condition violated: Re(lambda) > Re(mu)")
-            if not (2 * self.mu + 2 * ps + 2 * n).real > 0:
-                # Equivalent to the first inequality; named separately so a
-                # report can say which gamma argument went bad.
-                raise DomainError("condition violated: Re(2 mu + 2 p_sum + 2 n) > 0")
 
     @property
     def p_sum(self) -> complex:

@@ -29,17 +29,25 @@ from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, fs
 _MAX_DEGREE = 400
 
 
+def _parameter(value, label: str) -> complex:
+    """A block's parameter as a complex; DomainError naming it unless finite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError(f"{label}: parameter must be finite")
+    return value
+
+
 def _norm_global(block, n: int, label: str):
     out = []
-    for a, exps in block:
+    for j, (a, exps) in enumerate(block):
         exps = tuple(float(e) for e in exps)
         if len(exps) != n:
             raise DomainError(f"{label}: exponent vector must have length n = {n}")
-        if any(not e > 0 for e in exps):
+        if any(not 0 < e < math.inf for e in exps):
             raise DomainError(f"{label}: exponents must be positive reals")
         if len(set(exps)) > 1:
             raise DomainError(f"{label}: exponent vector must be the same for every variable")
-        out.append((complex(a), exps))
+        out.append((_parameter(a, f"{label}[{j}]"), exps))
     return tuple(out)
 
 
@@ -50,11 +58,11 @@ def _norm_per_var(blocks, n: int, label: str):
     out = []
     for m, entries in enumerate(blocks):
         row = []
-        for b, e in entries:
+        for j, (b, e) in enumerate(entries):
             e = float(e)
-            if not e > 0:
+            if not 0 < e < math.inf:
                 raise DomainError(f"{label}[{m}]: exponents must be positive reals")
-            row.append((complex(b), e))
+            row.append((_parameter(b, f"{label}[{m}][{j}]"), e))
         out.append(tuple(row))
     return tuple(out)
 
@@ -171,45 +179,42 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     G depends on the multi-index only through its total degree K.
 
     Variable m's factor f_m(j) is its own Pochhammer ratio times
-    z_m^j / j!.  It is kept as a log-magnitude ``scale[m][j]`` and a
-    unit-modulus ``unit[m][j]``, so no factor is exponentiated on its
-    own; z_m = 0 tables only j = 0 (which still checks its parameters
-    for gamma poles).  C(K) is the K-th coefficient of the Cauchy product
-    of the nonzero variables' factor sequences, built by one O(K)
-    convolution step per variable.  Each coefficient is a log scale plus
-    an exactly rounded mantissa; log G(K) joins the scale before the one
-    exponentiation, so a G(K) or a factor outside the double range on
-    its own cannot overflow a finite shell.
+    z_m^j / j!.  It is kept as a log-magnitude ``scale[i][j]`` and a
+    unit-modulus ``unit[i][j]``, so no factor is exponentiated on its
+    own; only the active variables (z_m != 0, the i-th of them) are
+    tabled, since z_m = 0 gives the sequence 1, 0, 0, ...  C(K) is the
+    K-th coefficient of the Cauchy product of the active sequences, built
+    by one O(K) convolution step per variable.  Each coefficient is a log
+    scale plus an exactly rounded mantissa; log G(K) joins the scale
+    before the one exponentiation, so a G(K) or a factor outside the
+    double range on its own cannot overflow a finite shell.
     """
-    # Each log Gamma(parameter) once, in the order degree 0 meets them, so
-    # the first gamma pole raised is the one a per-degree pass would raise.
+    # Each log Gamma(parameter) once, z_m = 0 variables' too, in the order
+    # degree 0 meets them, so the first gamma pole raised is the one a
+    # per-degree pass would raise.
     per_var = [(_rows(up, f"per_var_upper[{m}]"), _rows(lo, f"per_var_lower[{m}]"))
                for m, (up, lo) in enumerate(zip(spec.per_var_upper, spec.per_var_lower))]
     glob = (_rows(spec.global_upper, "global_upper"), _rows(spec.global_lower, "global_lower"))
-    scale = [[] for _ in zs]
-    unit = [[] for _ in zs]
+    active = [(z, r, math.log(r), per_var[m]) for m, (z, r) in enumerate(zip(zs, moduli)) if z != 0]
+    scale = [[] for _ in active]
+    unit = [[] for _ in active]
     # log|z_m^j / j!| and the phase of z_m^j at the last j tabled.
-    power = [(0.0, 1.0 + 0j) for _ in zs]
-    log_r = [math.log(r) if z else 0.0 for z, r in zip(zs, moduli)]
-    active = [m for m, z in enumerate(zs) if z != 0]
+    power = [(0.0, 1.0 + 0j) for _ in active]
     # conv[i]: (scales, mantissas) of the product of the first i + 1
     # active sequences; the first is that variable's own table.
-    conv = [(scale[m], unit[m]) for m in active[:1]]
+    conv = [(scale[0], unit[0])] if active else []
     conv += [([], []) for _ in active[1:]]
     for degree in range(_MAX_DEGREE + 1):
-        for m, (z, r) in enumerate(zip(zs, moduli)):
-            if degree and z == 0:
-                continue
+        for i, (z, r, log_r, rows) in enumerate(active):
+            logmag, phase = power[i]
             if degree:
-                logmag, phase = power[m]
-                power[m] = (logmag + log_r[m] - math.log(degree), phase * (z / r))
-            logmag, phase = power[m]
-            lg = _ratio_log(*per_var[m], degree)
-            scale[m].append(lg.real + logmag)
-            unit[m].append(cmath.exp(complex(0.0, lg.imag)) * phase)
+                logmag, phase = power[i] = (logmag + log_r - math.log(degree), phase * (z / r))
+            lg = _ratio_log(*rows, degree)
+            scale[i].append(lg.real + logmag)
+            unit[i].append(cmath.exp(complex(0.0, lg.imag)) * phase)
         for i in range(1, len(active)):
             prev_scale, prev_mant = conv[i - 1]
-            m_scale, m_unit = scale[active[i]], unit[active[i]]
+            m_scale, m_unit = scale[i], unit[i]
             logs = [prev_scale[degree - j] + m_scale[j] for j in range(degree + 1)]
             top = max(logs)
             conv[i][0].append(top)

@@ -10,7 +10,7 @@ running sum and returns the correctly rounded sum of the terms it kept
 Lauricella shell and a quadrature round's panels).  W_{p,b,c} with
 real p, b, c (and a positive shifted order p + (b+2)/2) is summed by
 ``_w_real``, the same rule on floats, bit for bit, over term-ratio
-denominators that its ``StruveParams`` keeps from call to call.
+denominators that its ``StruveParams`` tables once, when it is built.
 """
 
 from __future__ import annotations
@@ -31,23 +31,25 @@ _LOG_GAMMA_3_2 = math.lgamma(1.5)
 _TAIL_SAFETY = 2.0
 # Successive small terms that stop a series.
 _STOP_RUN = 3
+# A term counts as small when |term| <= _REL_TOL * |partial sum|.
+_REL_TOL = 1e-16
+# Term-ratio denominators a real StruveParams tables when it is built; the
+# benchmark's W sums need at most 43, a longer sum makes the rest inline.
+_DENOMINATORS = 64
 
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy shared by every infinite series in the library.
+    """Term budget shared by every infinite series in the library.
 
     The sum stops once three successive terms satisfy
-    |term| <= rel_tol * |partial sum|; hitting ``max_terms`` first is a
-    convergence failure.
+    |term| <= 1e-16 |partial sum| (a fixed tolerance); hitting
+    ``max_terms`` first is a convergence failure.
     """
 
-    rel_tol: float = 1e-16
     max_terms: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
-            raise DomainError("rel_tol must be positive and finite")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 
@@ -83,7 +85,7 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     ``terms`` yields successive series terms t_0, t_1, ... (ascending k).
     With S_k the plain running sum through t_k, the sum stops at the
     first k that ends a run of ``_STOP_RUN`` consecutive terms with
-    |t_j| <= ctl.rel_tol * |S_j|; it returns ``fsum_complex`` of
+    |t_j| <= 1e-16 |S_j|; it returns ``fsum_complex`` of
     t_0 .. t_k, k + 1 terms, and a tail estimate of 2 x the largest
     |t_j| of that run.  Raises ConvergenceError when ``ctl.max_terms``
     terms pass without the rule firing, and RangeError when a term or a
@@ -91,7 +93,6 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     real parameters does not come through here: ``_w_real`` repeats
     this rule inline, in floats.
     """
-    rel_tol = ctl.rel_tol
     partial = 0j
     kept = []
     small_run = 0
@@ -108,7 +109,7 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
                     raise RangeError(f"series term {k} is non-finite")
                 raise RangeError(f"partial sum overflows at term {k}")
             mag = abs(term)
-            if mag <= rel_tol * abs(partial):
+            if mag <= _REL_TOL * abs(partial):
                 small_run += 1
                 if mag > run_max:
                     run_max = mag
@@ -127,20 +128,19 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
 
 @dataclass(frozen=True)
 class StruveParams:
-    """Order and shape parameters (p, b, c) of the generalized Struve series."""
+    """Order and shape parameters (p, b, c) of the generalized Struve
+    series; nothing in it changes once built, so threads may share one."""
 
     p: complex
     b: complex
     c: complex
     # log Gamma(p + (b+2)/2), the leading term's constant.
     _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
-    # Not fields, so set per instance only when needed: the floats
-    # (p + 1, -c, p + (b+2)/2, log Gamma(p + (b+2)/2)) when all are real
-    # (None sends W through sum_terms), and the term-ratio denominators
-    # (k + 3/2)(k + p + (b+2)/2) known so far, replaced by a longer tuple
-    # when a sum needs more (never grown in place: threads share params).
+    # Not fields, so set per instance only when all are real: the floats
+    # (p + 1, -c, p + (b+2)/2, log Gamma(p + (b+2)/2)) (None sends W
+    # through sum_terms), and the first _DENOMINATORS term-ratio
+    # denominators (k + 3/2)(k + p + (b+2)/2).
     _real = None
-    _denominators = ()
 
     def __post_init__(self):
         for name in ("p", "b", "c"):
@@ -161,7 +161,9 @@ class StruveParams:
         object.__setattr__(self, "_log_gamma_shifted", lgs)
         p, c = self.p, self.c
         if not (p.imag or self.b.imag or c.imag or lgs.imag):
-            object.__setattr__(self, "_real", (p.real + 1, -c.real, shifted.real, lgs.real))
+            second = shifted.real
+            object.__setattr__(self, "_real", (p.real + 1, -c.real, second, lgs.real))
+            object.__setattr__(self, "_denominators", tuple((k + 1.5) * (k + second) for k in range(_DENOMINATORS)))
 
     @property
     def shifted_order(self) -> complex:
@@ -212,9 +214,7 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
     term = cmath.exp(log_t0).real
     ratio = neg_c * half * half
     dens = params._denominators
-    known = len(dens)
-    more = []
-    rel_tol = ctl.rel_tol
+    rel_tol = _REL_TOL
     isfinite = math.isfinite
     partial = run_max = 0.0
     kept = []
@@ -233,18 +233,11 @@ def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex
             if mag > run_max:
                 run_max = mag
             if small_run >= _STOP_RUN:
-                if more:
-                    object.__setattr__(params, "_denominators", dens + tuple(more))
                 return complex(_fsum(kept)), k + 1, _TAIL_SAFETY * run_max
         else:
             small_run = 0
             run_max = 0.0
-        if k < known:
-            den = dens[k]
-        else:
-            den = (k + 1.5) * (k + second)
-            more.append(den)
-        term = term * ratio / den
+        term = term * ratio / (dens[k] if k < _DENOMINATORS else (k + 1.5) * (k + second))
     raise ConvergenceError(
         f"series did not meet tolerance within {ctl.max_terms} terms"
     )

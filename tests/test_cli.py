@@ -105,6 +105,9 @@ def test_eval_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "struve_w", "p=junk", "b=1", "c=1", "z=1")
     assert code == 2
     assert "p" in err
+    code, _, err = run(capsys, "eval", "struve_w", "p", "b=1", "c=1", "z=1")
+    assert code == 2
+    assert err == "error: parameter 'p' is not of the form key=value\n"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +116,7 @@ def test_eval_parse_error_exit_2(capsys):
         (("struve_w", "p=1", "b=1", "c=1", "z=abc"), "z"),
         (("oberhettinger", "a=abc", "mu=1", "lambda=2"), "a"),
         (("fox_wright", "upper=1:x", "z=1"), "upper"),
+        (("fox_wright", "upper=1", "z=1"), "upper"),
     ],
 )
 def test_eval_real_parameter_parse_error_names_field(argv, field, capsys):
@@ -302,7 +306,9 @@ def test_grid_decimal_range_has_no_float_drift(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mu", ["0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:x:0.5", "0:1e400:0.5", "0:1e30:1", "0:1:snan", "-sNaN:1:0.5"]
+    "mu",
+    ["0:inf:0.5", "nan:1:0.5", "0:1:nan", "0:x:0.5", "0:1e400:0.5", "0:1e30:1", "0:1:snan", "-sNaN:1:0.5",
+     "0:1", "0:1:0.5:2"],
 )
 def test_grid_bad_range_bound_exit_2(mu, capsys):
     code, out, err = run(
@@ -325,6 +331,24 @@ def test_grid_signalling_nan_bound_names_option(a, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --a: need finite bounds, start <= end and step > 0\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--p", "1,2,3", "--p: vector '1,2,3' must have length n = 2"),
+        ("--a", "1+1i", "--a: must be real and positive"),
+        ("--y", "1,1i", "--y: entries must be real and positive"),
+    ],
+)
+def test_grid_malformed_value_names_option(option, value, message, capsys):
+    options = {"--mu": "0.5", "--lambda": "2", "--p": "1,1", "--b": "1", "--c": "1", "--a": "1", "--y": "1,1"}
+    options[option] = value
+    argv = [f"{name}={text}" for name, text in options.items()]
+    code, out, err = run(capsys, "grid", "--variant", "theorem1", "--n", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # --- verify -----------------------------------------------------------------------
@@ -568,6 +592,14 @@ SPEC = {
         ("verify", {"cases": [{**GOOD_CASE, "n": True}]}, "cases[0].n"),
         ("verify", {"cases": [{**GOOD_CASE, "lambda": True}]}, "cases[0].lambda"),
         ("verify", {"cases": [{**GOOD_CASE, "a": "x"}]}, "cases[0].a"),
+        ("lauricella", {k: v for k, v in SPEC.items() if k != "per_var_lower"}, "missing field 'per_var_lower'"),
+        # Every number of a spec file is read as a case file's are: a
+        # JSON boolean is not 1, and n must be an integer.
+        ("lauricella", {**SPEC, "n": True, "global_upper": [["2.5", [True]]]}, "lauricella spec file: n: "),
+        ("lauricella", {**SPEC, "n": 1.5}, "lauricella spec file: n: expected an integer, got 1.5"),
+        ("lauricella", {**SPEC, "global_lower": [["3.5", [True]]]}, "lauricella spec file: global_lower: "),
+        ("lauricella", {**SPEC, "per_var_lower": [[["1.5", "x"]]]}, "lauricella spec file: per_var_lower: "),
+        ("verify", {"cases": [5]}, "cases[0]: expected an object"),
     ],
 )
 def test_malformed_input_file_exit_2(command, document, field, tmp_path, capsys):

@@ -121,6 +121,10 @@ def test_prefactor_variant_guard():
         prefactor_theorem1(t2)
     with pytest.raises(DomainError):
         prefactor_theorem2(make_case())
+    with pytest.raises(DomainError, match="rhs_spec_theorem1 requires a theorem1 case"):
+        rhs_spec_theorem1(t2)
+    with pytest.raises(DomainError, match="rhs_spec_theorem2 requires a theorem2 case"):
+        rhs_spec_theorem2(make_case())
 
 
 # --- series specs ----------------------------------------------------------------

@@ -66,6 +66,32 @@ def test_exponent_positivity_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"n": 0}, "n must be a positive integer"),
+        ({"per_var_lower": [[]]}, "per_var_lower: need one parameter list per variable (2)"),
+        ({"per_var_upper": [[(1.0, 1.0)], [(1.0, 0.0)]]}, "per_var_upper[1]: exponents must be positive reals"),
+        ({"per_var_lower": [[(1.5, math.inf)], []]}, "per_var_lower[0]: exponents must be positive reals"),
+        ({"global_lower": [(3.0, (math.inf, math.inf))]}, "global_lower: exponents must be positive reals"),
+        ({"global_upper": [(2.0, (1.0, 1.0)), (math.inf, (1.0, 1.0))]}, "global_upper[1]: parameter must be finite"),
+        ({"per_var_lower": [[], [(1.5, 1.0), (complex(1.0, math.nan), 1.0)]]},
+         "per_var_lower[1][1]: parameter must be finite"),
+    ],
+)
+def test_spec_rejected_naming_field(changes, message):
+    fields = {
+        "global_upper": [(2.0, (1.0, 1.0))],
+        "global_lower": [(3.0, (1.0, 1.0))],
+        "per_var_upper": [[], []],
+        "per_var_lower": [[], []],
+        "n": 2,
+    }
+    with pytest.raises(DomainError) as excinfo:
+        LauricellaSpec(**{**fields, **changes})
+    assert str(excinfo.value) == message
+
+
 # --- evaluation -----------------------------------------------------------------
 
 def test_omega_pole_names_block():
@@ -145,10 +171,10 @@ def test_log_gamma_once_per_parameter_and_once_per_degree(monkeypatch):
     monkeypatch.setattr(lauricella, "log_gamma", counted)
     result = lauricella_eval_full(spec, (-1.0, -2.0))
     assert len(calls) == 8 + 8 * result.terms
-    # A variable with z_m = 0 takes its parameters' log Gamma at degree 0 only.
+    # A variable with z_m = 0 takes only its parameters' log Gamma.
     calls.clear()
     result = lauricella_eval_full(spec, (-1.0, 0.0))
-    assert len(calls) == 8 + 5 * result.terms + 3
+    assert len(calls) == 8 + 5 * result.terms
 
 
 def test_value_at_zero_argument():

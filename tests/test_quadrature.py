@@ -50,6 +50,14 @@ def test_closed_form_domain_errors():
         oberhettinger_closed_form(-1.0, 0.5, 1.0)  # a <= 0
 
 
+def test_value_beyond_double_range_is_range_error():
+    with pytest.raises(RangeError, match="closed form overflows double precision"):
+        oberhettinger_closed_form(1e-300, 0.5, 3.0)
+    # The scale a^(mu - lambda) = 1e300 takes g = 1e300's integral past the range.
+    with pytest.raises(RangeError, match="integral value is non-finite"):
+        integrate_kernel(lambda x: 1e300, 1e-300, 0.5, 1.5)
+
+
 def test_unit_integrand_analytic_value():
     # After the cosh substitution the a=1, mu=1, lambda=2 case is
     # int_0^inf e^(-2t) sinh t dt = 1/3.
@@ -90,6 +98,12 @@ def test_zero_integrand():
     assert res.value == 0
     assert res.error_estimate == 0.0
     assert res.converged
+    # Re(lambda_eff) < Re(mu): a g that vanishes on the tail probes has no
+    # tail, and panels of length <= 2 run out to theta = 10, after a short
+    # leftmost panel when mu < 1.
+    for mu, panels in ((1.0, 5), (0.5, 6)):
+        res = integrate_kernel(lambda x: 0.0, 1.0, mu, mu - 0.5)
+        assert (res.value, res.converged, res.panels_used, res.cutoff_theta) == (0, True, panels, 10.0)
 
 
 def test_baseline_grid_against_closed_form():
