@@ -32,6 +32,7 @@ from .series import (
     SeriesControl,
     StruveParams,
     _w_real,
+    _w_table,
     fox_wright,
     pfq,
     struve_w,
@@ -42,6 +43,9 @@ THEOREM2 = "theorem2"
 VARIANTS = (THEOREM1, THEOREM2)
 
 DEFAULT_TOLERANCE = 1e-6
+# Relative room in a Struve factor's table above (bound/2)^2: theorem2's
+# u_j = x y_j / kernel rounds up to an ulp past y_j / 2 where x >> a.
+_TABLE_MARGIN = 1.0 + 1e-9
 
 
 def _checked_tolerance(tol) -> float:
@@ -306,16 +310,25 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
 def _struve_product(case: IntegralCase, ctl: SeriesControl):
     """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1,
     by the arithmetic of ``struve_arguments`` and ``struve_w`` with one
-    kernel factor per x and real-parameter factors summed by ``_w_real``."""
-    factors = tuple(zip(case.struve_params(), case.y))
+    kernel factor per x.  Each real-parameter factor is summed by
+    ``_w_real`` over one coefficient table built here, sized to the
+    factor's argument bound: u_j <= y_j / a for theorem1 (the kernel is at
+    least a) and u_j < y_j / 2 for theorem2 (it exceeds 2x)."""
     a, scaled = case.a, case.variant == THEOREM2
+    factors = []
+    for prm, yj in zip(case.struve_params(), case.y):
+        table = None
+        if prm._real:
+            half = (yj / 2.0 if scaled else yj / a) / 2.0
+            table = _w_table(prm, half * half * _TABLE_MARGIN, ctl)
+        factors.append((prm, yj, table))
 
     def g(x: float) -> complex:
         kern = kernel_factor(x, a)
         prod = 1.0 + 0j
-        for prm, yj in factors:
+        for prm, yj, table in factors:
             u = (x * yj if scaled else yj) / kern
-            prod *= _w_real(prm, u, ctl)[0] if prm._real else struve_w(prm, u, ctl)
+            prod *= _w_real(prm, u, ctl, table)[0] if table else struve_w(prm, u, ctl)
         return prod
 
     return g

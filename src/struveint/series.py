@@ -8,9 +8,11 @@ order under a common stopping rule, ``sum_terms``, which reads a plain
 running sum and returns the correctly rounded sum of the terms it kept
 (``math.fsum``; ``fsum_complex`` for complex terms, also used for a
 Lauricella shell and a quadrature round's panels).  W_{p,b,c} with
-real p, b, c (and a positive shifted order p + (b+2)/2) is summed by
-``_w_real``, the same rule on floats, bit for bit, over term-ratio
-denominators that its ``StruveParams`` tables once, when it is built.
+real p, b, c (and a positive gamma of the shifted order p + (b+2)/2)
+is summed by ``_w_real`` instead: its leading term times Horner's rule
+over a table of the series' coefficients in w = (z/2)^2 (``_w_table``),
+cut at the first index whose proven tail bound covers w.  Where the
+table does not reach w it falls back to ``sum_terms``.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma, nearest_pole
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
+_LOG_2 = math.log(2.0)
 
 # Multiplier turning the largest term of the stopping run into the
 # reported tail estimate; covers the geometric remainder of any series
@@ -33,9 +38,10 @@ _TAIL_SAFETY = 2.0
 _STOP_RUN = 3
 # A term counts as small when |term| <= _REL_TOL * |partial sum|.
 _REL_TOL = 1e-16
-# Term-ratio denominators a real StruveParams tables when it is built; the
-# benchmark's W sums need at most 43, a longer sum makes the rest inline.
-_DENOMINATORS = 64
+# _w_table's limits: 2 |a_K| w^K <= 1e-16 with coefficients a_K in [_TINY, _HUGE].
+_TAIL_TOL = _REL_TOL / _TAIL_SAFETY
+_TINY = sys.float_info.min
+_HUGE = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,9 @@ class SeriesControl:
 
     The sum stops once three successive terms satisfy
     |term| <= 1e-16 |partial sum| (a fixed tolerance); hitting
-    ``max_terms`` first is a convergence failure.
+    ``max_terms`` first is a convergence failure.  Real W_{p,b,c} sums
+    at most ``max_terms`` coefficients of its table before it falls
+    back to that rule.
     """
 
     max_terms: int = 10_000
@@ -89,9 +97,7 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     t_0 .. t_k, k + 1 terms, and a tail estimate of 2 x the largest
     |t_j| of that run.  Raises ConvergenceError when ``ctl.max_terms``
     terms pass without the rule firing, and RangeError when a term or a
-    partial sum is non-finite or its modulus overflows.  W_{p,b,c} with
-    real parameters does not come through here: ``_w_real`` repeats
-    this rule inline, in floats.
+    partial sum is non-finite or its modulus overflows.
     """
     partial = 0j
     kept = []
@@ -136,10 +142,9 @@ class StruveParams:
     c: complex
     # log Gamma(p + (b+2)/2), the leading term's constant.
     _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
-    # Not fields, so set per instance only when all are real: the floats
+    # Not a field, so set per instance only when all are real: the floats
     # (p + 1, -c, p + (b+2)/2, log Gamma(p + (b+2)/2)) (None sends W
-    # through sum_terms), and the first _DENOMINATORS term-ratio
-    # denominators (k + 3/2)(k + p + (b+2)/2).
+    # through sum_terms).
     _real = None
 
     def __post_init__(self):
@@ -161,9 +166,7 @@ class StruveParams:
         object.__setattr__(self, "_log_gamma_shifted", lgs)
         p, c = self.p, self.c
         if not (p.imag or self.b.imag or c.imag or lgs.imag):
-            second = shifted.real
-            object.__setattr__(self, "_real", (p.real + 1, -c.real, second, lgs.real))
-            object.__setattr__(self, "_denominators", tuple((k + 1.5) * (k + second) for k in range(_DENOMINATORS)))
+            object.__setattr__(self, "_real", (p.real + 1, -c.real, shifted.real, lgs.real))
 
     @property
     def shifted_order(self) -> complex:
@@ -177,14 +180,21 @@ def _require_positive_z(z) -> float:
     return z
 
 
+def _log_half(z: float) -> float:
+    """log(z/2); as log z - log 2 where z/2 is subnormal and may have lost
+    bits (at z = 5e-324 it is 0), so every other z keeps its value."""
+    half = z / 2.0
+    return math.log(half) if half >= _TINY else math.log(z) - _LOG_2
+
+
 def _w_terms(params: StruveParams, z: float):
     """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
 
-    W with complex parameters and the derivative series sum them through
-    sum_terms; _w_real makes the same terms in floats.
+    W with complex parameters, the derivative series, and real W past
+    its coefficient table sum them through sum_terms.
     """
     half = z / 2.0
-    log_t0 = (params.p + 1) * math.log(half) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
+    log_t0 = (params.p + 1) * _log_half(z) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
     ratio_base = -params.c * half * half
@@ -195,52 +205,75 @@ def _w_terms(params: StruveParams, z: float):
         term = term * ratio_base / ((k + 1.5) * (k + second))
 
 
-def _w_real(params: StruveParams, z: float, ctl: SeriesControl) -> tuple[complex, int, float]:
-    """(value, terms, tail estimate) of sum_terms(_w_terms(params, z), ctl)
-    for a float z and params with ``_real`` set, bit for bit: with p, b, c
-    and log Gamma(p + (b+2)/2) real, every imaginary part there is a
-    signed zero, so this loop runs _w_terms' recurrence and sum_terms'
-    rule on floats (where no modulus overflows while its parts are
-    finite) and sums the kept terms with ``_fsum``.
+def _w_table(params: StruveParams, w_max: float, ctl: SeriesControl) -> tuple[list, list]:
+    """(coefficients, limits) of W_{p,b,c}(z) = t_0 sum_k a_k w^k, w = (z/2)^2,
+    for params with ``_real`` set.
+
+    a_0 = 1 and a_{k+1} = a_k (-c) / ((k + 3/2)(k + s)), s = p + (b+2)/2.
+    limits[K-1] is a w up to which the first K coefficients are proven to
+    leave |tail| <= 2 |a_K| w^K <= 1e-16 (times t_0): there K + s > 0 and
+    the term ratio |c| w / ((k + 3/2)(k + s)) is at most 1/2 at k = K and
+    falls after it.  Certifying K - 1 coefficients certifies K, so the
+    limits are a running maximum and never decrease.  The table ends at
+    the first limit >= w_max, at ctl.max_terms coefficients, or before a
+    coefficient leaves the normal float range: an underflowed a_K read
+    as 0 would certify a sum that it does not bound.
+    """
+    _, neg_c, second, _ = params._real
+    coeffs = [1.0]
+    if neg_c == 0.0:  # every a_k past a_0 is 0
+        return coeffs, [math.inf]
+    limits = []
+    twice_c = 2.0 * abs(neg_c)
+    coeff = 1.0
+    limit = 0.0
+    for k in range(1, ctl.max_terms + 1):
+        coeff = coeff * neg_c / ((k + 0.5) * (k - 1 + second))  # a_k
+        mag = abs(coeff)
+        if not _TINY <= mag <= _HUGE:
+            break
+        if k + second > 0:
+            ratio_cap = (k + 1.5) * (k + second) / twice_c
+            if ratio_cap > limit:
+                limit = max(limit, min(ratio_cap, (_TAIL_TOL / mag) ** (1.0 / k)))
+        limits.append(limit)
+        if limit >= w_max:
+            break
+        coeffs.append(coeff)
+    return coeffs, limits
+
+
+def _w_real(params: StruveParams, z: float, ctl: SeriesControl, table=None) -> tuple[complex, int, float]:
+    """(value, terms, tail estimate) of W_{p,b,c}(z) for a float z and
+    params with ``_real`` set: t_0 times Horner's rule over the first K
+    coefficients of ``table`` (built for this z when None), K the first
+    whose limit reaches w = (z/2)^2, and the proven tail bound 1e-16 t_0.
+    Every table is a prefix of the same sequences, so each one that
+    reaches w gives the same bits.  Where the table does not reach w, or
+    the value leaves the double range, this is sum_terms(_w_terms(params,
+    z), ctl).
     """
     if not 0.0 < z < math.inf:
         _require_positive_z(z)  # raises
-    p1, neg_c, second, lgs = params._real
-    half = z / 2.0
-    log_t0 = p1 * math.log(half) - _LOG_GAMMA_3_2 - lgs
+    p1, _, _, lgs = params._real
+    log_t0 = p1 * _log_half(z) - _LOG_GAMMA_3_2 - lgs
     if log_t0 > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
     # cmath.exp: near _EXP_LIMIT it rounds differently from math.exp.
-    term = cmath.exp(log_t0).real
-    ratio = neg_c * half * half
-    dens = params._denominators
-    rel_tol = _REL_TOL
-    isfinite = math.isfinite
-    partial = run_max = 0.0
-    kept = []
-    keep = kept.append
-    small_run = 0
-    for k in range(ctl.max_terms):
-        keep(term)
-        partial += term
-        if not isfinite(partial):
-            if not isfinite(term):
-                raise RangeError(f"series term {k} is non-finite")
-            raise RangeError(f"partial sum overflows at term {k}")
-        mag = abs(term)
-        if mag <= rel_tol * abs(partial):
-            small_run += 1
-            if mag > run_max:
-                run_max = mag
-            if small_run >= _STOP_RUN:
-                return complex(_fsum(kept)), k + 1, _TAIL_SAFETY * run_max
-        else:
-            small_run = 0
-            run_max = 0.0
-        term = term * ratio / (dens[k] if k < _DENOMINATORS else (k + 1.5) * (k + second))
-    raise ConvergenceError(
-        f"series did not meet tolerance within {ctl.max_terms} terms"
-    )
+    t0 = cmath.exp(log_t0).real
+    half = z / 2.0
+    w = half * half
+    coeffs, limits = _w_table(params, w, ctl) if table is None else table
+    k = bisect_left(limits, w)
+    if k < len(limits):
+        total = coeffs[k]
+        for j in range(k - 1, -1, -1):
+            total = total * w + coeffs[j]
+        value = t0 * total
+        if math.isfinite(value):
+            return complex(value), k + 1, _REL_TOL * t0
+    res = sum_terms(_w_terms(params, z), ctl)
+    return res.value, res.terms, res.tail_estimate
 
 
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:

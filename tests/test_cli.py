@@ -56,11 +56,18 @@ def test_eval_struve_w(capsys):
     assert out.splitlines()[0] == "1.128379167095513e+00"
 
 
+def test_eval_struve_w_smallest_positive_z(capsys):
+    # z/2 rounds to 0 here; W_{1,1,1} ~ (z/2)^2 underflows to 0.
+    code, out, _ = run(capsys, "eval", "struve_w", "p=1", "b=1", "c=1", "z=5e-324")
+    assert code == 0
+    assert out.splitlines()[0] == "0.000000000000000e+00"
+
+
 @pytest.mark.parametrize(
     "argv, value, diag",
     [
-        (("struve_h", "nu=0.5", "z=1"), "3.356983535709017e-01", "# terms=12 tail_estimate=6.559e-18"),
-        (("struve_l", "nu=0.7", "z=2"), "2.047519605903489e+00", "# terms=14 tail_estimate=2.243e-16"),
+        (("struve_h", "nu=0.5", "z=1"), "3.356983535709017e-01", "# terms=9 tail_estimate=3.989e-17"),
+        (("struve_l", "nu=0.7", "z=2"), "2.047519605903489e+00", "# terms=12 tail_estimate=1.229e-16"),
     ],
 )
 def test_eval_struve_h_and_l(argv, value, diag, capsys):

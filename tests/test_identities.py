@@ -10,6 +10,7 @@ from struveint import (
     DomainError,
     IntegralCase,
     RangeError,
+    StruveParams,
     gamma,
     identities,
     integrate_kernel,
@@ -26,7 +27,10 @@ from struveint import (
     struve_w_full,
     verify_case,
 )
+from struveint.errors import StruveintError
+from struveint.identities import _struve_product
 from struveint.quadrature import QuadResult
+from struveint.series import DEFAULT_CONTROL, _w_table
 
 CENTRAL_T1 = dict(variant="theorem1", a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,), y=(1.0,))
 
@@ -446,3 +450,81 @@ def test_verify_lhs_matches_public_struve_product(case):
         "converged": quad.converged,
         "evaluations": quad.evaluations,
     }
+
+
+def bits(run):
+    """The hex parts of run()'s complex value, or its error's type and text."""
+    try:
+        value = run()
+    except StruveintError as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+@st.composite
+def real_node_cases(draw):
+    """(case, x): real p, b, c, a from 1e-2 to 1e4, y up to 20, and x up
+    to 1e30 a, where theorem2's u_j rounds past y_j / 2."""
+    n = draw(st.integers(1, 3))
+    try:
+        case = IntegralCase(
+            draw(st.sampled_from(("theorem1", "theorem2"))),
+            a=draw(st.floats(-2.0, 4.0).map(lambda e: 10.0**e)),
+            lam=2.0,
+            mu=0.75,
+            b=draw(st.floats(-1.5, 2.0)),
+            c=draw(st.floats(-1.5, 2.0)),
+            p=tuple(draw(st.floats(0.0, 2.0)) for _ in range(n)),
+            y=tuple(draw(st.floats(0.05, 20.0)) for _ in range(n)),
+        )
+    except StruveintError:
+        assume(False)
+    x = case.a * 10.0 ** draw(st.floats(-10.0, 30.0))
+    return case, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=real_node_cases())
+def test_struve_product_table_matches_struve_w_full(draw):
+    # g sums each real factor over one coefficient table sized for the
+    # whole case; struve_w_full builds one for the node's own argument.
+    # Both cut Horner's rule at the same index, so g equals the product
+    # of public calls bit for bit (the traced benchmark relies on this),
+    # past the tables' reach too.
+    case, x = draw
+    params = case.struve_params()
+
+    def public():
+        prod = 1.0 + 0j
+        for prm, u in zip(params, struve_arguments(case, x)):
+            prod *= struve_w_full(prm, u).value
+        return prod
+
+    g = _struve_product(case, DEFAULT_CONTROL)
+    assert bits(lambda: g(x)) == bits(public)
+
+
+def test_struve_product_table_margin():
+    # theorem2's u_j = x y_j / kernel rounds up to one ulp past y_j / 2
+    # where x >> a.  With y_j the largest float whose table bound
+    # (y_j / 4)^2 is at most W_{1,1,1}'s 26th limit, such a node needs
+    # 27 coefficients: g's table must reach past its bound to keep the
+    # bits of struve_w_full, which builds a table for the node's u.
+    prm = StruveParams(1.0, 1.0, 1.0)
+    limit = _w_table(prm, math.inf, DEFAULT_CONTROL)[1][25]
+    y = 4.0 * math.sqrt(limit)
+    while (y / 4.0) ** 2 > limit:
+        y = math.nextafter(y, 0.0)
+    while (math.nextafter(y, math.inf) / 4.0) ** 2 <= limit:
+        y = math.nextafter(y, math.inf)
+    case = make_case(variant="theorem2", y=(y,))
+    g = _struve_product(case, DEFAULT_CONTROL)
+    rng = random.Random(3)
+    for _ in range(10_000):
+        x = 10.0 ** rng.uniform(16.0, 30.0)
+        (u,) = struve_arguments(case, x)
+        if (u / 2.0) ** 2 > limit:
+            break
+    else:
+        raise AssertionError("no node rounds past the bound")
+    assert bits(lambda: g(x)) == bits(lambda: struve_w_full(prm, u).value)

@@ -35,6 +35,7 @@ from struveint.series import (
     _fox_wright_terms,
     _pfq_terms,
     _struve_derivative_terms,
+    _w_table,
     _w_terms,
     fsum_complex,
     sum_terms,
@@ -503,24 +504,35 @@ def test_sum_terms_crafted_streams():
     )
 
 
-# --- struve_w's fused loop against sum_terms(_w_terms) ------------------------------
+# --- real W by Horner's rule over a coefficient table ------------------------------
 
-def assert_fused_matches(params, z, ctl):
-    """struve_w_full and struve_w agree bit for bit with sum_terms over
-    _w_terms: value, terms and tail, or the error's type and message."""
-    expected = outcome(lambda: sum_terms(_w_terms(params, z), ctl))
-    assert outcome(lambda: struve_w_full(params, z, ctl)) == expected
-    if len(expected) == 4:  # a value, not an error
-        value = struve_w(params, z, ctl)
-        assert (value.real.hex(), value.imag.hex()) == expected[:2]
-    return expected
+U = 2.0**-53  # unit roundoff
+
+
+def abs_term_sum(p, b, c, z):
+    """sum_k |t_k| of W_{p,b,c}(z) for real p, b, c, from log |Gamma|."""
+    s = p + (b + 2) / 2
+    log_half = math.log(z / 2)
+    total = 0.0
+    for k in range(400 if c else 1):
+        log_mag = (2 * k + p + 1) * log_half - math.lgamma(k + 1.5) - math.lgamma(k + s)
+        total += math.exp(log_mag + (k * math.log(abs(c)) if k else 0.0))
+    return total
+
+
+def reaches(params, z, ctl=SeriesControl()):
+    """Whether a coefficient table built for z certifies w = (z/2)^2."""
+    w = (z / 2) ** 2
+    limits = _w_table(params, w, ctl)[1]
+    return bool(limits) and limits[-1] >= w
 
 
 @st.composite
-def struve_draws(draw):
+def struve_draws(draw, real=None, log10_z=(-3.0, math.log10(60.0))):
     """(params, z): real or complex p, b, c, with shifted orders
     p + (b+2)/2 in [-5, 7], so real negative non-integer ones too."""
-    real = draw(st.booleans())
+    if real is None:
+        real = draw(st.booleans())
 
     def part(bound):
         x = draw(st.floats(-bound, bound))
@@ -530,79 +542,145 @@ def struve_draws(draw):
         params = StruveParams(part(4.0), part(4.0), part(3.0))
     except DomainError:
         assume(False)
-    z = draw(st.floats(-3.0, math.log10(60.0)).map(lambda e: 10.0**e))
+    z = draw(st.floats(*log10_z).map(lambda e: 10.0**e))
     return params, z
 
 
-struve_controls = st.sampled_from((SeriesControl(), SeriesControl(max_terms=5)))
+@settings(max_examples=300, deadline=None)
+@given(draw=struve_draws(real=True, log10_z=(-3.0, math.log10(30.0))))
+def test_struve_w_real_table_matches_oracle(draw):
+    # The table path's value V = fl(t0 * S), S Horner's rule over the K
+    # coefficients a_0..a_{K-1} in w = (z/2)^2, misses W by at most
+    #   truncation: 2 |a_K| w^K t0 <= 1e-16 t0 (the certified limit);
+    #   Horner (N. J. Higham, Accuracy and Stability of Numerical
+    #     Algorithms, 2nd ed., 2002, sec. 5.1): gamma_{2K} sum |a_k| w^k;
+    #   the inputs: each a_k is k recurrence steps of 4 roundings
+    #     (k + s, the product, times -c, the division), gamma_{4K}, and
+    #     w^k carries w's one rounding k times, gamma_K;
+    #   t0 = exp(L): L = (p+1) log(z/2) - log G(3/2) - log G(s) is off by
+    #     at most u (3 |(p+1) log(z/2)| + 6 |log G(s)| + 4), which exp
+    #     turns into that relative error, plus one rounding each for exp
+    #     and the final product.
+    # With gamma_n <= 1.01 n u and sum |t_k| = t0 sum |a_k| w^k, all of it
+    # is below 1e-16 t0 + u (8K + 4 |(p+1) log(z/2)| + 8 |log G(s)| + 8)
+    # sum |t_k|.  z <= 30 keeps the oracle's 120 terms exact at 40 digits.
+    params, z = draw
+    assume(params._real is not None and reaches(params, z))
+    p, b, c = params.p.real, params.b.real, params.c.real
+    res = struve_w_full(params, z)
+    assert res.value.imag == 0.0
+    lead = abs(next(_w_terms(params, z)))
+    assert res.tail_estimate == 1e-16 * lead
+    exponent = abs((p + 1) * math.log(z / 2)) + 2 * abs(params._log_gamma_shifted.real)
+    bound = 1e-16 * lead + U * (8 * res.terms + 4 * exponent + 8) * abs_term_sum(p, b, c, z)
+    assert abs(res.value - oracle.struve_w(p, b, c, z)) <= bound
 
 
-@settings(max_examples=400, deadline=None)
-@given(draw=struve_draws(), ctl=struve_controls)
-def test_struve_w_fused_loop_matches_sum_terms(draw, ctl):
-    assert_fused_matches(*draw, ctl)
+def assert_matches_sum_terms(params, z, ctl):
+    """struve_w_full agrees bit for bit with sum_terms over _w_terms:
+    value, terms and tail, or the error's type and message."""
+    expected = outcome(lambda: sum_terms(_w_terms(params, z), ctl))
+    assert outcome(lambda: struve_w_full(params, z, ctl)) == expected
+    return expected
 
 
-def test_struve_w_fused_loop_crafted():
-    # Shifted order 0.1 and a leading term near e^709: real p, b, c run in
-    # floats, where the leading term must still round as cmath.exp does
-    # (math.exp differs in the last bit at these three levels).
+@settings(max_examples=200, deadline=None)
+@given(
+    draw=struve_draws(log10_z=(-3.0, 3.0)),
+    ctl=st.sampled_from((SeriesControl(), SeriesControl(max_terms=5))),
+)
+def test_struve_w_fallback_matches_sum_terms(draw, ctl):
+    # Complex parameters, a negative gamma of the shifted order, and a
+    # real table that does not reach w all run the common rule itself.
+    params, z = draw
+    assume(params._real is None or not reaches(params, z, ctl))
+    assert_matches_sum_terms(params, z, ctl)
+
+
+def test_struve_w_real_fallback_crafted():
+    # W_{1,1,1}'s table ends before a_k underflows, near z = 60: past it
+    # the common rule sums, on a shared params left as it was.
+    shared = StruveParams(1.0, 1.0, 1.0)
+    state = shared._real
+    cases = [(shared, z, SeriesControl()) for z in (70.0, 90.0, 200.0)]
+    # A budget below the certified index, and a c whose a_1 underflows.
+    cases += [(shared, 2.0, SeriesControl(max_terms=5)), (StruveParams(1.0, 1.0, 5e-308), 2.0, SeriesControl())]
+    for params, z, ctl in cases:
+        assert not reaches(params, z, ctl)
+        assert_matches_sum_terms(params, z, ctl)
+    assert shared._real is state
+    # Within reach the table certifies fewer terms than the stopping rule.
+    assert reaches(shared, 2.0, SeriesControl(max_terms=11))
+    assert struve_w_full(shared, 2.0, SeriesControl(max_terms=11)).terms == 11
+    assert sum_terms(_w_terms(shared, 2.0)).terms == 14
+
+
+def test_struve_w_crafted_extremes():
+    # Shifted order 0.1 and a leading term near e^709: it must round as
+    # cmath.exp does (math.exp differs in the last bit at these levels).
     lead = StruveParams(400.0, -801.8, 0.0)
     second = lead.shifted_order.real
     log_scale = math.lgamma(1.5) + lead._log_gamma_shifted.real
     for level in (708.9, 709.1, 709.5):
         z = 2.0 * math.exp((level + log_scale) / 401.0)
-        for c in (0.0, 1e-3):
-            params = StruveParams(400.0, -801.8, c)
-            assert len(assert_fused_matches(params, z, SeriesControl())) == 4
+        # c = 0: the value is the leading term, bit for bit.
+        t0 = sum_terms(_w_terms(lead, z)).value
+        assert outcome(lambda: struve_w_full(lead, z))[:3] == (t0.real.hex(), "0x0.0p+0", 1)
+        if level < 709.5:
+            assert rel(struve_w(StruveParams(400.0, -801.8, 1e-3), z), oracle.struve_w(400, -801.8, 1e-3, z)) < 1e-12
     # A complex c that turns term 1 to phase 3 pi / 4 at modulus 2.5 e^709:
     # both parts and the partial sum are finite, the modulus is not.
     z = 2.0 * math.exp((709.0 + log_scale) / 401.0)
     half = z / 2.0
     c = -2.5 * cmath.exp(0.75j * math.pi) * 1.5 * second / (half * half)
-    assert assert_fused_matches(StruveParams(400.0, -801.8, c), z, SeriesControl()) == (
+    assert assert_matches_sum_terms(StruveParams(400.0, -801.8, c), z, SeriesControl()) == (
         "RangeError",
         "series modulus overflows at term 1",
     )
     # A negative non-integer shifted order: log Gamma carries i pi, the sign.
     params = StruveParams(-1.3, 0.0, 1.0)
-    assert params._log_gamma_shifted.imag != 0
-    assert assert_fused_matches(params, 1.0, SeriesControl())[0].startswith("-")
-    # A real c that repeats a leading term near e^709.5: both terms are
-    # finite, their sum is not.
+    assert params._real is None
+    assert assert_matches_sum_terms(params, 1.0, SeriesControl())[0].startswith("-")
+    # A real c that repeats a leading term near e^709.5: t0 (1 + 3/2)
+    # leaves the double range, and the common rule names the sum.
     z = 2.0 * math.exp((709.5 + log_scale) / 401.0)
     half = z / 2.0
     c = -1.5 * second / (half * half)
-    assert assert_fused_matches(StruveParams(400.0, -801.8, c), z, SeriesControl()) == (
+    assert assert_matches_sum_terms(StruveParams(400.0, -801.8, c), z, SeriesControl()) == (
         "RangeError",
         "partial sum overflows at term 1",
     )
-    # W_{0,-1,-1}(720) = 2.6e313 (40-digit sum): a term leaves the double
-    # range before the sum stops.
-    assert assert_fused_matches(StruveParams(0.0, -1.0, -1.0), 720.0, SeriesControl()) == (
-        "RangeError",
-        "series term 279 is non-finite",
-    )
+    # W_{0,-1,-1}(700) = 5.35e304 and W_{0,-1,-1}(720) = 2.6e313 (40-digit
+    # sums): a term leaves the double range before the sum stops.  The
+    # table ends before a_k underflows, so it never reads an underflowed
+    # coefficient as 0 and returns a wrong value (3.4e196 at z = 700).
+    for z, k in ((700.0, 345), (720.0, 279)):
+        assert assert_matches_sum_terms(StruveParams(0.0, -1.0, -1.0), z, SeriesControl()) == (
+            "RangeError",
+            f"series term {k} is non-finite",
+        )
     # A leading term beyond e^709, real and complex.
     for p in (400.0, 400.0 + 1j):
-        assert assert_fused_matches(StruveParams(p, 0.0, 1.0), 1e5, SeriesControl()) == (
+        assert assert_matches_sum_terms(StruveParams(p, 0.0, 1.0), 1e5, SeriesControl()) == (
             "RangeError",
             "leading series term overflows",
         )
 
 
-def test_struve_w_real_loop_past_known_denominators():
-    # W_{1,1,1} at z = 30..60 takes 57..91 terms, the longer sums past
-    # the denominators tabled when the params were built; the loop makes
-    # the rest inline and leaves the shared params as they were.
-    shared = StruveParams(1.0, 1.0, 1.0)
-    table = shared._denominators
-    terms = []
-    for z in (30.0, 40.0, 50.0, 60.0, 0.5, 35.0):
-        terms.append(assert_fused_matches(shared, z, SeriesControl())[2])
-        assert shared._denominators is table
-    assert terms == [57, 71, 81, 91, 10, 64]
-    assert len(table) < 70  # z = 40 and up run past the table
+def test_struve_w_smallest_positive_z():
+    # z/2 rounds to 0 at 5e-324 and loses bits just above it; log(z/2)
+    # is taken as log z - log 2 there.  W_{1,1,1} ~ (z/2)^2 underflows
+    # to 0 for real and complex p alike.
+    for p in (1.0, 1.0 + 1j):
+        res = struve_w_full(StruveParams(p, 1.0, 1.0), 5e-324)
+        assert res.value == 0
+    # p + 1 < 0: W ~ (z/2)^(-1/2) is finite and large.  Its log, ~372,
+    # carries a rounding of ~4e-14 that exp turns into a relative error.
+    for z in (5e-324, 1.5e-323, 2.0**-1022):
+        value = struve_w(StruveParams(-1.5, 2.0, 1.0), z)
+        assert value.real > 1e150
+        assert rel(value, oracle.struve_w(-1.5, 2.0, 1.0, z)) < 2e-13
+        assert rel(struve_w(StruveParams(-1.5 + 0.5j, 2.0, 1.0), z), oracle.struve_w(-1.5 + 0.5j, 2.0, 1.0, z)) < 2e-13
 
 
 def test_struve_w_shared_params_across_threads():
