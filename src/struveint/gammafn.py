@@ -18,6 +18,9 @@ POLE_TOL = 1e-12
 # Largest exponent exp() can take before the result overflows a double.
 _EXP_LIMIT = math.log(1.7976931348623157e308)
 
+# Bound once: log_gamma_sum calls it once per row and degree.
+_lgamma = math.lgamma
+
 
 def _as_complex(z) -> complex:
     z = complex(z)
@@ -148,6 +151,51 @@ def log_gamma(z) -> complex:
         except OverflowError:
             return complex(math.inf, 0.0)
     return _log_gamma_complex(z)
+
+
+def real_rows(upper, lower):
+    """A gamma-ratio block's rows in the float form ``log_gamma_sum``
+    takes, or None.
+
+    ``upper`` and ``lower`` yield (parameter, exponent, log Gamma(parameter),
+    offset) rows, log Gamma(parameter) as ``log_gamma`` gives it.  The
+    block qualifies when every parameter is real and positive with a
+    finite log Gamma; its rows are then (parameter, exponent, offset)
+    floats.  The rows are read in order and no further than the first that
+    does not qualify, so a caller that computes log Gamma(parameter)
+    lazily raises the gamma pole the per-degree sum would raise first.
+    """
+    out = ([], [])
+    for rows, real in zip((upper, lower), out):
+        for param, e, lg, offset in rows:
+            if param.imag != 0.0 or not param.real > 0.0 or not math.isfinite(lg.real):
+                return None
+            real.append((param.real, e, offset))
+    return out
+
+
+def log_gamma_sum(rows, degree: int) -> complex | None:
+    """sum over the upper rows of log Gamma(p + e K) - offset, minus the
+    same over the lower rows, at K = ``degree``, in floats and in row
+    order, for ``rows`` from ``real_rows``.
+
+    Each p + e K is at least the positive p, so off every pole, and there
+    ``log_gamma`` is complex(math.lgamma(p + e K), 0.0): the result,
+    complex(total, 0.0), has the bits of the same sum taken in
+    ``log_gamma`` values.  None where the total is not finite (an
+    ``lgamma`` overflow, or p + e K = inf, which ``log_gamma`` refuses),
+    for the caller to take the complex sum instead.
+    """
+    upper, lower = rows
+    total = 0.0
+    try:
+        for param, e, offset in upper:
+            total += _lgamma(param + e * degree) - offset
+        for param, e, offset in lower:
+            total -= _lgamma(param + e * degree) - offset
+    except OverflowError:
+        return None
+    return complex(total, 0.0) if math.isfinite(total) else None
 
 
 def gamma(z) -> complex:

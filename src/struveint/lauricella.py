@@ -4,8 +4,13 @@ The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like
 4(k_1+...+k_n) cannot overflow.  Each (p)_s is log Gamma(p + s) -
-log Gamma(p), with log Gamma(p) taken once per evaluation and
-log Gamma(p + s) once per degree.  Every global exponent vector must be
+log Gamma(p), with log Gamma(p) taken once per evaluation by
+``log_gamma`` and log Gamma(p + s) once per degree.  A block whose
+parameters are all real and positive with a finite log Gamma takes
+log Gamma(p + s) as a float ``math.lgamma`` (``gammafn.log_gamma_sum``),
+with the same bits; any other block, or a degree whose float sum is not
+finite, takes complex ``log_gamma`` values, and a gamma pole there names
+its parameter.  Every global exponent vector must be
 the same for every variable, as in each spec the identities build; a
 spec with mixed global exponents raises DomainError.  The global block
 then depends on the multi-index only through its total degree K, and
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, log_gamma
+from .gammafn import _EXP_LIMIT, log_gamma, log_gamma_sum, real_rows
 from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, fsum_complex, sum_terms
 
 # Highest total degree summed, whatever ``SeriesControl.max_terms`` allows.
@@ -161,6 +166,24 @@ def _ratio_log(upper, lower, degree: int) -> complex:
     return total
 
 
+def _block(upper, lower):
+    """A gamma-ratio block's complex rows and, when it qualifies, its
+    float rows (``gammafn.real_rows``)."""
+    real = real_rows(((p, e, lg0, lg0.real) for p, e, lg0, _ in upper),
+                     ((p, e, lg0, lg0.real) for p, e, lg0, _ in lower))
+    return (upper, lower), real
+
+
+def _block_log(block, degree: int) -> complex:
+    """``_ratio_log`` of a block at degree K, in floats where it qualifies."""
+    rows, real = block
+    if real is not None:
+        lg = log_gamma_sum(real, degree)
+        if lg is not None:
+            return lg
+    return _ratio_log(*rows, degree)
+
+
 @dataclass(frozen=True)
 class LauricellaResult:
     """The series value; ``shells``, the last total degree summed;
@@ -192,9 +215,9 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     # Each log Gamma(parameter) once, z_m = 0 variables' too, in the order
     # degree 0 meets them, so the first gamma pole raised is the one a
     # per-degree pass would raise.
-    per_var = [(_rows(up, f"per_var_upper[{m}]"), _rows(lo, f"per_var_lower[{m}]"))
+    per_var = [_block(_rows(up, f"per_var_upper[{m}]"), _rows(lo, f"per_var_lower[{m}]"))
                for m, (up, lo) in enumerate(zip(spec.per_var_upper, spec.per_var_lower))]
-    glob = (_rows(spec.global_upper, "global_upper"), _rows(spec.global_lower, "global_lower"))
+    glob = _block(_rows(spec.global_upper, "global_upper"), _rows(spec.global_lower, "global_lower"))
     active = [(z, r, math.log(r), per_var[m]) for m, (z, r) in enumerate(zip(zs, moduli)) if z != 0]
     scale = [[] for _ in active]
     unit = [[] for _ in active]
@@ -205,11 +228,11 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     conv = [(scale[0], unit[0])] if active else []
     conv += [([], []) for _ in active[1:]]
     for degree in range(_MAX_DEGREE + 1):
-        for i, (z, r, log_r, rows) in enumerate(active):
+        for i, (z, r, log_r, block) in enumerate(active):
             logmag, phase = power[i]
             if degree:
                 logmag, phase = power[i] = (logmag + log_r - math.log(degree), phase * (z / r))
-            lg = _ratio_log(*rows, degree)
+            lg = _block_log(block, degree)
             scale[i].append(lg.real + logmag)
             unit[i].append(cmath.exp(complex(0.0, lg.imag)) * phase)
         for i in range(1, len(active)):
@@ -229,7 +252,7 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
         else:
             yield 0j  # every z_m = 0: only the degree-0 shell has terms
             continue
-        lg = _ratio_log(*glob, degree)
+        lg = _block_log(glob, degree)
         mag = lg.real + top
         if mag > _EXP_LIMIT:
             raise RangeError(f"shell of total degree {degree} overflows")

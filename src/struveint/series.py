@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, log_gamma, nearest_pole
+from .gammafn import _EXP_LIMIT, log_gamma, log_gamma_sum, nearest_pole, real_rows
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
 _LOG_2 = math.log(2.0)
@@ -200,9 +200,14 @@ def _w_terms(params: StruveParams, z: float):
     ratio_base = -params.c * half * half
     second = params.shifted_order
     term = cmath.exp(log_t0)
+    isfinite = cmath.isfinite
     for k in itertools.count():
         yield term
-        term = term * ratio_base / ((k + 1.5) * (k + second))
+        step = term * ratio_base
+        den = (k + 1.5) * (k + second)
+        # Near the top of the double range the product can overflow where
+        # the next term does not; only there divide the ratio first.
+        term = step / den if isfinite(step) else term * (ratio_base / den)
 
 
 def _w_table(params: StruveParams, w_max: float, ctl: SeriesControl) -> tuple[list, list]:
@@ -369,15 +374,28 @@ def _modulus(z: complex) -> float:
 
 
 def _fox_wright_terms(spec: FoxWrightSpec, z: complex):
+    """Terms prod G(a_j + A_j k) / prod G(b_j + B_j k) z^k / k!.
+
+    The gamma ratio's log is ``gammafn.log_gamma_sum`` in floats (offsets
+    0.0) when every a_j and b_j is real and positive with a finite
+    log Gamma, and a sum of complex ``log_gamma`` values otherwise, or
+    where the float sum is not finite.
+    """
     ln_r = math.log(abs(z))
     unit = z / abs(z)
     phase = 1.0 + 0j
+    # log Gamma(a + 0.0) is term 0's own first call, so a pole is raised
+    # as that term raises it.
+    real = real_rows(((a, w, log_gamma(a + 0.0), 0.0) for a, w in spec.upper),
+                     ((b, w, log_gamma(b + 0.0), 0.0) for b, w in spec.lower))
     for k in itertools.count():
-        lg = 0j
-        for a, w in spec.upper:
-            lg += log_gamma(a + w * k)
-        for b, w in spec.lower:
-            lg -= log_gamma(b + w * k)
+        lg = None if real is None else log_gamma_sum(real, k)
+        if lg is None:
+            lg = 0j
+            for a, w in spec.upper:
+                lg += log_gamma(a + w * k)
+            for b, w in spec.lower:
+                lg -= log_gamma(b + w * k)
         mag = lg.real + k * ln_r - math.lgamma(k + 1)
         if mag > _EXP_LIMIT:
             raise RangeError(f"Fox-Wright term {k} overflows")

@@ -16,6 +16,7 @@ from struveint import (
     integrate_kernel,
     kernel_factor,
     lauricella_eval,
+    lauricella_eval_full,
     lhs_integrand,
     oberhettinger_closed_form,
     prefactor_theorem1,
@@ -193,6 +194,62 @@ def test_specialized_corollaries_match_general_ones():
     assert rel(rhs_corollary(case1, 3), rhs_corollary(case1, 1)) < 1e-13
     case2 = IntegralCase("theorem2", a=1.0, lam=3.0, mu=0.6, b=-1.0, c=1.0, p=(0.5,), y=(1.0,))
     assert rel(rhs_corollary(case2, 4), rhs_corollary(case2, 2)) < 1e-13
+
+
+def pinned_case(variant, n, **overrides):
+    kwargs = dict(a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0, 0.5, 1.5)[:n], y=(1.0, 2.0, 0.5)[:n])
+    kwargs.update(overrides)
+    return IntegralCase(variant, **kwargs)
+
+
+# beta = p + (b+2)/2 = -0.3 < 0: a per-variable lower parameter off the
+# float path, whose log Gamma has an imaginary part.
+NEGATIVE_BETA = dict(b=-1.0, p=(-0.8,))
+
+
+@pytest.mark.parametrize(
+    "variant, n, overrides, expected, terms",
+    [
+        ("theorem1", 1, {}, ("0x1.ee1c751a53734p-1", "0x0.0p+0"), 11),
+        ("theorem1", 2, {}, ("0x1.8eac692cc6b50p-1", "0x0.0p+0"), 15),
+        ("theorem1", 3, {}, ("0x1.7bcddf605f5cfp-1", "0x0.0p+0"), 15),
+        ("theorem2", 1, {}, ("0x1.fbe9ff7f32c6bp-1", "0x0.0p+0"), 10),
+        ("theorem2", 2, {}, ("0x1.e2282fee8e480p-1", "0x0.0p+0"), 12),
+        ("theorem2", 3, {}, ("0x1.db828bb2e9513p-1", "0x0.0p+0"), 12),
+        ("theorem1", 1, {"lam": 2.0 + 0.3j}, ("0x1.ee135d9325938p-1", "-0x1.75d74f2151f85p-10"), 11),
+        ("theorem2", 2, {"lam": 2.5 - 0.4j}, ("0x1.e7634bb059070p-1", "-0x1.bce856bd1ca4dp-8"), 12),
+        ("theorem1", 1, NEGATIVE_BETA, ("0x1.2d92e781c9795p+0", "0x1.922ab7516578dp-56"), 12),
+        ("theorem2", 1, NEGATIVE_BETA, ("0x1.07785939c6700p+0", "0x1.07ae2818e91a4p-58"), 10),
+    ],
+)
+def test_lauricella_right_side_bits_pinned(variant, n, overrides, expected, terms):
+    # Values of the complex log_gamma sum; real positive blocks now take
+    # math.lgamma in floats and must give the same bits.
+    case = pinned_case(variant, n, **overrides)
+    spec, z = rhs_spec_theorem1(case) if variant == "theorem1" else rhs_spec_theorem2(case)
+    result = lauricella_eval_full(spec, z)
+    assert (result.value.real.hex(), result.value.imag.hex()) == expected
+    assert result.terms == terms
+
+
+@pytest.mark.parametrize(
+    "which, variant, overrides, expected",
+    [
+        (1, "theorem1", {}, ("0x1.c9aff4081a2b6p-6", "0x0.0p+0")),
+        (2, "theorem2", {}, ("0x1.fd1c4e916729fp-9", "0x0.0p+0")),
+        (3, "theorem1", {"b": -1.0}, ("0x1.4f21eab8bf53cp-5", "0x0.0p+0")),
+        (4, "theorem2", {"b": -1.0}, ("0x1.7bcb59c0ee9e4p-8", "0x0.0p+0")),
+        (1, "theorem1", {"lam": 2.0 + 0.3j}, ("0x1.c43bf8abee11cp-6", "-0x1.b0ab323e76afep-9")),
+        (2, "theorem2", {"lam": 2.5 - 0.4j}, ("0x1.490b6d2e0a5d5p-10", "0x1.daa39e0e3451fp-11")),
+        (1, "theorem1", NEGATIVE_BETA, ("-0x1.8f1306b473894p-4", "0x1.b834554c83519p-57")),
+        (2, "theorem2", NEGATIVE_BETA, ("-0x1.057bf6a2f41e0p-4", "0x1.18418187bc051p-57")),
+    ],
+)
+def test_corollary_bits_pinned(which, variant, overrides, expected):
+    # Corollaries 2 and 4 sum Fox-Wright terms, whose real positive
+    # parameters take math.lgamma in floats.
+    value = complex(rhs_corollary(pinned_case(variant, 1, **overrides), which))
+    assert (value.real.hex(), value.imag.hex()) == expected
 
 
 def test_corollary_precondition_errors():

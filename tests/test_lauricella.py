@@ -19,6 +19,7 @@ from struveint import (
     RangeError,
     SeriesControl,
     fox_wright,
+    gammafn,
     lauricella,
     lauricella_eval,
     lauricella_eval_full,
@@ -160,21 +161,89 @@ def test_gamma_pole_message(spec, z, message):
 
 
 def test_log_gamma_once_per_parameter_and_once_per_degree(monkeypatch):
-    # two_var_spec has 8 parameters: 2 global, 3 per variable.
+    # two_var_spec has 8 parameters: 2 global, 3 per variable.  All are
+    # real and positive, so each takes log_gamma once and a float lgamma
+    # once per degree.
     spec = two_var_spec((2.0, 2.0))
     calls = []
+    float_calls = []
 
     def counted(z):
         calls.append(z)
         return log_gamma(z)
 
+    def counted_lgamma(x):
+        float_calls.append(x)
+        return math.lgamma(x)
+
     monkeypatch.setattr(lauricella, "log_gamma", counted)
+    monkeypatch.setattr(gammafn, "_lgamma", counted_lgamma)
     result = lauricella_eval_full(spec, (-1.0, -2.0))
-    assert len(calls) == 8 + 8 * result.terms
+    assert (len(calls), len(float_calls)) == (8, 8 * result.terms)
     # A variable with z_m = 0 takes only its parameters' log Gamma.
     calls.clear()
+    float_calls.clear()
     result = lauricella_eval_full(spec, (-1.0, 0.0))
-    assert len(calls) == 8 + 5 * result.terms
+    assert (len(calls), len(float_calls)) == (8, 5 * result.terms)
+    # A complex parameter in every block keeps each block on log_gamma.
+    spec = LauricellaSpec(
+        global_upper=[(2.5 + 0.5j, (2.0, 2.0))],
+        global_lower=[(3.5, (2.0, 2.0))],
+        per_var_upper=[[(1.0 + 0.5j, 1.0)], [(1.0 - 0.5j, 1.0)]],
+        per_var_lower=[[(1.5, 1.0), (2.0, 1.0)], [(1.5, 1.0), (2.5, 1.0)]],
+        n=2,
+    )
+    calls.clear()
+    float_calls.clear()
+    result = lauricella_eval_full(spec, (-1.0, -2.0))
+    assert (len(calls), len(float_calls)) == (8 + 8 * result.terms, 0)
+
+
+def hex_pair(value):
+    return (value.real.hex(), value.imag.hex())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    upper=st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from((0.5, 1.0, 2.0, 4.0))), max_size=4),
+    lower=st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from((0.5, 1.0, 2.0, 4.0))), max_size=4),
+    degree=st.integers(0, 400),
+)
+def test_float_block_sum_is_bit_identical(upper, lower, degree):
+    # Real positive parameters take the float path; its sum has the bits
+    # of _ratio_log's sum of complex log_gamma values.
+    rows = (lauricella._rows([(complex(p), e) for p, e in upper], "upper"),
+            lauricella._rows([(complex(p), e) for p, e in lower], "lower"))
+    block = lauricella._block(*rows)
+    assert block[1] is not None
+    expected = lauricella._ratio_log(*rows, degree)
+    assert hex_pair(gammafn.log_gamma_sum(block[1], degree)) == hex_pair(expected)
+    # Offsets 0.0, as Fox-Wright terms take it: a plain sum of log_gamma.
+    real = gammafn.real_rows(((complex(p), e, log_gamma(p), 0.0) for p, e in upper),
+                             ((complex(p), e, log_gamma(p), 0.0) for p, e in lower))
+    plain = 0j
+    for p, e in upper:
+        plain += log_gamma(complex(p) + e * degree)
+    for p, e in lower:
+        plain -= log_gamma(complex(p) + e * degree)
+    assert hex_pair(gammafn.log_gamma_sum(real, degree)) == hex_pair(plain)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pole_spec(global_upper=[(3e305, (1.0,))]),
+        pole_spec(global_lower=[(3e305, (1.0,))]),
+        pole_spec(per_var_upper=[[(3e305, 1.0)]]),
+        pole_spec(per_var_upper=[[(1.0, 1.0)]], per_var_lower=[[(1.5, 1.0), (3e305, 1.0)]]),
+    ],
+)
+def test_overflowing_log_gamma_parameter_keeps_complex_path(spec):
+    # log Gamma(3e305) is inf, so its block is summed in log_gamma values,
+    # whose inf makes the degree-0 shell non-finite.
+    with pytest.raises(RangeError) as excinfo:
+        lauricella_eval_full(spec, (0.5,))
+    assert str(excinfo.value) == "series term 0 is non-finite"
 
 
 def test_value_at_zero_argument():

@@ -79,6 +79,13 @@ def test_struve_w_c_reflection():
         assert rel(struve_w(StruveParams(p, b, -c), z), ref) < 5e-14
 
 
+def test_struve_w_near_double_range_divides_first():
+    # Term 344 is 1.48e303 and z^2/4 is 122,500: their product overflows
+    # though term 345 and the sum, 5.35e304, are finite.
+    ref = oracle.struve_w(0, -1, -1, 700, terms=600)
+    assert rel(struve_w(StruveParams(0, -1, -1), 700), ref) < 1e-14
+
+
 def test_struve_params_equality_and_repr_ignore_cached_log_gamma():
     params = StruveParams(1.0, 1.0, 1.0)
     assert params == StruveParams(1, 1 + 0j, 1.0)
@@ -651,14 +658,21 @@ def test_struve_w_crafted_extremes():
         "partial sum overflows at term 1",
     )
     # W_{0,-1,-1}(700) = 5.35e304 and W_{0,-1,-1}(720) = 2.6e313 (40-digit
-    # sums): a term leaves the double range before the sum stops.  The
-    # table ends before a_k underflows, so it never reads an underflowed
-    # coefficient as 0 and returns a wrong value (3.4e196 at z = 700).
-    for z, k in ((700.0, 345), (720.0, 279)):
-        assert assert_matches_sum_terms(StruveParams(0.0, -1.0, -1.0), z, SeriesControl()) == (
-            "RangeError",
-            f"series term {k} is non-finite",
-        )
+    # sums): the table ends before a_k underflows, so it never reads an
+    # underflowed coefficient as 0 and returns a wrong value (3.4e196 at
+    # z = 700).  The common rule sums the first, whose term 344 times
+    # z^2/4 overflows though term 345 does not, and names the second's
+    # partial sum.
+    params = StruveParams(0.0, -1.0, -1.0)
+    assert assert_matches_sum_terms(params, 700.0, SeriesControl())[:3] == (
+        "0x1.380ba7308510dp+1012",
+        "0x0.0p+0",
+        466,
+    )
+    assert assert_matches_sum_terms(params, 720.0, SeriesControl()) == (
+        "RangeError",
+        "partial sum overflows at term 303",
+    )
     # A leading term beyond e^709, real and complex.
     for p in (400.0, 400.0 + 1j):
         assert assert_matches_sum_terms(StruveParams(p, 0.0, 1.0), 1e5, SeriesControl()) == (
