@@ -322,6 +322,81 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _verify_split(todo: list, workers: int, qctl, sctl, tol) -> list:
+    """``verify_case`` over ``todo`` in input order.  Share i is
+    ``todo[i::workers]``: this process runs share 0 and a forked child
+    runs each other share, sending back ``(ok, reports or exception)``
+    pickled over its own pipe.  A child's exception is raised here; a
+    child that dies or exits non-zero raises ChildProcessError.  On any
+    failure every child still running is killed and reaped first.
+    """
+
+    def share(i: int) -> list:
+        return [verify_case(case, qctl, sctl, tol) for case in todo[i::workers]]
+
+    if workers == 1:
+        return share(0)
+    # Imported here: only the fork path sends reports between processes.
+    import pickle
+    import signal
+
+    # Flushed so that no child writes out text buffered before the fork.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe), share order
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # child: never returns
+                code = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        ok, result = True, share(i)
+                    except BaseException as exc:
+                        ok, result = False, exc
+                    data = pickle.dumps((ok, result))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0 if ok else 1
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [share(0)]
+        for i in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            try:
+                ok, result = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # the pipe ended early
+                ok, result = None, None
+            if ok is False:
+                raise result
+            if code != 0 or not ok:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"verify worker {i} (pid {pid}) ended without its reports ({how})")
+            shares.append(result)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    reports = [None] * len(todo)
+    for i, reports_i in enumerate(shares):
+        reports[i::workers] = reports_i
+    return reports
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -344,20 +419,11 @@ def cmd_verify(args) -> int:
         except DomainError as exc:
             parsed.append((raw, _failed_report(None, tol, str(exc), 0.0)))
 
-    # Worker processes run only verify_case; parsing and serialization
-    # stay here, and map keeps the input order.
+    # Forked children run only verify_case; parsing and serialization
+    # stay here, and the reports come back in input order.
     todo = [case for _, case in parsed if isinstance(case, IntegralCase)]
-    workers = min(args.jobs, len(todo), _usable_cpus())
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which no other path needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        k = len(todo)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(verify_case, todo, [qctl] * k, [sctl] * k, [tol] * k))
-    else:
-        reports = [verify_case(case, qctl, sctl, tol) for case in todo]
-    done = iter(reports)
+    workers = max(1, min(args.jobs, len(todo), _usable_cpus())) if hasattr(os, "fork") else 1
+    done = iter(_verify_split(todo, workers, qctl, sctl, tol))
     results = [(raw, case if isinstance(case, VerificationReport) else next(done)) for raw, case in parsed]
 
     entries = [report_to_dict(rep, raw) for raw, rep in results]

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, log_gamma, log_gamma_sum, real_rows
-from .series import _RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, fsum_complex, sum_terms
+from .series import (_RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, boundary_radius,
+                     fsum_complex, sum_terms)
 
 # Highest total degree summed, whatever ``SeriesControl.max_terms`` allows.
 _MAX_DEGREE = 400
@@ -119,16 +120,10 @@ class LauricellaSpec:
 
     def boundary_radius(self, m: int) -> float:
         """Certified |z_m| radius when the margin of variable m is zero."""
-        r = 1.0
-        for _, e in self.global_upper:
-            r *= e[m] ** -e[m]
-        for _, e in self.per_var_upper[m]:
-            r *= e**-e
-        for _, e in self.global_lower:
-            r *= e[m] ** e[m]
-        for _, e in self.per_var_lower[m]:
-            r *= e**e
-        return r
+        return boundary_radius(
+            [e[m] for _, e in self.global_upper] + [e for _, e in self.per_var_upper[m]],
+            [e[m] for _, e in self.global_lower] + [e for _, e in self.per_var_lower[m]],
+        )
 
 
 def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -> complex:

@@ -352,12 +352,35 @@ class FoxWrightSpec:
     @property
     def radius(self) -> float:
         """Boundary radius for the Delta = 0 case."""
-        r = 1.0
-        for _, w in self.upper:
-            r *= w**-w
-        for _, w in self.lower:
-            r *= w**w
+        return boundary_radius([w for _, w in self.upper], [w for _, w in self.lower])
+
+
+def boundary_radius(upper, lower) -> float:
+    """prod e**-e over the ``upper`` exponents times prod e**e over the
+    ``lower`` ones: the certified radius of a boundary series.
+
+    Where the direct product overflows or underflows, it is taken in logs
+    instead, giving inf or 0.0 where the radius itself leaves the double
+    range; every other radius is the direct product's.
+    """
+    r = 1.0
+    try:
+        for e in upper:
+            r *= e**-e
+        for e in lower:
+            r *= e**e
+    except OverflowError:
+        r = math.inf
+    if 0.0 < r < math.inf:
         return r
+    # Each e * log(e) is scaled by 2**-20 so that none overflows;
+    # |log r| >= 2**20 is far outside the double range either way.
+    scaled = math.fsum([math.ldexp(e, -20) * math.log(e) for e in lower]
+                       + [-math.ldexp(e, -20) * math.log(e) for e in upper])
+    try:
+        return math.exp(math.ldexp(min(max(scaled, -1.0), 1.0), 20))
+    except OverflowError:
+        return math.inf
 
 
 # Safety factor applied to the boundary radius when Delta = 0 (here and

@@ -1,6 +1,7 @@
-import concurrent.futures
 import json
 import math
+import os
+import time
 
 import pytest
 
@@ -234,6 +235,15 @@ def test_eval_argument_overflow_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "exceeds the double range" in err
+
+
+def test_eval_fox_wright_huge_boundary_weights(capsys):
+    # w**w overflows at w = 1e305: a value (exit 0) or an error line
+    # (exit 2), not a traceback.
+    code, out, err = run(capsys, "eval", "fox_wright", "upper=1:1e305", "lower=1:1e305", "z=0.5")
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:")
 
 
 # --- grid -------------------------------------------------------------------------
@@ -472,6 +482,14 @@ def test_verify_deterministic_numeric_fields(tmp_path, capsys):
         assert c1["rel_err"] == c2["rel_err"]
 
 
+def numeric_report(path):
+    report = json.loads(path.read_text())
+    del report["timestamp"]
+    for entry in report["cases"]:
+        del entry["wall_clock_s"]
+    return report
+
+
 def test_verify_jobs_parallel_same_output(tmp_path, capsys):
     # b = -4 makes p + (b+2)/2 = 0, so its Struve series is undefined:
     # a failed report, in place, from the worker as from the serial run.
@@ -484,16 +502,8 @@ def test_verify_jobs_parallel_same_output(tmp_path, capsys):
     out2 = tmp_path / "parallel.json"
     assert run(capsys, "verify", str(path), "--output", str(out1))[0] == 1
     assert run(capsys, "verify", str(path), "--output", str(out2), "--jobs", "4")[0] == 1
-
-    def numeric(path):
-        report = json.loads(path.read_text())
-        del report["timestamp"]
-        for entry in report["cases"]:
-            del entry["wall_clock_s"]
-        return report
-
-    r1 = numeric(out1)
-    assert r1 == numeric(out2)
+    r1 = numeric_report(out1)
+    assert r1 == numeric_report(out2)
     assert [c["pass"] for c in r1["cases"]] == [True, True, False, True]
     assert "non-positive integer" in r1["cases"][2]["reason"]
 
@@ -503,30 +513,138 @@ def test_verify_jobs_parallel_same_output(tmp_path, capsys):
     [(1, 3, 8, None), (4, 1, 8, None), (2, 5, 8, 2), (8, 3, 8, 3), (1000, 5, 3, 3)],
 )
 def test_verify_jobs_worker_count(jobs, good, cpus, expected, tmp_path, capsys, monkeypatch):
-    # min(--jobs, cases left to run, usable CPUs) workers; one means no pool.
+    # min(--jobs, cases left to run, usable CPUs) workers: this process
+    # and one forked child per further worker; one means no fork.
     # A case that fails validation (mu = 50) is not left to run.
-    seen = []
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     path = write_cases(tmp_path, [dict(GOOD_CASE, mu="50")] + [GOOD_CASE] * good)
     code, out, _ = run(capsys, "verify", str(path), "--jobs", str(jobs))
     assert code == 1
     assert json.loads(out)["summary"] == {"total": good + 1, "passed": good, "failed": 1}
-    assert seen == ([] if expected is None else [expected])
+    assert len(forks) == (0 if expected is None else expected - 1)
+
+
+def test_verify_without_fork_runs_in_one_process(tmp_path, capsys, monkeypatch):
+    # Where the platform cannot fork, --jobs 2 runs every case here.
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    path = write_cases(tmp_path, [GOOD_CASE, dict(GOOD_CASE, mu="0.6")])
+    serial, split = tmp_path / "jobs1.json", tmp_path / "jobs2.json"
+    assert run(capsys, "verify", str(path), "--output", str(serial))[0] == 0
+    assert run(capsys, "verify", str(path), "--output", str(split), "--jobs", "2")[0] == 0
+    assert numeric_report(serial) == numeric_report(split)
+
+
+def test_verify_uneven_shares_keep_input_order(tmp_path, capsys, monkeypatch):
+    # Five cases to run in three shares of 2, 2 and 1, and one invalid
+    # case between them: the report is --jobs 1's, case for case.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    cases = [dict(GOOD_CASE, mu=mu) for mu in ("0.6", "0.75", "0.9")]
+    cases.insert(2, dict(GOOD_CASE, mu="50"))
+    cases += [dict(GOOD_CASE, **{"lambda": "3"}), dict(GOOD_CASE, y=[0.5])]
+    path = write_cases(tmp_path, cases)
+    serial, split = tmp_path / "jobs1.json", tmp_path / "jobs3.json"
+    assert run(capsys, "verify", str(path), "--output", str(serial))[0] == 1
+    assert run(capsys, "verify", str(path), "--output", str(split), "--jobs", "3")[0] == 1
+    report = numeric_report(serial)
+    assert report == numeric_report(split)
+    assert [c["pass"] for c in report["cases"]] == [True, True, False, True, True, True]
+
+
+def test_verify_child_death_is_an_error(tmp_path, capsys, monkeypatch):
+    # A child that dies before sending its reports fails the run: an
+    # error line, no report, and no child left behind.
+    parent = os.getpid()
+    true_verify = cli.verify_case
+
+    def dying_verify(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return true_verify(*args)
+
+    monkeypatch.setattr(cli, "verify_case", dying_verify)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    path = write_cases(tmp_path, [GOOD_CASE] * 2)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", str(path), "--jobs", "2", "--output", str(out_path))
+    assert code != 0
+    assert err.startswith("error:") and "exit status 3" in err
+    assert out == "" and not out_path.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_parent_failure_kills_children(tmp_path, capsys, monkeypatch):
+    # When this process's own share raises, the children still running
+    # are killed and reaped rather than waited for.
+    parent = os.getpid()
+
+    def failing_verify(*args):
+        if os.getpid() == parent:
+            raise CaseParseError("share 0 failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "verify_case", failing_verify)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    path = write_cases(tmp_path, [GOOD_CASE] * 3)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", str(path), "--jobs", "3")
+    assert time.monotonic() - t0 < 30
+    assert code == 2
+    assert err.startswith("error: share 0 failed") and out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_fork_failure_kills_children(tmp_path, capsys, monkeypatch):
+    # The second fork fails: the first child is killed and reaped, and
+    # the run ends with an error line.
+    real_fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    path = write_cases(tmp_path, [GOOD_CASE] * 3)
+    code, out, err = run(capsys, "verify", str(path), "--jobs", "3")
+    assert code == 2 and len(forks) == 2
+    assert err.startswith("error:") and out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_child_exception_is_raised_here(tmp_path, capsys, monkeypatch):
+    # A child's exception comes back over its pipe and fails the run as
+    # it would in one process.
+    parent = os.getpid()
+    true_verify = cli.verify_case
+
+    def raising_verify(*args):
+        if os.getpid() != parent:
+            raise CaseParseError("child share failed")
+        return true_verify(*args)
+
+    monkeypatch.setattr(cli, "verify_case", raising_verify)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    path = write_cases(tmp_path, [GOOD_CASE] * 2)
+    code, out, err = run(capsys, "verify", str(path), "--jobs", "2")
+    assert code == 2
+    assert err.startswith("error: child share failed") and out == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import random
@@ -87,19 +88,28 @@ def test_non_finite_inputs_rejected():
         log_gamma(complex(math.inf, 0.0))
 
 
-def test_import_does_not_load_scipy_special():
+def test_import_does_not_load_scipy_special(tmp_path):
     # Nothing in the library or the CLI imports scipy or numpy (log_gamma
-    # is stdlib-only), and the CLI loads the process pool only for
-    # verify --jobs above 1.
+    # is stdlib-only), and verify --jobs 2 forks its worker with no
+    # process pool, so multiprocessing is never loaded either.
     src = os.path.dirname(os.path.dirname(struveint.__file__))
     heavy = {"numpy", "scipy", "concurrent.futures.process", "multiprocessing"}
-    for module in ("struveint", "struveint.cli"):
-        code = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
+    case = {"variant": "theorem1", "a": 1.0, "lambda": "2", "mu": "0.75",
+            "b": "1", "c": "1", "p": ["1"], "y": [1.0]}
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps({"cases": [case, dict(case, mu="0.6")]}))
+    verify = (
+        "import struveint.cli as cli; cli._usable_cpus = lambda: 2; "
+        f"cli.main(['verify', {str(cases)!r}, '--jobs', '2', '--output', {str(tmp_path / 'report.json')!r}])"
+    )
+    for setup in ("import struveint", "import struveint.cli", verify):
+        code = f"import sys; {setup}; print(sorted({heavy!r} & set(sys.modules)))"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src),
         ).stdout
-        assert out.strip() == "[]", module
+        assert out.strip() == "[]", setup
+    assert len(json.loads((tmp_path / "report.json").read_text())["cases"]) == 2
 
 
 # --- complex log Gamma: stdlib Stirling + reflection ---------------------------

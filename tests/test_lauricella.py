@@ -18,6 +18,7 @@ from struveint import (
     LauricellaSpec,
     RangeError,
     SeriesControl,
+    StruveintError,
     fox_wright,
     gammafn,
     lauricella,
@@ -456,6 +457,18 @@ def test_boundary_margin_gate():
     assert rel(lauricella_eval(spec, (0.5,)), 2.0) < 1e-13
     with pytest.raises(DomainError):
         lauricella_eval(spec, (0.95,))
+
+
+def test_boundary_margin_gate_huge_exponents_typed():
+    # e**e overflows at e = 1e305: the radius is taken in logs (1.0), and
+    # the series gives a value or a typed error, never a bare OverflowError.
+    spec = LauricellaSpec([(1.0, (1e305,))], [(1.0, (1e305,))], [[]], [[]], 1)
+    assert spec.convergence_margins() == (0.0,) and spec.boundary_radius(0) == 1.0
+    try:
+        value = lauricella_eval_full(spec, (0.5,)).value
+    except StruveintError:
+        return
+    assert cmath.isfinite(value)
 
 
 def test_max_degree_exhaustion(monkeypatch):

@@ -37,6 +37,7 @@ from struveint.series import (
     _struve_derivative_terms,
     _w_table,
     _w_terms,
+    boundary_radius,
     fsum_complex,
     sum_terms,
 )
@@ -252,6 +253,52 @@ def test_fox_wright_boundary_radius_gate():
     assert rel(fox_wright(spec, 0.1), ref) < 1e-12
     with pytest.raises(DomainError):
         fox_wright(spec, 0.24)
+
+
+def direct_radius(upper, lower):
+    r = 1.0
+    for e in upper:
+        r *= e**-e
+    for e in lower:
+        r *= e**e
+    return r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(1e-3, 50.0), max_size=4),
+    st.lists(st.floats(1e-3, 50.0), max_size=4),
+)
+def test_boundary_radius_keeps_the_direct_product(upper, lower):
+    # Where the direct product stays in (0, inf), its bits are kept.
+    try:
+        ref = direct_radius(upper, lower)
+    except OverflowError:
+        ref = math.inf
+    assume(0.0 < ref < math.inf)
+    assert boundary_radius(upper, lower).hex() == ref.hex()
+
+
+def test_boundary_radius_in_logs_past_the_double_range():
+    # 1e305**1e305 overflows and 1e305**-1e305 underflows: the radius,
+    # taken in logs, is 1 (and 1/4 with one more weight 2 above).
+    assert boundary_radius([1e305], [1e305]) == 1.0
+    assert boundary_radius([1e308], [1e308]) == 1.0
+    assert rel(boundary_radius([1e305, 2.0], [1e305]), 0.25) < 1e-15
+    assert boundary_radius([], [400.0]) == math.inf
+    assert boundary_radius([400.0], []) == 0.0
+    assert boundary_radius([1e308], []) == 0.0
+
+
+def test_fox_wright_huge_boundary_weights_typed():
+    # A value or a typed error, never a bare OverflowError from w**w.
+    spec = FoxWrightSpec([(1.0, 1e305)], [(1.0, 1e305)])
+    assert spec.delta == 0.0 and spec.radius == 1.0
+    try:
+        value = fox_wright_full(spec, 0.5).value
+    except StruveintError:
+        return
+    assert cmath.isfinite(value)
 
 
 def test_fox_wright_numerator_pole_is_hard_error():
