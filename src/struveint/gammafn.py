@@ -17,6 +17,9 @@ POLE_TOL = 1e-12
 
 # Largest exponent exp() can take before the result overflows a double.
 _EXP_LIMIT = math.log(1.7976931348623157e308)
+# Up to log(DBL_MAX / 4), cmath.exp of a real argument returns math.exp's
+# bits; above it cmath.exp takes exp(x - 1) e, which rounds differently.
+_MATH_EXP_LIMIT = math.log(1.7976931348623157e308 / 4.0)
 
 # Bound once: log_gamma_sum calls it once per row and degree.
 _lgamma = math.lgamma

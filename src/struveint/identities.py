@@ -31,11 +31,9 @@ from .series import (
     FoxWrightSpec,
     SeriesControl,
     StruveParams,
-    _w_real,
-    _w_table,
+    _w_evaluator,
     fox_wright,
     pfq,
-    struve_w,
 )
 
 THEOREM1 = "theorem1"
@@ -307,28 +305,28 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
     return tuple(x * yj / kern for yj in case.y)
 
 
-def _struve_product(case: IntegralCase, ctl: SeriesControl):
+def _struve_product(case: IntegralCase, ctl: SeriesControl, at: float | None = None):
     """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1,
     by the arithmetic of ``struve_arguments`` and ``struve_w`` with one
-    kernel factor per x.  Each real-parameter factor is summed by
-    ``_w_real`` over one coefficient table built here, sized to the
-    factor's argument bound: u_j <= y_j / a for theorem1 (the kernel is at
-    least a) and u_j < y_j / 2 for theorem2 (it exceeds 2x)."""
+    kernel factor per x.  Each factor is summed by one ``series._w_evaluator``
+    built here, whose table is sized to the factor's argument bound:
+    u_j <= y_j / a for theorem1 (the kernel is at least a) and u_j < y_j / 2
+    for theorem2 (it exceeds 2x); or, given ``at``, to u_j(at) alone."""
     a, scaled = case.a, case.variant == THEOREM2
+    if at is None:
+        bounds = [yj / 2.0 if scaled else yj / a for yj in case.y]
+    else:
+        bounds = struve_arguments(case, at)
     factors = []
-    for prm, yj in zip(case.struve_params(), case.y):
-        table = None
-        if prm._real:
-            half = (yj / 2.0 if scaled else yj / a) / 2.0
-            table = _w_table(prm, half * half * _TABLE_MARGIN, ctl)
-        factors.append((prm, yj, table))
+    for prm, yj, bound in zip(case.struve_params(), case.y, bounds):
+        half = bound / 2.0
+        factors.append((_w_evaluator(prm, half * half * _TABLE_MARGIN, ctl), yj))
 
     def g(x: float) -> complex:
         kern = kernel_factor(x, a)
         prod = 1.0 + 0j
-        for prm, yj, table in factors:
-            u = (x * yj if scaled else yj) / kern
-            prod *= _w_real(prm, u, ctl, table)[0] if table else struve_w(prm, u, ctl)
+        for evaluate, yj in factors:
+            prod *= evaluate((x * yj if scaled else yj) / kern)
         return prod
 
     return g
@@ -341,7 +339,7 @@ def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CON
         raise DomainError("x must be positive")
     kern = kernel_factor(x, case.a)
     weight = cmath.exp((case.mu - 1) * math.log(x) - case.lam * math.log(kern))
-    return weight * _struve_product(case, ctl)(x)
+    return weight * _struve_product(case, ctl, x)(x)
 
 
 @dataclass(frozen=True)

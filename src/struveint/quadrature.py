@@ -15,13 +15,14 @@ the published table of QUADPACK's QK15 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
 a test solves the rule at 40 digits and checks every tabulated double.
-A panel takes its 15 nodes in one loop: each node's kernel weight, then,
-unless the weight underflowed to 0, one call of g and the node's terms
-of the Kronrod and Gauss sums.  The eight pilot panels that size the
-tail become the first panels of the layout.  Every panel, the leftmost
-included, is judged by |K15 - G7| alone, as in QUADPACK's adaptive
-rules, and the tail is cut where an exponential envelope bounds the
-remainder.
+A panel takes its 15 nodes in one loop: each node's kernel weight, its
+exponent formed as real and imaginary floats (math.exp where it is real
+and cmath.exp rounds alike), then, unless the weight underflowed to 0,
+one call of g, the node's Kronrod term and, at the 7 Gauss nodes, its
+Gauss term.  The eight pilot panels that size the tail become the first
+panels of the layout.  Every panel, the leftmost included, is judged by
+|K15 - G7| alone, as in QUADPACK's adaptive rules, and the tail is cut
+where an exponential envelope bounds the remainder.
 
 Refinement runs in rounds over one list of panels kept in theta order.
 Each round takes the exactly rounded panel sum (``series.fsum_complex``)
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .gammafn import _EXP_LIMIT, log_gamma
+from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, log_gamma
 from .series import fsum_complex
 
 
@@ -156,30 +157,39 @@ def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, comple
     whose kernel weight underflows to 0 adds nothing and calls no g."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    g, a, mu_m1, lam = intg.g, intg.a, intg.mu - 1.0, intg.lam
-    log, log1p, exp, isfinite = math.log, math.log1p, math.exp, math.isfinite
+    g, a = intg.g, intg.a
+    mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
+    lam_re, lam_im = intg.lam.real, intg.lam.imag
+    log, log1p, exp, cexp, sinh = math.log, math.log1p, math.exp, cmath.exp, math.sinh
+    isfinite = cmath.isfinite
     kronrod = gauss = 0j
     calls = 0
     for xi, wk, wg in _RULE:
         t = mid + half * xi
-        w = _cosh_m1(t)
+        s = sinh(0.5 * t)  # w = _cosh_m1(t), inline
+        w = 2.0 * s * s
         log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
         if t < 1e-3:
             log_sinh = log(t) + log1p(t * t / 6.0)
         else:
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
-        lt = mu_m1 * log_w + log_sinh - lam * t
-        if lt.real > _EXP_LIMIT:
+        re = mu_re * log_w + log_sinh - lam_re * t
+        im = mu_im * log_w - lam_im * t
+        if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
-        kern = cmath.exp(lt)
+        if im:
+            kern = cexp(complex(re, im))
+        else:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
+            kern = exp(re) if re <= _MATH_EXP_LIMIT else cexp(re)
         if kern == 0:
             continue
         calls += 1
         val = kern * complex(g(a * w))
-        if not (isfinite(val.real) and isfinite(val.imag)):
+        if not isfinite(val):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
         kronrod += wk * val
-        gauss += wg * val
+        if wg:
+            gauss += wg * val
     intg.evaluations += calls
     kronrod *= half
     return lo, hi, kronrod, abs(kronrod - half * gauss)

@@ -7,12 +7,13 @@ plain generalized hypergeometric pFq.  All sums run in ascending term
 order under a common stopping rule, ``sum_terms``, which reads a plain
 running sum and returns the correctly rounded sum of the terms it kept
 (``math.fsum``; ``fsum_complex`` for complex terms, also used for a
-Lauricella shell and a quadrature round's panels).  W_{p,b,c} with
-real p, b, c (and a positive gamma of the shifted order p + (b+2)/2)
-is summed by ``_w_real`` instead: its leading term times Horner's rule
-over a table of the series' coefficients in w = (z/2)^2 (``_w_table``),
-cut at the first index whose proven tail bound covers w.  Where the
-table does not reach w it falls back to ``sum_terms``.
+Lauricella shell and a quadrature round's panels).  W_{p,b,c} is summed
+by a prepared evaluator instead (``_w_evaluator``), for real and complex
+parameters alike: its leading term times Horner's rule over a table of
+the series' coefficients in w = (z/2)^2 (``_w_table``), cut at the first
+index whose proven tail bound covers w.  Where the table does not reach
+w, or where the terms' moduli could leave the double range, it falls
+back to ``sum_terms``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, log_gamma, log_gamma_sum, nearest_pole, real_rows
+from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, log_gamma, log_gamma_sum, nearest_pole, real_rows
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
 _LOG_2 = math.log(2.0)
@@ -42,6 +43,8 @@ _REL_TOL = 1e-16
 _TAIL_TOL = _REL_TOL / _TAIL_SAFETY
 _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
+# Room for rounding in _w_evaluator's bound on the terms' moduli.
+_ROUNDING_ROOM = 1.0 + 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,9 @@ class SeriesControl:
 
     The sum stops once three successive terms satisfy
     |term| <= 1e-16 |partial sum| (a fixed tolerance); hitting
-    ``max_terms`` first is a convergence failure.  Real W_{p,b,c} sums
-    at most ``max_terms`` coefficients of its table before it falls
-    back to that rule.
+    ``max_terms`` first is a convergence failure.  W_{p,b,c} sums at
+    most ``max_terms`` coefficients of its table before it falls back
+    to that rule.
     """
 
     max_terms: int = 10_000
@@ -142,10 +145,6 @@ class StruveParams:
     c: complex
     # log Gamma(p + (b+2)/2), the leading term's constant.
     _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
-    # Not a field, so set per instance only when all are real: the floats
-    # (p + 1, -c, p + (b+2)/2, log Gamma(p + (b+2)/2)) (None sends W
-    # through sum_terms).
-    _real = None
 
     def __post_init__(self):
         for name in ("p", "b", "c"):
@@ -164,9 +163,6 @@ class StruveParams:
                 "the generalized Struve series is undefined"
             ) from None
         object.__setattr__(self, "_log_gamma_shifted", lgs)
-        p, c = self.p, self.c
-        if not (p.imag or self.b.imag or c.imag or lgs.imag):
-            object.__setattr__(self, "_real", (p.real + 1, -c.real, shifted.real, lgs.real))
 
     @property
     def shifted_order(self) -> complex:
@@ -190,8 +186,8 @@ def _log_half(z: float) -> float:
 def _w_terms(params: StruveParams, z: float):
     """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
 
-    W with complex parameters, the derivative series, and real W past
-    its coefficient table sum them through sum_terms.
+    The derivative series, and W past its coefficient table, sum them
+    through sum_terms.
     """
     half = z / 2.0
     log_t0 = (params.p + 1) * _log_half(z) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
@@ -210,81 +206,119 @@ def _w_terms(params: StruveParams, z: float):
         term = step / den if isfinite(step) else term * (ratio_base / den)
 
 
-def _w_table(params: StruveParams, w_max: float, ctl: SeriesControl) -> tuple[list, list]:
-    """(coefficients, limits) of W_{p,b,c}(z) = t_0 sum_k a_k w^k, w = (z/2)^2,
-    for params with ``_real`` set.
+def _w_table(params: StruveParams, w_max: float, ctl: SeriesControl) -> tuple[list, list, list]:
+    """(coefficients, limits, moduli) of W_{p,b,c}(z) = t_0 sum_k a_k w^k,
+    w = (z/2)^2, with moduli[k] = |a_k|.
 
-    a_0 = 1 and a_{k+1} = a_k (-c) / ((k + 3/2)(k + s)), s = p + (b+2)/2.
-    limits[K-1] is a w up to which the first K coefficients are proven to
-    leave |tail| <= 2 |a_K| w^K <= 1e-16 (times t_0): there K + s > 0 and
-    the term ratio |c| w / ((k + 3/2)(k + s)) is at most 1/2 at k = K and
-    falls after it.  Certifying K - 1 coefficients certifies K, so the
-    limits are a running maximum and never decrease.  The table ends at
-    the first limit >= w_max, at ctl.max_terms coefficients, or before a
-    coefficient leaves the normal float range: an underflowed a_K read
-    as 0 would certify a sum that it does not bound.
+    a_0 = 1 and a_{k+1} = a_k (-c) / ((k + 3/2)(k + s)), s = p + (b+2)/2,
+    in floats where c and s are real.  limits[K-1] is a w up to which the
+    first K coefficients are proven to leave |tail| <= 2 |a_K| w^K <= 1e-16
+    (times |t_0|): there K + Re s > 0 and the term ratio's modulus, at most
+    |c| w / ((k + 3/2)(k + Re s)), is at most 1/2 at k = K and falls after
+    it.  Certifying K - 1 coefficients certifies K, so the limits are a
+    running maximum and never decrease.  The table ends at the first limit
+    >= w_max, at ctl.max_terms coefficients, or before a coefficient's
+    modulus leaves the normal float range: an underflowed a_K read as 0
+    would certify a sum that it does not bound.
     """
-    _, neg_c, second, _ = params._real
-    coeffs = [1.0]
-    if neg_c == 0.0:  # every a_k past a_0 is 0
-        return coeffs, [math.inf]
+    c, second = params.c, params.shifted_order
+    neg_c = -(c if c.imag else c.real)
+    second = second if second.imag else second.real
+    re_second = second.real
+    coeffs, moduli = [1.0], [1.0]
+    if neg_c == 0:  # every a_k past a_0 is 0
+        return coeffs, [math.inf], moduli
     limits = []
     twice_c = 2.0 * abs(neg_c)
     coeff = 1.0
     limit = 0.0
-    for k in range(1, ctl.max_terms + 1):
-        coeff = coeff * neg_c / ((k + 0.5) * (k - 1 + second))  # a_k
-        mag = abs(coeff)
+    k = 0.0  # a float: arithmetic mixing ints and floats runs slower
+    for _ in range(ctl.max_terms):
+        k += 1.0
+        coeff = coeff * neg_c / ((k + 0.5) * (k - 1.0 + second))  # a_k
+        try:
+            mag = abs(coeff)
+        except OverflowError:  # finite parts, modulus past the range
+            break
         if not _TINY <= mag <= _HUGE:
             break
-        if k + second > 0:
-            ratio_cap = (k + 1.5) * (k + second) / twice_c
+        if k + re_second > 0:
+            ratio_cap = (k + 1.5) * (k + re_second) / twice_c
+            # limit = max(limit, min(ratio_cap, reach)), without the calls.
             if ratio_cap > limit:
-                limit = max(limit, min(ratio_cap, (_TAIL_TOL / mag) ** (1.0 / k)))
+                reach = (_TAIL_TOL / mag) ** (1.0 / k)
+                limit = ratio_cap if reach >= ratio_cap else reach if reach > limit else limit
         limits.append(limit)
         if limit >= w_max:
             break
         coeffs.append(coeff)
-    return coeffs, limits
+        moduli.append(mag)
+    return coeffs, limits, moduli
 
 
-def _w_real(params: StruveParams, z: float, ctl: SeriesControl, table=None) -> tuple[complex, int, float]:
-    """(value, terms, tail estimate) of W_{p,b,c}(z) for a float z and
-    params with ``_real`` set: t_0 times Horner's rule over the first K
-    coefficients of ``table`` (built for this z when None), K the first
-    whose limit reaches w = (z/2)^2, and the proven tail bound 1e-16 t_0.
-    Every table is a prefix of the same sequences, so each one that
-    reaches w gives the same bits.  Where the table does not reach w, or
-    the value leaves the double range, this is sum_terms(_w_terms(params,
-    z), ctl).
+def _horner(coeffs: list, k: int, w: float):
+    """coeffs[0] + coeffs[1] w + ... + coeffs[k] w^k by Horner's rule."""
+    total = coeffs[k]
+    for j in range(k - 1, -1, -1):
+        total = total * w + coeffs[j]
+    return total
+
+
+def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
+    """``evaluate(z, full=False)``: W_{p,b,c}(z) at a float z > 0, or with
+    ``full`` its SeriesResult, from one ``_w_table`` built up to ``w_max``.
+
+    That is t_0 times Horner's rule over the first K coefficients, K the
+    first whose limit reaches w = (z/2)^2, with the tail bound 1e-16 |t_0|;
+    t_0 is a float where p and log G(s) are real, else complex.  Tables are
+    prefixes of the same sequences, so every one that reaches w gives the
+    same bits.  Past the table's reach, or where |t_0| sum_k |a_k| w^k (a
+    bound on every term and partial sum) nears the double range, the
+    result is sum_terms(_w_terms(params, z), ctl).
     """
-    if not 0.0 < z < math.inf:
-        _require_positive_z(z)  # raises
-    p1, _, _, lgs = params._real
-    log_t0 = p1 * _log_half(z) - _LOG_GAMMA_3_2 - lgs
-    if log_t0 > _EXP_LIMIT:
-        raise RangeError("leading series term overflows")
-    # cmath.exp: near _EXP_LIMIT it rounds differently from math.exp.
-    t0 = cmath.exp(log_t0).real
-    half = z / 2.0
-    w = half * half
-    coeffs, limits = _w_table(params, w, ctl) if table is None else table
-    k = bisect_left(limits, w)
-    if k < len(limits):
-        total = coeffs[k]
-        for j in range(k - 1, -1, -1):
-            total = total * w + coeffs[j]
-        value = t0 * total
-        if math.isfinite(value):
-            return complex(value), k + 1, _REL_TOL * t0
-    res = sum_terms(_w_terms(params, z), ctl)
-    return res.value, res.terms, res.tail_estimate
+    coeffs, limits, moduli = _w_table(params, w_max, ctl)
+    reach = len(limits)
+    p, lgs = params.p, params._log_gamma_shifted
+    p1 = (p if p.imag else p.real) + 1
+    lgs = lgs if lgs.imag else lgs.real
+    real_t0 = isinstance(p1, float) and isinstance(lgs, float)
+    # |t_0| <= cap keeps that bound in range for every w the table reaches.
+    bound = _horner(moduli, reach - 1, limits[-1]) * _ROUNDING_ROOM**2 if reach else math.inf
+    cap = _HUGE / bound if bound <= _HUGE else 0.0
+    inf, log, exp, cexp = math.inf, math.log, math.exp, cmath.exp
+
+    def evaluate(z: float, full: bool = False):
+        if not 0.0 < z < inf:
+            _require_positive_z(z)  # raises
+        half = z / 2.0
+        # log(z/2) as _log_half takes it.
+        log_t0 = p1 * (log(half) if half >= _TINY else log(z) - _LOG_2) - _LOG_GAMMA_3_2 - lgs
+        if log_t0.real > _EXP_LIMIT:
+            raise RangeError("leading series term overflows")
+        if not real_t0:
+            t0 = cexp(log_t0)
+        else:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
+            t0 = exp(log_t0) if log_t0 <= _MATH_EXP_LIMIT else cexp(log_t0).real
+        w = half * half
+        k = bisect_left(limits, w)
+        if k < reach:
+            size = abs(t0)
+            if size <= cap or size * _horner(moduli, k, w) * _ROUNDING_ROOM <= _HUGE:
+                total = coeffs[k]  # _horner(coeffs, k, w), inline
+                for j in range(k - 1, -1, -1):
+                    total = total * w + coeffs[j]
+                value = t0 * total
+                return SeriesResult(complex(value), k + 1, _REL_TOL * size) if full else value
+        res = sum_terms(_w_terms(params, z), ctl)
+        return res if full else res.value
+
+    return evaluate
 
 
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
-    if params._real is None:
-        return sum_terms(_w_terms(params, _require_positive_z(z)), ctl)
-    return SeriesResult(*_w_real(params, float(z), ctl))
+    z = _require_positive_z(z)
+    half = z / 2.0
+    return _w_evaluator(params, half * half, ctl)(z, True)
 
 
 def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:

@@ -11,6 +11,7 @@ import random
 import time
 
 import oracle
+import pytest
 from struveint import (
     FoxWrightSpec,
     IntegralCase,
@@ -267,3 +268,20 @@ def test_criterion_10_degenerate_collapse():
         ok,
         f"closed-form agreement {err1:.2e} (fixed-arg) and {err2:.2e} (scaled-arg)",
     )
+
+
+@pytest.mark.xfail(strict=True, reason="the tail's decay rate is taken from lambda - mu alone")
+def test_theorem1_tail_decaying_through_struve_factor():
+    # A case inside the paper's conditions (Re mu < Re(lambda + P) + n)
+    # whose kernel alone grows at infinity, lambda - mu = -0.5, while
+    # the integrand decays through the Struve factor's x^-(p+1).  Today
+    # verify_case refuses it with "tail not certifiable"; the right side,
+    # from the 40-digit oracle, is 0.0396951.
+    case = IntegralCase("theorem1", a=1.0, lam=0.5, mu=1.0, b=1.0, c=1.0, p=(1.0,), y=(1.0,))
+    ref = oracle.prefactor_fixed_argument(1.0, 0.5, 1.0, 1.0, (1.0,), (1.0,)) * oracle.lauricella(
+        [(3.5, (2.0,)), (1.5, (2.0,))], [(2.5, (2.0,)), (4.5, (2.0,))],
+        [[(1.0, 1.0)]], [[(1.5, 1.0), (2.5, 1.0)]], [-0.25],
+    )
+    rep = verify_case(case)
+    assert rep.passed, rep.reason
+    assert abs(rep.lhs - ref) <= 1e-6 * abs(ref)

@@ -519,21 +519,33 @@ def bits(run):
 
 
 @st.composite
-def real_node_cases(draw):
-    """(case, x): real p, b, c, a from 1e-2 to 1e4, y up to 20, and x up
-    to 1e30 a, where theorem2's u_j rounds past y_j / 2."""
+def node_cases(draw):
+    """(case, x): a from 1e-2 to 1e4, y up to 20, and x up to 1e30 a,
+    where theorem2's u_j rounds past y_j / 2; p, b, c real, complex, or
+    real with Gamma(p_1 + (b+2)/2) < 0 (p_1 + (b+2)/2 in (-1, 0))."""
+    kind = draw(st.sampled_from(("real", "complex", "negative gamma")))
     n = draw(st.integers(1, 3))
+
+    def value(lo, hi):
+        x = draw(st.floats(lo, hi))
+        return complex(x, draw(st.floats(-1.0, 1.0))) if kind == "complex" else x
+
+    b = value(-1.5, 2.0)
+    p = [value(0.0, 2.0) for _ in range(n)]
+    if kind == "negative gamma":
+        p[0] = -(b + 2) / 2 - draw(st.floats(0.05, 0.95))
     try:
         case = IntegralCase(
             draw(st.sampled_from(("theorem1", "theorem2"))),
             a=draw(st.floats(-2.0, 4.0).map(lambda e: 10.0**e)),
             lam=2.0,
             mu=0.75,
-            b=draw(st.floats(-1.5, 2.0)),
-            c=draw(st.floats(-1.5, 2.0)),
-            p=tuple(draw(st.floats(0.0, 2.0)) for _ in range(n)),
+            b=b,
+            c=value(-1.5, 2.0),
+            p=tuple(p),
             y=tuple(draw(st.floats(0.05, 20.0)) for _ in range(n)),
         )
+        case.struve_params()
     except StruveintError:
         assume(False)
     x = case.a * 10.0 ** draw(st.floats(-10.0, 30.0))
@@ -541,13 +553,13 @@ def real_node_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(draw=real_node_cases())
+@given(draw=node_cases())
 def test_struve_product_table_matches_struve_w_full(draw):
-    # g sums each real factor over one coefficient table sized for the
-    # whole case; struve_w_full builds one for the node's own argument.
-    # Both cut Horner's rule at the same index, so g equals the product
-    # of public calls bit for bit (the traced benchmark relies on this),
-    # past the tables' reach too.
+    # g sums each factor over one coefficient table sized for the whole
+    # case; struve_w_full builds one for the node's own argument.  Both
+    # cut Horner's rule at the same index, so g equals the product of
+    # public calls bit for bit (the traced benchmark relies on this),
+    # past the tables' reach too, for every parameter class.
     case, x = draw
     params = case.struve_params()
 
@@ -559,6 +571,8 @@ def test_struve_product_table_matches_struve_w_full(draw):
 
     g = _struve_product(case, DEFAULT_CONTROL)
     assert bits(lambda: g(x)) == bits(public)
+    # Tables sized to x alone, as lhs_integrand builds them, agree too.
+    assert bits(lambda: _struve_product(case, DEFAULT_CONTROL, x)(x)) == bits(public)
 
 
 def test_struve_product_table_margin():
@@ -585,3 +599,23 @@ def test_struve_product_table_margin():
     else:
         raise AssertionError("no node rounds past the bound")
     assert bits(lambda: g(x)) == bits(lambda: struve_w_full(prm, u).value)
+
+
+def test_struve_product_range_check_matches_struve_w_full():
+    # p = -39.87 and b = -1 (a negative Gamma(p + 1/2)) put |t0| near
+    # 2e286 at u ~ 1.3e-6.  The case's table, sized to y / a ~ 145, bounds
+    # sum_k |a_k| w^k over all its 113 limits, far above the bound of the
+    # node's own 40-limit table, so that table-wide bound alone would send
+    # g to sum_terms where struve_w_full takes the table.  The bound at the
+    # node's own w decides for both, so the bits still agree.
+    case = IntegralCase(
+        "theorem1", a=0.07565150813326374, lam=400.0, mu=0.75, b=-1.0,
+        c=1.8525001631602915, p=(-39.867640462825136,), y=(10.977279163350412,),
+    )
+    (prm,) = case.struve_params()
+    x = 4094617.256210893
+    (u,) = struve_arguments(case, x)
+    g = _struve_product(case, DEFAULT_CONTROL)
+    res = struve_w_full(prm, u)
+    assert abs(res.value) > 1e286 and res.terms == 40
+    assert bits(lambda: g(x)) == bits(lambda: res.value)

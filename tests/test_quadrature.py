@@ -380,6 +380,11 @@ PANEL_CASES = [
     (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.0, 1e-4),
     (lambda x: math.exp(-1e-3 * x), 2.0, 1.3, 1.9, 30.0, 32.0),
     (lambda x: 1.0, 1.0, 0.03, 2.0, 0.0, 1e-250),
+    # Real weight exponents 2t - log 2 from 707.1 to 709.7, across
+    # log(DBL_MAX / 4) ~ 708.4, above which cmath.exp rounds unlike
+    # math.exp (at 7 of the first panel's nodes).
+    (lambda x: 1.0, 1.0, 1.0, -1.0, 354.6, 355.2),
+    (lambda x: 1.0, 1.0, 1.0, -1.0, 353.9, 354.7),
 ]
 
 

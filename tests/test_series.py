@@ -7,6 +7,7 @@ import threading
 from collections import deque
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -619,7 +620,8 @@ def test_struve_w_real_table_matches_oracle(draw):
     # is below 1e-16 t0 + u (8K + 4 |(p+1) log(z/2)| + 8 |log G(s)| + 8)
     # sum |t_k|.  z <= 30 keeps the oracle's 120 terms exact at 40 digits.
     params, z = draw
-    assume(params._real is not None and reaches(params, z))
+    # A real t0: Gamma(p + (b+2)/2) > 0.
+    assume(not params._log_gamma_shifted.imag and reaches(params, z))
     p, b, c = params.p.real, params.b.real, params.c.real
     res = struve_w_full(params, z)
     assert res.value.imag == 0.0
@@ -644,25 +646,65 @@ def assert_matches_sum_terms(params, z, ctl):
     ctl=st.sampled_from((SeriesControl(), SeriesControl(max_terms=5))),
 )
 def test_struve_w_fallback_matches_sum_terms(draw, ctl):
-    # Complex parameters, a negative gamma of the shifted order, and a
-    # real table that does not reach w all run the common rule itself.
+    # Past its table's reach, W with real or complex parameters is the
+    # common rule itself.
     params, z = draw
-    assume(params._real is None or not reaches(params, z, ctl))
+    assume(not reaches(params, z, ctl))
     assert_matches_sum_terms(params, z, ctl)
+
+
+def modulus_sum(params, z):
+    """sum_k |t_k| of W_{p,b,c}(z) over the terms _w_terms yields until
+    they fall below 1e-20 of the sum, and the terms' count."""
+    total = 0.0
+    for k, term in enumerate(itertools.islice(_w_terms(params, z), 1000)):
+        total += abs(term)
+        if k > 2 and abs(term) <= 1e-20 * total:
+            return total, k + 1
+    raise AssertionError("terms did not fall within 1000")
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=struve_draws(log10_z=(-3.0, math.log10(30.0))), real=st.booleans())
+def test_struve_w_complex_table_matches_sum_terms_and_oracle(draw, real):
+    # Complex p, b, c, or real ones with Gamma(p + (b+2)/2) < 0, summed
+    # over the table.  Against the common rule, which shares its t0, the
+    # two recurrences and Horner's rule each round a few times per term:
+    # K terms of complex arithmetic stay within 24 K u sum_k |t_k| (at
+    # K <= 10, 1e-15 of it was never exceeded; at K = 58 it was, by 5 %).
+    # Against the 40-digit oracle (z <= 30 keeps its 120 terms exact) t0
+    # adds its own error: log Gamma's, at most 2e-14 relative (test_gamma),
+    # a few roundings of (p+1) log(z/2), and the rounding of
+    # s = p + (b+2)/2, which Gamma turns into |digamma(s)| times its
+    # size: near a pole that is the largest term.
+    params, z = draw
+    assume(params._log_gamma_shifted.imag and reaches(params, z))
+    assume(not real or not (params.p.imag or params.b.imag or params.c.imag))
+    res = struve_w_full(params, z)
+    try:
+        common = sum_terms(_w_terms(params, z))
+    except RangeError:
+        assume(False)
+    scale, terms = modulus_sum(params, z)
+    assume(terms < 120)
+    assert res.tail_estimate == 1e-16 * abs(next(_w_terms(params, z)))
+    rounding = 24 * max(res.terms, common.terms) * U
+    assert abs(res.value - common.value) <= max(1e-15, rounding) * scale
+    lead = 2e-14 * abs(params._log_gamma_shifted) + 4 * U * abs((params.p + 1) * math.log(z / 2))
+    lead += 4 * U * (abs(params.p) + abs(params.b) + 2) * abs(mpmath.digamma(params.shifted_order))
+    assert abs(res.value - oracle.struve_w(params.p, params.b, params.c, z)) <= (rounding + lead) * scale
 
 
 def test_struve_w_real_fallback_crafted():
     # W_{1,1,1}'s table ends before a_k underflows, near z = 60: past it
-    # the common rule sums, on a shared params left as it was.
+    # the common rule sums.
     shared = StruveParams(1.0, 1.0, 1.0)
-    state = shared._real
     cases = [(shared, z, SeriesControl()) for z in (70.0, 90.0, 200.0)]
     # A budget below the certified index, and a c whose a_1 underflows.
     cases += [(shared, 2.0, SeriesControl(max_terms=5)), (StruveParams(1.0, 1.0, 5e-308), 2.0, SeriesControl())]
     for params, z, ctl in cases:
         assert not reaches(params, z, ctl)
         assert_matches_sum_terms(params, z, ctl)
-    assert shared._real is state
     # Within reach the table certifies fewer terms than the stopping rule.
     assert reaches(shared, 2.0, SeriesControl(max_terms=11))
     assert struve_w_full(shared, 2.0, SeriesControl(max_terms=11)).terms == 11
@@ -683,7 +725,9 @@ def test_struve_w_crafted_extremes():
         if level < 709.5:
             assert rel(struve_w(StruveParams(400.0, -801.8, 1e-3), z), oracle.struve_w(400, -801.8, 1e-3, z)) < 1e-12
     # A complex c that turns term 1 to phase 3 pi / 4 at modulus 2.5 e^709:
-    # both parts and the partial sum are finite, the modulus is not.
+    # both parts and the partial sum are finite, the modulus is not.  The
+    # value (modulus 1.3e308) is finite too, but |t0| sum_k |a_k| w^k is
+    # not, so the table leaves it to the common rule, which names it.
     z = 2.0 * math.exp((709.0 + log_scale) / 401.0)
     half = z / 2.0
     c = -2.5 * cmath.exp(0.75j * math.pi) * 1.5 * second / (half * half)
@@ -691,10 +735,14 @@ def test_struve_w_crafted_extremes():
         "RangeError",
         "series modulus overflows at term 1",
     )
-    # A negative non-integer shifted order: log Gamma carries i pi, the sign.
+    # A negative non-integer shifted order: log Gamma carries i pi, the
+    # sign, into a complex t0.
     params = StruveParams(-1.3, 0.0, 1.0)
-    assert params._real is None
-    assert assert_matches_sum_terms(params, 1.0, SeriesControl())[0].startswith("-")
+    assert params._log_gamma_shifted.imag
+    assert reaches(params, 1.0)
+    value = struve_w(params, 1.0)
+    assert value.real < 0
+    assert rel(value, oracle.struve_w(-1.3, 0.0, 1.0, 1.0)) < 1e-15
     # A real c that repeats a leading term near e^709.5: t0 (1 + 3/2)
     # leaves the double range, and the common rule names the sum.
     z = 2.0 * math.exp((709.5 + log_scale) / 401.0)
