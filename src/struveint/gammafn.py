@@ -21,7 +21,7 @@ _EXP_LIMIT = math.log(1.7976931348623157e308)
 # bits; above it cmath.exp takes exp(x - 1) e, which rounds differently.
 _MATH_EXP_LIMIT = math.log(1.7976931348623157e308 / 4.0)
 
-# Bound once: log_gamma_sum calls it once per row and degree.
+# Bound once: gamma_ratio_block's float sum calls it once per row and degree.
 _lgamma = math.lgamma
 
 
@@ -156,49 +156,68 @@ def log_gamma(z) -> complex:
     return _log_gamma_complex(z)
 
 
-def real_rows(upper, lower):
-    """A gamma-ratio block's rows in the float form ``log_gamma_sum``
-    takes, or None.
-
-    ``upper`` and ``lower`` yield (parameter, exponent, log Gamma(parameter),
-    offset) rows, log Gamma(parameter) as ``log_gamma`` gives it.  The
-    block qualifies when every parameter is real and positive with a
-    finite log Gamma; its rows are then (parameter, exponent, offset)
-    floats.  The rows are read in order and no further than the first that
-    does not qualify, so a caller that computes log Gamma(parameter)
-    lazily raises the gamma pole the per-degree sum would raise first.
-    """
-    out = ([], [])
-    for rows, real in zip((upper, lower), out):
-        for param, e, lg, offset in rows:
-            if param.imag != 0.0 or not param.real > 0.0 or not math.isfinite(lg.real):
-                return None
-            real.append((param.real, e, offset))
-    return out
-
-
-def log_gamma_sum(rows, degree: int) -> complex | None:
-    """sum over the upper rows of log Gamma(p + e K) - offset, minus the
-    same over the lower rows, at K = ``degree``, in floats and in row
-    order, for ``rows`` from ``real_rows``.
-
-    Each p + e K is at least the positive p, so off every pole, and there
-    ``log_gamma`` is complex(math.lgamma(p + e K), 0.0): the result,
-    complex(total, 0.0), has the bits of the same sum taken in
-    ``log_gamma`` values.  None where the total is not finite (an
-    ``lgamma`` overflow, or p + e K = inf, which ``log_gamma`` refuses),
-    for the caller to take the complex sum instead.
-    """
-    upper, lower = rows
-    total = 0.0
+def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -> complex:
+    """log Gamma(z), z = param + subscript; a gamma pole names the row."""
     try:
-        for param, e, offset in upper:
-            total += _lgamma(param + e * degree) - offset
-        for param, e, offset in lower:
-            total -= _lgamma(param + e * degree) - offset
-    except OverflowError:
-        return None
-    return complex(total, 0.0) if math.isfinite(total) else None
+        return log_gamma(z)
+    except GammaPoleError as exc:
+        raise GammaPoleError(
+            exc.location,
+            f"{label}: parameter {param} at subscript {subscript} "
+            f"hits the gamma pole at {exc.location}",
+        ) from exc
+
+
+def gamma_ratio_block(upper, lower, pochhammer: bool):
+    """``log_at(K)``: the log of the product of Gamma(p + e K) over the
+    ``upper`` rows divided by the same product over the ``lower`` rows,
+    each row a (complex parameter p, exponent e, label); with
+    ``pochhammer``, each row's log Gamma(p) is subtracted, which gives
+    the log of a ratio of Pochhammer symbols (p)_(e K).
+
+    log Gamma(p) is taken here once per row, in row order, so the first
+    gamma pole is raised with its row's label.  Where every p is real and
+    positive with a finite log Gamma, ``log_at`` sums ``math.lgamma``
+    floats in row order: each p + e K is then at least p, off every pole,
+    where ``log_gamma`` is complex(math.lgamma(p + e K), 0.0), so the sum
+    has the bits of the same sum taken in ``log_gamma`` values.  Any other
+    block, or a K whose float sum is not finite (an ``lgamma`` overflow,
+    or p + e K = inf, which ``log_gamma`` refuses), takes complex
+    ``log_gamma`` values, and a pole there names its row and subscript.
+    That path takes log Gamma(p + 0.0) at K = 0, not the log Gamma(p)
+    taken here: the sum turns a -0.0 imaginary part into +0.0, the other
+    side of log Gamma's cut.
+    """
+    rows, floats = ([], []), ([], [])
+    for side, float_side, block in zip(rows, floats, (upper, lower)):
+        for p, e, label in block:
+            lg0 = _log_gamma_named(p, p, 0.0, label)
+            offset = lg0 if pochhammer else 0j
+            side.append((p, e, label, offset))
+            if p.imag == 0.0 and p.real > 0.0 and math.isfinite(lg0.real):
+                float_side.append((p.real, e, offset.real))
+    real = all(len(f) == len(side) for f, side in zip(floats, rows))
+
+    def log_at(degree: int) -> complex:
+        if real:
+            total = 0.0
+            try:
+                for p, e, offset in floats[0]:
+                    total += _lgamma(p + e * degree) - offset
+                for p, e, offset in floats[1]:
+                    total -= _lgamma(p + e * degree) - offset
+            except OverflowError:
+                total = math.inf
+            if math.isfinite(total):
+                return complex(total, 0.0)
+        total = 0j
+        for p, e, label, offset in rows[0]:
+            total += _log_gamma_named(p + e * degree, p, e * degree, label) - offset
+        for p, e, label, offset in rows[1]:
+            total -= _log_gamma_named(p + e * degree, p, e * degree, label) - offset
+        return total
+
+    return log_at
 
 
 def gamma(z) -> complex:

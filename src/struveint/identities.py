@@ -34,6 +34,7 @@ from .series import (
     _w_evaluator,
     fox_wright,
     pfq,
+    struve_w,
 )
 
 THEOREM1 = "theorem1"
@@ -305,21 +306,18 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
     return tuple(x * yj / kern for yj in case.y)
 
 
-def _struve_product(case: IntegralCase, ctl: SeriesControl, at: float | None = None):
+def _struve_product(case: IntegralCase, ctl: SeriesControl):
     """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1,
     by the arithmetic of ``struve_arguments`` and ``struve_w`` with one
     kernel factor per x.  Each factor is summed by one ``series._w_evaluator``
     built here, whose table is sized to the factor's argument bound:
     u_j <= y_j / a for theorem1 (the kernel is at least a) and u_j < y_j / 2
-    for theorem2 (it exceeds 2x); or, given ``at``, to u_j(at) alone."""
+    for theorem2 (it exceeds 2x).  ``struve_w`` sizes its table to u_j
+    alone; tables are prefixes of the same sequence, so the bits agree."""
     a, scaled = case.a, case.variant == THEOREM2
-    if at is None:
-        bounds = [yj / 2.0 if scaled else yj / a for yj in case.y]
-    else:
-        bounds = struve_arguments(case, at)
     factors = []
-    for prm, yj, bound in zip(case.struve_params(), case.y, bounds):
-        half = bound / 2.0
+    for prm, yj in zip(case.struve_params(), case.y):
+        half = (yj / 2.0 if scaled else yj / a) / 2.0
         factors.append((_w_evaluator(prm, half * half * _TABLE_MARGIN, ctl), yj))
 
     def g(x: float) -> complex:
@@ -333,13 +331,21 @@ def _struve_product(case: IntegralCase, ctl: SeriesControl, at: float | None = N
 
 
 def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """Full integrand x^(mu-1) kernel^(-lambda) prod_j W_{p_j,b,c}(u_j(x))."""
+    """Full integrand x^(mu-1) kernel^(-lambda) prod_j W_{p_j,b,c}(u_j(x)),
+    the factors ``struve_w`` at ``struve_arguments``, multiplied in order
+    from 1.  RangeError where the weight or the product is not finite."""
     x = float(x)
     if not x > 0:
         raise DomainError("x must be positive")
     kern = kernel_factor(x, case.a)
-    weight = cmath.exp((case.mu - 1) * math.log(x) - case.lam * math.log(kern))
-    return weight * _struve_product(case, ctl, x)(x)
+    value = _exp_checked((case.mu - 1) * math.log(x) - case.lam * math.log(kern), "integrand weight")
+    prod = 1.0 + 0j
+    for prm, u in zip(case.struve_params(), struve_arguments(case, x)):
+        prod *= struve_w(prm, u, ctl)
+    value *= prod
+    if not cmath.isfinite(value):
+        raise RangeError(f"integrand non-finite at x = {x!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,11 @@
 The coefficient Omega(k_1, ..., k_n) is a ratio of Pochhammer symbols
 whose subscripts are positive linear forms in the multi-index; it is
 accumulated in log space so that linear-form subscripts like
-4(k_1+...+k_n) cannot overflow.  Each (p)_s is log Gamma(p + s) -
-log Gamma(p), with log Gamma(p) taken once per evaluation by
-``log_gamma`` and log Gamma(p + s) once per degree.  A block whose
-parameters are all real and positive with a finite log Gamma takes
-log Gamma(p + s) as a float ``math.lgamma`` (``gammafn.log_gamma_sum``),
-with the same bits; any other block, or a degree whose float sum is not
-finite, takes complex ``log_gamma`` values, and a gamma pole there names
-its parameter.  Every global exponent vector must be
+4(k_1+...+k_n) cannot overflow.  Each block of Pochhammer ratios is a
+``gammafn.gamma_ratio_block``: log Gamma(p) once per evaluation and
+log Gamma(p + s) once per degree, in floats where every parameter is
+real and positive, and a gamma pole names its parameter.  Every global
+exponent vector must be
 the same for every variable, as in each spec the identities build; a
 spec with mixed global exponents raises DomainError.  The global block
 then depends on the multi-index only through its total degree K, and
@@ -26,8 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, log_gamma, log_gamma_sum, real_rows
+from .errors import DivergenceError, DomainError, RangeError
+from .gammafn import _EXP_LIMIT, gamma_ratio_block
 from .series import (_RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, boundary_radius,
                      fsum_complex, sum_terms)
 
@@ -126,57 +123,10 @@ class LauricellaSpec:
         )
 
 
-def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -> complex:
-    """log Gamma(z), z = param + subscript; a gamma pole names the parameter.
-    At subscript 0, z is param itself: param + 0.0 turns a -0.0 imaginary
-    part into +0.0, the other side of log Gamma's cut."""
-    try:
-        return log_gamma(z)
-    except GammaPoleError as exc:
-        raise GammaPoleError(
-            exc.location,
-            f"{label}: parameter {param} at subscript {subscript} "
-            f"hits the gamma pole at {exc.location}",
-        ) from exc
-
-
-def _rows(block, label: str) -> list:
-    """A block's (parameter, exponent, log Gamma(parameter), label) rows;
+def _labelled(block, label: str) -> list:
+    """A block's (parameter, exponent, label) rows for ``gamma_ratio_block``;
     a global block's exponent vector gives its one exponent."""
-    rows = []
-    for j, (param, e) in enumerate(block):
-        name = f"{label}[{j}]"
-        rows.append((param, e if isinstance(e, float) else e[0], _log_gamma_named(param, param, 0.0, name), name))
-    return rows
-
-
-def _ratio_log(upper, lower, degree: int) -> complex:
-    """log of prod (upper)_(e K) / prod (lower)_(e K) at degree K, each
-    (p)_s = Gamma(p + s)/Gamma(p) with log Gamma(p) read from its row."""
-    total = 0j
-    for param, e, lg0, name in upper:
-        total += _log_gamma_named(param + e * degree, param, e * degree, name) - lg0
-    for param, e, lg0, name in lower:
-        total -= _log_gamma_named(param + e * degree, param, e * degree, name) - lg0
-    return total
-
-
-def _block(upper, lower):
-    """A gamma-ratio block's complex rows and, when it qualifies, its
-    float rows (``gammafn.real_rows``)."""
-    real = real_rows(((p, e, lg0, lg0.real) for p, e, lg0, _ in upper),
-                     ((p, e, lg0, lg0.real) for p, e, lg0, _ in lower))
-    return (upper, lower), real
-
-
-def _block_log(block, degree: int) -> complex:
-    """``_ratio_log`` of a block at degree K, in floats where it qualifies."""
-    rows, real = block
-    if real is not None:
-        lg = log_gamma_sum(real, degree)
-        if lg is not None:
-            return lg
-    return _ratio_log(*rows, degree)
+    return [(p, e if isinstance(e, float) else e[0], f"{label}[{j}]") for j, (p, e) in enumerate(block)]
 
 
 @dataclass(frozen=True)
@@ -207,12 +157,14 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     before the one exponentiation, so a G(K) or a factor outside the
     double range on its own cannot overflow a finite shell.
     """
-    # Each log Gamma(parameter) once, z_m = 0 variables' too, in the order
-    # degree 0 meets them, so the first gamma pole raised is the one a
-    # per-degree pass would raise.
-    per_var = [_block(_rows(up, f"per_var_upper[{m}]"), _rows(lo, f"per_var_lower[{m}]"))
+    # Each block's log Gamma(parameter) once, z_m = 0 variables' too, in
+    # the order degree 0 meets them, so the first gamma pole raised is the
+    # one a per-degree pass would raise.
+    per_var = [gamma_ratio_block(_labelled(up, f"per_var_upper[{m}]"), _labelled(lo, f"per_var_lower[{m}]"),
+                                 pochhammer=True)
                for m, (up, lo) in enumerate(zip(spec.per_var_upper, spec.per_var_lower))]
-    glob = _block(_rows(spec.global_upper, "global_upper"), _rows(spec.global_lower, "global_lower"))
+    glob = gamma_ratio_block(_labelled(spec.global_upper, "global_upper"),
+                             _labelled(spec.global_lower, "global_lower"), pochhammer=True)
     active = [(z, r, math.log(r), per_var[m]) for m, (z, r) in enumerate(zip(zs, moduli)) if z != 0]
     scale = [[] for _ in active]
     unit = [[] for _ in active]
@@ -223,11 +175,11 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     conv = [(scale[0], unit[0])] if active else []
     conv += [([], []) for _ in active[1:]]
     for degree in range(_MAX_DEGREE + 1):
-        for i, (z, r, log_r, block) in enumerate(active):
+        for i, (z, r, log_r, log_at) in enumerate(active):
             logmag, phase = power[i]
             if degree:
                 logmag, phase = power[i] = (logmag + log_r - math.log(degree), phase * (z / r))
-            lg = _block_log(block, degree)
+            lg = log_at(degree)
             scale[i].append(lg.real + logmag)
             unit[i].append(cmath.exp(complex(0.0, lg.imag)) * phase)
         for i in range(1, len(active)):
@@ -247,7 +199,7 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
         else:
             yield 0j  # every z_m = 0: only the degree-0 shell has terms
             continue
-        lg = _block_log(glob, degree)
+        lg = glob(degree)
         mag = lg.real + top
         if mag > _EXP_LIMIT:
             raise RangeError(f"shell of total degree {degree} overflows")

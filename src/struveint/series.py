@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, log_gamma, log_gamma_sum, nearest_pole, real_rows
+from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, gamma_ratio_block, log_gamma, nearest_pole
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
 _LOG_2 = math.log(2.0)
@@ -430,29 +430,21 @@ def _modulus(z: complex) -> float:
         raise RangeError("an argument's modulus exceeds the double range") from None
 
 
-def _fox_wright_terms(spec: FoxWrightSpec, z: complex):
-    """Terms prod G(a_j + A_j k) / prod G(b_j + B_j k) z^k / k!.
+def _fox_wright_block(spec: FoxWrightSpec):
+    """``gammafn.gamma_ratio_block`` of prod G(a_j + A_j k) / prod G(b_j + B_j k),
+    its rows named upper[j] and lower[j]."""
+    return gamma_ratio_block([(a, w, f"upper[{j}]") for j, (a, w) in enumerate(spec.upper)],
+                             [(b, w, f"lower[{j}]") for j, (b, w) in enumerate(spec.lower)], pochhammer=False)
 
-    The gamma ratio's log is ``gammafn.log_gamma_sum`` in floats (offsets
-    0.0) when every a_j and b_j is real and positive with a finite
-    log Gamma, and a sum of complex ``log_gamma`` values otherwise, or
-    where the float sum is not finite.
-    """
+
+def _fox_wright_terms(spec: FoxWrightSpec, z: complex):
+    """Terms prod G(a_j + A_j k) / prod G(b_j + B_j k) z^k / k!."""
     ln_r = math.log(abs(z))
     unit = z / abs(z)
     phase = 1.0 + 0j
-    # log Gamma(a + 0.0) is term 0's own first call, so a pole is raised
-    # as that term raises it.
-    real = real_rows(((a, w, log_gamma(a + 0.0), 0.0) for a, w in spec.upper),
-                     ((b, w, log_gamma(b + 0.0), 0.0) for b, w in spec.lower))
+    log_at = _fox_wright_block(spec)
     for k in itertools.count():
-        lg = None if real is None else log_gamma_sum(real, k)
-        if lg is None:
-            lg = 0j
-            for a, w in spec.upper:
-                lg += log_gamma(a + w * k)
-            for b, w in spec.lower:
-                lg -= log_gamma(b + w * k)
+        lg = log_at(k)
         mag = lg.real + k * ln_r - math.lgamma(k + 1)
         if mag > _EXP_LIMIT:
             raise RangeError(f"Fox-Wright term {k} overflows")
@@ -463,9 +455,9 @@ def _fox_wright_terms(spec: FoxWrightSpec, z: complex):
 def fox_wright_full(spec: FoxWrightSpec, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     z = complex(z)
     if z == 0:
-        lg = sum((log_gamma(a) for a, _ in spec.upper), 0j) - sum(
-            (log_gamma(b) for b, _ in spec.lower), 0j
-        )
+        lg = _fox_wright_block(spec)(0)
+        if lg.real > _EXP_LIMIT:
+            raise RangeError("Fox-Wright term 0 overflows")
         return SeriesResult(cmath.exp(lg), 1, 0.0)
     if spec.delta == 0 and _modulus(z) >= _RADIUS_MARGIN * spec.radius:
         raise DomainError(

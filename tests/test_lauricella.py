@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import sys
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -20,6 +21,7 @@ from struveint import (
     SeriesControl,
     StruveintError,
     fox_wright,
+    fox_wright_full,
     gammafn,
     lauricella,
     lauricella_eval,
@@ -177,7 +179,7 @@ def test_log_gamma_once_per_parameter_and_once_per_degree(monkeypatch):
         float_calls.append(x)
         return math.lgamma(x)
 
-    monkeypatch.setattr(lauricella, "log_gamma", counted)
+    monkeypatch.setattr(gammafn, "log_gamma", counted)
     monkeypatch.setattr(gammafn, "_lgamma", counted_lgamma)
     result = lauricella_eval_full(spec, (-1.0, -2.0))
     assert (len(calls), len(float_calls)) == (8, 8 * result.terms)
@@ -198,10 +200,23 @@ def test_log_gamma_once_per_parameter_and_once_per_degree(monkeypatch):
     float_calls.clear()
     result = lauricella_eval_full(spec, (-1.0, -2.0))
     assert (len(calls), len(float_calls)) == (8 + 8 * result.terms, 0)
+    # Fox-Wright terms take the same block with plain gamma rows: the
+    # 4 parameters once each, then per term 4 float lgamma values, or,
+    # with a complex parameter, 4 log_gamma values.
+    for a, (complex_per_term, float_per_term) in ((2.5, (0, 4)), (2.5 + 0.5j, (4, 0))):
+        spec = FoxWrightSpec(upper=((a, 1.0), (1.0, 2.0)), lower=((1.5, 1.0), (3.0, 2.0)))
+        calls.clear()
+        float_calls.clear()
+        terms = fox_wright_full(spec, -0.5).terms
+        assert (len(calls), len(float_calls)) == (4 + complex_per_term * terms, float_per_term * terms)
 
 
 def hex_pair(value):
     return (value.real.hex(), value.imag.hex())
+
+
+def ratio_rows(pairs, label):
+    return [(complex(p), e, f"{label}[{j}]") for j, (p, e) in enumerate(pairs)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,23 +226,23 @@ def hex_pair(value):
     degree=st.integers(0, 400),
 )
 def test_float_block_sum_is_bit_identical(upper, lower, degree):
-    # Real positive parameters take the float path; its sum has the bits
-    # of _ratio_log's sum of complex log_gamma values.
-    rows = (lauricella._rows([(complex(p), e) for p, e in upper], "upper"),
-            lauricella._rows([(complex(p), e) for p, e in lower], "lower"))
-    block = lauricella._block(*rows)
-    assert block[1] is not None
-    expected = lauricella._ratio_log(*rows, degree)
-    assert hex_pair(gammafn.log_gamma_sum(block[1], degree)) == hex_pair(expected)
-    # Offsets 0.0, as Fox-Wright terms take it: a plain sum of log_gamma.
-    real = gammafn.real_rows(((complex(p), e, log_gamma(p), 0.0) for p, e in upper),
-                             ((complex(p), e, log_gamma(p), 0.0) for p, e in lower))
-    plain = 0j
-    for p, e in upper:
-        plain += log_gamma(complex(p) + e * degree)
-    for p, e in lower:
-        plain -= log_gamma(complex(p) + e * degree)
-    assert hex_pair(gammafn.log_gamma_sum(real, degree)) == hex_pair(plain)
+    # Real positive parameters take the float path, which calls no
+    # log_gamma once the block is built; its sum has the bits of the same
+    # sum of complex log_gamma values, for Pochhammer rows (log Gamma(p)
+    # subtracted, as the Lauricella blocks take them) and plain gamma
+    # rows (as Fox-Wright terms take them).
+    for pochhammer in (True, False):
+        log_at = gammafn.gamma_ratio_block(ratio_rows(upper, "upper"), ratio_rows(lower, "lower"), pochhammer)
+        with mock.patch.object(gammafn, "log_gamma", side_effect=AssertionError("complex path taken")):
+            value = log_at(degree)
+        expected = 0j
+        for p, e in upper:
+            lg = log_gamma(complex(p) + e * degree)
+            expected += lg - log_gamma(p) if pochhammer else lg
+        for p, e in lower:
+            lg = log_gamma(complex(p) + e * degree)
+            expected -= lg - log_gamma(p) if pochhammer else lg
+        assert hex_pair(value) == hex_pair(expected)
 
 
 @pytest.mark.parametrize(
