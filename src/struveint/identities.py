@@ -19,12 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, StruveintError
 from .gammafn import _EXP_LIMIT, log_gamma
-from .lauricella import LauricellaSpec, lauricella_eval_full
-from .quadrature import DEFAULT_QUAD, QuadControl, integrate_kernel, kernel_factor
+from .lauricella import LauricellaResult, LauricellaSpec, lauricella_eval_full
+from .quadrature import DEFAULT_QUAD, QuadControl, QuadResult, integrate_kernel, kernel_factor
 from .series import (
     _LOG_GAMMA_3_2,
     DEFAULT_CONTROL,
@@ -348,33 +348,69 @@ def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CON
     return value
 
 
-@dataclass(frozen=True)
+def _relative_error(lhs: complex, rhs: complex) -> float:
+    if lhs == rhs:
+        return 0.0
+    if rhs == 0:
+        return math.inf
+    return abs(lhs - rhs) / abs(rhs)
+
+
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
-    case: IntegralCase
-    lhs: complex
-    rhs: complex
-    abs_err: float
-    rel_err: float
+    """One case's verdict, holding the results it was built from: the
+    left side's ``QuadResult``, the right side's ``LauricellaResult`` and
+    the prefactor (all None where evaluation failed first).  The sides,
+    their errors and the two diagnostic dicts are derived from them."""
+
+    case: IntegralCase | None
     passed: bool
     tolerance_used: float
     reason: str | None = None
-    lhs_diag: dict = field(default_factory=dict)
-    rhs_diag: dict = field(default_factory=dict)
+    quad: QuadResult | None = None
+    series: LauricellaResult | None = None
+    prefactor: complex | None = None
     wall_clock_s: float = 0.0
+
+    @property
+    def lhs(self) -> complex:
+        """The quadrature's value; nan on failure."""
+        return complex("nan") if self.quad is None else self.quad.value
+
+    @property
+    def rhs(self) -> complex:
+        """The prefactor times the Lauricella value; nan on failure."""
+        return complex("nan") if self.series is None else self.prefactor * self.series.value
+
+    @property
+    def abs_err(self) -> float:
+        """|lhs - rhs|; inf on failure."""
+        return math.inf if self.quad is None else abs(self.lhs - self.rhs)
+
+    @property
+    def rel_err(self) -> float:
+        """abs_err / |rhs|: 0 when lhs == rhs, inf when only rhs is 0 or on failure."""
+        return math.inf if self.quad is None else _relative_error(self.lhs, self.rhs)
+
+    @property
+    def lhs_diag(self) -> dict:
+        q = self.quad
+        return {} if q is None else {
+            "panels_used": q.panels_used, "cutoff_theta": q.cutoff_theta,
+            "error_estimate": q.error_estimate, "converged": q.converged, "evaluations": q.evaluations,
+        }
+
+    @property
+    def rhs_diag(self) -> dict:
+        s, pref = self.series, self.prefactor
+        return {} if s is None else {
+            "shells": s.shells, "terms": s.terms, "tail_estimate": s.tail_estimate,
+            "prefactor": (pref.real, pref.imag),
+        }
 
 
 def _failed_report(case, tol, reason, elapsed) -> VerificationReport:
-    return VerificationReport(
-        case=case,
-        lhs=complex("nan"),
-        rhs=complex("nan"),
-        abs_err=math.inf,
-        rel_err=math.inf,
-        passed=False,
-        tolerance_used=tol,
-        reason=reason,
-        wall_clock_s=elapsed,
-    )
+    return VerificationReport(case, False, tol, reason, wall_clock_s=elapsed)
 
 
 def verify_case(
@@ -404,47 +440,17 @@ def verify_case(
             pref = prefactor_theorem2(case)
             spec, z = rhs_spec_theorem2(case)
         series = lauricella_eval_full(spec, z, sctl)
-        rhs = pref * series.value
         quad = integrate_kernel(g, case.a, case.mu, case.lam, qctl)
-        lhs = quad.value
     except StruveintError as exc:
         return _failed_report(case, tol, str(exc), time.perf_counter() - start)
 
-    abs_err = abs(lhs - rhs)
-    if lhs == rhs:
-        rel_err = 0.0
-    elif rhs == 0:
-        rel_err = math.inf
-    else:
-        rel_err = abs_err / abs(rhs)
-    passed = rel_err <= tol
-    reason = None
+    rel_err = _relative_error(quad.value, pref * series.value)
     if not quad.converged:
-        passed = False
         reason = "quadrature tolerance not met"
-    elif not passed:
+    elif not rel_err <= tol:
         reason = f"relative error {rel_err:.3e} exceeds tolerance {tol:.1e}"
+    else:
+        reason = None
     return VerificationReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
-        tolerance_used=tol,
-        reason=reason,
-        lhs_diag={
-            "panels_used": quad.panels_used,
-            "cutoff_theta": quad.cutoff_theta,
-            "error_estimate": quad.error_estimate,
-            "converged": quad.converged,
-            "evaluations": quad.evaluations,
-        },
-        rhs_diag={
-            "shells": series.shells,
-            "terms": series.terms,
-            "tail_estimate": series.tail_estimate,
-            "prefactor": (pref.real, pref.imag),
-        },
-        wall_clock_s=time.perf_counter() - start,
+        case, reason is None, tol, reason, quad, series, pref, time.perf_counter() - start
     )

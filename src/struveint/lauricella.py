@@ -129,7 +129,7 @@ def _labelled(block, label: str) -> list:
     return [(p, e if isinstance(e, float) else e[0], f"{label}[{j}]") for j, (p, e) in enumerate(block)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LauricellaResult:
     """The series value; ``shells``, the last total degree summed;
     ``terms``, the degrees summed (``shells + 1``, what

@@ -8,7 +8,7 @@ the kernel becomes a e^t and the integral turns into
     a^(mu-lambda) * int_0^inf (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t) g(x(t)) dt,
 
 an exponentially-decaying tail plus an algebraic endpoint factor
-t^(2 Re(mu) - 2) near t = 0.  Panels use the 15-point Gauss-Kronrod
+t^(2 Re(mu) - 1) near t = 0.  Panels use the 15-point Gauss-Kronrod
 rule, whose embedded 7-point Gauss rule gives the error estimate
 |K15 - G7| at no extra integrand evaluations.  Nodes and weights are
 the published table of QUADPACK's QK15 (R. Piessens, E. de
@@ -23,6 +23,11 @@ Gauss term.  The eight pilot panels that size the tail become the first
 panels of the layout.  Every panel, the leftmost included, is judged by
 |K15 - G7| alone, as in QUADPACK's adaptive rules, and the tail is cut
 where an exponential envelope bounds the remainder.
+
+For 0 < Re(mu) < 1/2 the endpoint factor is unbounded, and every
+leftmost panel [0, h] is taken in v in [0, 1] with t = h v^m, m =
+1/(2 Re(mu)), whose Jacobian m h v^(m-1) cancels it (P. J. Davis and
+P. Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
 
 Refinement runs in rounds over one list of panels kept in theta order.
 Each round takes the exactly rounded panel sum (``series.fsum_complex``)
@@ -66,10 +71,14 @@ _QK15_GAUSS = (
 _GAUSS_POINTS = 7
 # Both rules over all of [-1, 1] in ascending node order; the embedded
 # Gauss rule's nodes are the odd-indexed Kronrod nodes.  _panel runs on
-# _RULE, their (node, Kronrod weight, Gauss weight or 0.0) triples.
+# _RULE, their (node x, Kronrod weight, Gauss weight or 0.0, log v)
+# tuples, v = (1 + x)/2 the node mapped onto [0, 1] for a graded panel.
 _KRONROD = tuple((-x, w) for x, w in _QK15[:-1]) + _QK15[::-1]
 _GAUSS_WEIGHTS = _QK15_GAUSS[:-1] + _QK15_GAUSS[::-1]
-_RULE = tuple((x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0) for i, (x, w) in enumerate(_KRONROD))
+_RULE = tuple(
+    (x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0, math.log(0.5 + 0.5 * x))
+    for i, (x, w) in enumerate(_KRONROD)
+)
 
 # Tail truncation, driven by the decay rate Re(lambda_eff) - Re(mu) of the
 # substituted integrand: the tail bound must be a _TAIL_SAFETY-th of the
@@ -101,7 +110,7 @@ class QuadControl:
 DEFAULT_QUAD = QuadControl()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadResult:
     value: complex
     error_estimate: float
@@ -126,8 +135,8 @@ def _cosh_m1(t: float) -> float:
 
 
 # Below this, cosh t - 1 = 2 sinh(t/2)^2 nears or reaches underflow (at
-# t ~ 1e-154, where head bisection for small Re(mu) goes), so its log
-# comes from sinh(t/2) instead.
+# t ~ 1e-154), so its log comes from sinh(t/2) instead, or, in a graded
+# panel, from log t.
 _TINY_COSH_M1 = 1e-300
 _LOG_2 = math.log(2.0)
 
@@ -152,11 +161,20 @@ class _Integrand:
         return complex(self.g(self.a * _cosh_m1(t)))
 
 
-def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, complex, float]:
+def _panel(intg: _Integrand, lo: float, hi: float, grade: float = 0.0) -> tuple[float, float, complex, float]:
     """(lo, hi, 15-point Kronrod value, |K15 - G7|) of one panel; a node
-    whose kernel weight underflows to 0 adds nothing and calls no g."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+    whose kernel weight underflows to 0 adds nothing and calls no g.
+
+    A grade m > 1 takes a leftmost panel (lo = 0) in v in [0, 1] at the
+    nodes t = hi v^m, log t = log hi + m log v (t may underflow, its log
+    does not), each exponent plus the log Jacobian log(m hi) + (m-1) log v."""
+    graded = grade and lo == 0.0
+    if graded:
+        half = 0.5
+        log_hi, log_jac, grade_m1 = math.log(hi), math.log(grade * hi), grade - 1.0
+    else:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
     g, a = intg.g, intg.a
     mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
     lam_re, lam_im = intg.lam.real, intg.lam.imag
@@ -164,16 +182,30 @@ def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, comple
     isfinite = cmath.isfinite
     kronrod = gauss = 0j
     calls = 0
-    for xi, wk, wg in _RULE:
-        t = mid + half * xi
+    for xi, wk, wg, log_v in _RULE:
+        if graded:
+            log_t = log_hi + grade * log_v
+            t = exp(log_t)
+        else:
+            t = mid + half * xi
         s = sinh(0.5 * t)  # w = _cosh_m1(t), inline
         w = 2.0 * s * s
-        log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
+        if w >= _TINY_COSH_M1:
+            log_w = log(w)
+        elif graded:
+            # sinh(t/2) rounds to t/2 this far down.  x = a w is near or
+            # past underflow, and g, defined for x > 0, takes x = 1e-300 a.
+            log_w = 2.0 * log_t - _LOG_2
+            w = _TINY_COSH_M1
+        else:
+            log_w = _log_tiny_cosh_m1(t)
         if t < 1e-3:
-            log_sinh = log(t) + log1p(t * t / 6.0)
+            log_sinh = (log_t if graded else log(t)) + log1p(t * t / 6.0)
         else:
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
         re = mu_re * log_w + log_sinh - lam_re * t
+        if graded:
+            re += log_jac + grade_m1 * log_v
         im = mu_im * log_w - lam_im * t
         if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
@@ -218,6 +250,10 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     raises DomainError when the endpoint is detected as non-integrable or
     the tail has no certifiable decay.
 
+    For 0 < Re(mu) < 1/2 the leftmost panels are graded (see the module
+    docstring) and the tail cutoff moves with the tolerance.  A complex
+    mu gains little: t^(2i Im(mu)) still oscillates in log t.
+
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
     unconverged (``g = cos(3x)``, a = 1, mu = 0.9, lambda_eff = 2 ends
@@ -231,6 +267,8 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     lam = complex(lambda_eff)
     intg = _Integrand(g, a, mu, lam)
     scale = cmath.exp((mu - lam) * math.log(a))
+    # Grade the leftmost panels where t^(2 Re(mu) - 1) is unbounded at 0.
+    grade = 0.5 / mu.real if 0.0 < mu.real < 0.5 else 0.0
 
     pilot = []
     rate = lam.real - mu.real
@@ -249,7 +287,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         # the cutoff start the layout below.
         theta_pilot = 3.0 + 20.0 / max(rate, 0.25)
         step = theta_pilot / 8.0
-        pilot = [_panel(intg, i * step, (i + 1) * step) for i in range(8)]
+        pilot = [_panel(intg, i * step, (i + 1) * step, grade) for i in range(8)]
         pilot_value = sum(rec[2] for rec in pilot)
         tail_target = ctl.rel_tol * abs(pilot_value) / _TAIL_SAFETY
 
@@ -262,6 +300,17 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             if tail_bound <= tail_target or theta_max >= _THETA_CAP:
                 break
             theta_max = min(_THETA_CAP, 1.3 * theta_max)
+        # With a graded head the remainder beyond the cutoff is most of
+        # the error, and the x1.3 grid would fix it over a range of
+        # tolerances.  Cut where the bound is a _TAIL_SAFETY-th of the tail
+        # target instead, if |g| re-sampled there certifies it (ungraded
+        # cases keep the grid's cutoff).
+        if grade and 0.0 < tail_bound <= tail_target and theta_max < _THETA_CAP:
+            theta = theta_max + math.log(_TAIL_SAFETY * tail_bound / tail_target) / rate
+            if theta_max / 1.3 < theta < _THETA_CAP:
+                bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+                if bound <= tail_target:
+                    theta_max, tail_bound = theta, bound
 
     # Initial panel layout: the reused pilot panels, else a short leftmost
     # panel when the endpoint factor is singular; panels of length <= 2
@@ -277,7 +326,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     pieces = math.ceil((theta_max - start) / 2.0)
     width = (theta_max - start) / max(pieces, 1)
     cuts.extend(start + width * (i + 1) for i in range(pieces))
-    panels.extend(_panel(intg, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    panels.extend(_panel(intg, lo, hi, grade) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
@@ -311,7 +360,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
                     )
             mid_point = 0.5 * (lo + hi)
             refined += panels[kept_from:i]
-            refined += (_panel(intg, lo, mid_point), _panel(intg, mid_point, hi))
+            refined += (_panel(intg, lo, mid_point, grade), _panel(intg, mid_point, hi))
             kept_from = i + 1
         panels = refined + panels[kept_from:]
 

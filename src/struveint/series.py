@@ -183,6 +183,16 @@ def _log_half(z: float) -> float:
     return math.log(half) if half >= _TINY else math.log(z) - _LOG_2
 
 
+def _gamma_shifted(params: StruveParams) -> tuple[float, float | complex]:
+    """Gamma(s), s = p + (b+2)/2, as (sign, log): for real s, the sign and
+    log |Gamma(s)|, as exp of log_gamma's i pi would leave an imaginary
+    residue; otherwise (1.0, log Gamma(s))."""
+    lgs = params._log_gamma_shifted
+    if params.shifted_order.imag or not lgs.imag:
+        return 1.0, lgs
+    return (-1.0 if math.cos(lgs.imag) < 0 else 1.0), lgs.real
+
+
 def _w_terms(params: StruveParams, z: float):
     """Terms (-c)^k (z/2)^(2k+p+1) / (G(k+3/2) G(k+p+(b+2)/2)) of W_{p,b,c}(z).
 
@@ -190,12 +200,13 @@ def _w_terms(params: StruveParams, z: float):
     through sum_terms.
     """
     half = z / 2.0
-    log_t0 = (params.p + 1) * _log_half(z) - _LOG_GAMMA_3_2 - params._log_gamma_shifted
+    sign, lgs = _gamma_shifted(params)
+    log_t0 = (params.p + 1) * _log_half(z) - _LOG_GAMMA_3_2 - lgs
     if log_t0.real > _EXP_LIMIT:
         raise RangeError("leading series term overflows")
     ratio_base = -params.c * half * half
     second = params.shifted_order
-    term = cmath.exp(log_t0)
+    term = sign * cmath.exp(log_t0)
     isfinite = cmath.isfinite
     for k in itertools.count():
         yield term
@@ -270,15 +281,18 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
 
     That is t_0 times Horner's rule over the first K coefficients, K the
     first whose limit reaches w = (z/2)^2, with the tail bound 1e-16 |t_0|;
-    t_0 is a float where p and log G(s) are real, else complex.  Tables are
-    prefixes of the same sequences, so every one that reaches w gives the
-    same bits.  Past the table's reach, or where |t_0| sum_k |a_k| w^k (a
-    bound on every term and partial sum) nears the double range, the
-    result is sum_terms(_w_terms(params, z), ctl).
+    t_0 is a float where p and s are real (a negative G(s) negates the
+    coefficients instead), else complex.  Tables are prefixes of the same
+    sequences, so every one that reaches w gives the same bits.  Past the
+    table's reach, or where |t_0| sum_k |a_k| w^k (a bound on every term
+    and partial sum) nears the double range, the result is
+    sum_terms(_w_terms(params, z), ctl).
     """
     coeffs, limits, moduli = _w_table(params, w_max, ctl)
     reach = len(limits)
-    p, lgs = params.p, params._log_gamma_shifted
+    p, (sign, lgs) = params.p, _gamma_shifted(params)
+    if sign < 0:  # Horner's rule over -a_k gives -(sum_k a_k w^k) bit for bit
+        coeffs = [-c for c in coeffs]
     p1 = (p if p.imag else p.real) + 1
     lgs = lgs if lgs.imag else lgs.real
     real_t0 = isinstance(p1, float) and isinstance(lgs, float)

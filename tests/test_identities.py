@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -429,6 +430,78 @@ def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
     assert rep.rel_err == math.inf
     assert not rep.passed
     assert "exceeds tolerance" in rep.reason
+
+
+def test_verify_small_mu_case_in_few_calls():
+    # The graded head brings theorem1 at mu = 0.1 to tolerance in 455
+    # calls of g; plain head bisection took 6,000.
+    case = make_case(mu=0.1)
+    rep = verify_case(case)
+    assert rep.passed, rep.reason
+    assert rep.lhs_diag["evaluations"] <= 600
+    assert rep.rel_err <= 1e-12
+
+
+def test_verify_tiny_mu_graded_head_keeps_x_positive():
+    # At mu = 0.005 the graded head's outer nodes have x = a (cosh t - 1)
+    # below the double range.  theorem2's Struve argument x y / kernel
+    # would underflow to 0 there, outside W's domain; g is sampled at
+    # x = 1e-300 a instead.  theorem1 overflowed or failed as divergent
+    # before the head was graded.
+    for variant, y in (("theorem2", 0.3), ("theorem1", 1.0)):
+        rep = verify_case(make_case(variant=variant, mu=0.005, y=(y,)))
+        assert rep.passed, (variant, rep.reason)
+        assert rep.rel_err <= 1e-10, variant
+
+
+def test_report_diagnostics_are_pinned():
+    # The report derives abs_err, rel_err and both diagnostic dicts from
+    # the results it holds; these are the values it stored before.
+    rep = verify_case(make_case())
+    assert rep.passed and rep.reason is None
+    expected = (
+        {
+            "panels_used": 27,
+            "cutoff_theta": 11.424400000000004,
+            "error_estimate": 2.335700420178984e-13,
+            "converged": True,
+            "evaluations": 820,
+        },
+        {
+            "shells": 10,
+            "terms": 11,
+            "tail_estimate": 2.3003709479220665e-17,
+            "prefactor": (0.028946378411222447, 0.0),
+        },
+        1.0824674490095276e-14,
+        3.874948247680122e-13,
+    )
+    assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
+    # Failed on the tolerance: the same results, and the verdict.
+    rep = verify_case(make_case(), tol=1e-13)
+    assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
+    assert not rep.passed
+    assert rep.reason == "relative error 3.875e-13 exceeds tolerance 1.0e-13"
+    # Failed while evaluating: no results to report.
+    rep = verify_case(make_case(y=(1e6,)))
+    assert not rep.passed
+    assert rep.reason == "shell of total degree 35 overflows"
+    assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == ({}, {}, math.inf, math.inf)
+    assert math.isnan(rep.lhs.real) and math.isnan(rep.rhs.real)
+
+
+def test_report_survives_pickling():
+    # verify --jobs returns its workers' reports through pickle.
+    for rep in (verify_case(make_case()), verify_case(make_case(y=(1e6,)))):
+        back = pickle.loads(pickle.dumps(rep))
+        assert type(back) is type(rep)
+        assert repr((back.lhs, back.rhs)) == repr((rep.lhs, rep.rhs))
+        assert (back.case, back.passed, back.reason, back.tolerance_used, back.wall_clock_s) == (
+            rep.case, rep.passed, rep.reason, rep.tolerance_used, rep.wall_clock_s)
+        assert (back.quad, back.series, back.prefactor) == (rep.quad, rep.series, rep.prefactor)
+        assert (back.lhs_diag, back.rhs_diag, back.abs_err, back.rel_err) == (
+            rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err)
+    assert not hasattr(rep, "__dict__")
 
 
 def _oracle_rhs(case, max_degree=60):

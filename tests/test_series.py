@@ -115,6 +115,24 @@ def test_struve_w_near_gamma_pole_within_reported_error():
     assert abs(res.value - ref) <= res.tail_estimate + 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("p, b, c, real_hex", [
+    (-1.75, 1.0, 1.0, "-0x1.3974d93ce028ep-1"),
+    (-1.3, 0.0, 1.0, "-0x1.e666ac3ed34a1p-2"),
+    (-3.0, 2.00001, 0.0, "-0x1.7a9ed3d711bcbp-16"),
+])
+def test_real_struve_w_with_negative_gamma_is_real(p, b, c, real_hex):
+    # Gamma(p + (b+2)/2) < 0 is carried as a sign, not as exp(i pi): the
+    # imaginary part is 0 and the real part keeps its bits (cos(pi)
+    # rounds to -1 exactly), in the table and in the term stream alike.
+    params = StruveParams(p, b, c)
+    value = struve_w(params, 1.0)
+    assert value.imag == 0.0
+    assert value.real.hex() == real_hex
+    terms = sum_terms(_w_terms(params, 1.0)).value
+    assert terms.imag == 0.0
+    assert rel(terms, oracle.struve_w(p, b, c, 1.0)) < 1e-10
+
+
 def test_struve_w_requires_positive_z():
     with pytest.raises(DomainError):
         struve_w(StruveParams(1.0, 1.0, 1.0), 0.0)
@@ -757,8 +775,8 @@ def test_struve_w_crafted_extremes():
         "RangeError",
         "series modulus overflows at term 1",
     )
-    # A negative non-integer shifted order: log Gamma carries i pi, the
-    # sign, into a complex t0.
+    # A negative non-integer shifted order: log Gamma carries i pi, and
+    # t0 takes the sign as a real factor.
     params = StruveParams(-1.3, 0.0, 1.0)
     assert params._log_gamma_shifted.imag
     assert reaches(params, 1.0)
