@@ -306,25 +306,36 @@ def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:
     return tuple(x * yj / kern for yj in case.y)
 
 
+def _w_at_zero(prm: StruveParams) -> float:
+    """W_{p,b,c}(u) as u -> 0+, the factor at an argument u_j that
+    underflowed to 0 from a valid x: 0 where Re(p) > -1, as the leading
+    term's (u/2)^(p+1) vanishes; RangeError otherwise."""
+    if prm.p.real > -1.0:
+        return 0.0
+    raise RangeError(f"Struve argument underflows to 0 where Re(p) = {prm.p.real:.6g} <= -1")
+
+
 def _struve_product(case: IntegralCase, ctl: SeriesControl):
     """g(x) = prod_j W_{p_j,b,c}(u_j(x)), multiplied in factor order from 1,
     by the arithmetic of ``struve_arguments`` and ``struve_w`` with one
-    kernel factor per x.  Each factor is summed by one ``series._w_evaluator``
-    built here, whose table is sized to the factor's argument bound:
-    u_j <= y_j / a for theorem1 (the kernel is at least a) and u_j < y_j / 2
-    for theorem2 (it exceeds 2x).  ``struve_w`` sizes its table to u_j
-    alone; tables are prefixes of the same sequence, so the bits agree."""
+    kernel factor per x (``_w_at_zero`` where u_j underflows to 0).  Each
+    factor is summed by one ``series._w_evaluator`` built here, whose table
+    is sized to the factor's argument bound: u_j <= y_j / a for theorem1
+    (the kernel is at least a) and u_j < y_j / 2 for theorem2 (it exceeds
+    2x).  ``struve_w`` sizes its table to u_j alone; tables are prefixes
+    of the same sequence, so the bits agree."""
     a, scaled = case.a, case.variant == THEOREM2
     factors = []
     for prm, yj in zip(case.struve_params(), case.y):
         half = (yj / 2.0 if scaled else yj / a) / 2.0
-        factors.append((_w_evaluator(prm, half * half * _TABLE_MARGIN, ctl), yj))
+        factors.append((_w_evaluator(prm, half * half * _TABLE_MARGIN, ctl), yj, prm))
 
     def g(x: float) -> complex:
         kern = kernel_factor(x, a)
         prod = 1.0 + 0j
-        for evaluate, yj in factors:
-            prod *= evaluate((x * yj if scaled else yj) / kern)
+        for evaluate, yj, prm in factors:
+            u = (x * yj if scaled else yj) / kern
+            prod *= evaluate(u) if u else _w_at_zero(prm)
         return prod
 
     return g
@@ -332,8 +343,9 @@ def _struve_product(case: IntegralCase, ctl: SeriesControl):
 
 def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Full integrand x^(mu-1) kernel^(-lambda) prod_j W_{p_j,b,c}(u_j(x)),
-    the factors ``struve_w`` at ``struve_arguments``, multiplied in order
-    from 1.  RangeError where the weight or the product is not finite."""
+    the factors ``struve_w`` at ``struve_arguments`` (``_w_at_zero`` where
+    an argument underflows to 0), multiplied in order from 1.  RangeError
+    where the weight or the product is not finite."""
     x = float(x)
     if not x > 0:
         raise DomainError("x must be positive")
@@ -341,7 +353,7 @@ def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CON
     value = _exp_checked((case.mu - 1) * math.log(x) - case.lam * math.log(kern), "integrand weight")
     prod = 1.0 + 0j
     for prm, u in zip(case.struve_params(), struve_arguments(case, x)):
-        prod *= struve_w(prm, u, ctl)
+        prod *= struve_w(prm, u, ctl) if u else _w_at_zero(prm)
     value *= prod
     if not cmath.isfinite(value):
         raise RangeError(f"integrand non-finite at x = {x!r}")

@@ -24,10 +24,14 @@ panels of the layout.  Every panel, the leftmost included, is judged by
 |K15 - G7| alone, as in QUADPACK's adaptive rules, and the tail is cut
 where an exponential envelope bounds the remainder.
 
-For 0 < Re(mu) < 1/2 the endpoint factor is unbounded, and every
-leftmost panel [0, h] is taken in v in [0, 1] with t = h v^m, m =
-1/(2 Re(mu)), whose Jacobian m h v^(m-1) cancels it (P. J. Davis and
-P. Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
+The endpoint factor is unbounded for 0 < Re(mu) < 1/2 and not smooth
+wherever 2 Re(mu) is not an integer.  There every leftmost panel [0, h]
+is taken in v in [0, 1] with t = h v^m, m = ceil(4 Re(mu))/(2 Re(mu)):
+t^(2 Re(mu) - 1) dt becomes m h^(2 Re(mu)) v^(ceil(4 Re(mu)) - 1) dv,
+an integer power of v, and m >= 2 keeps the analytic rest twice
+differentiable at v = 0 (P. J. Davis and P. Rabinowitz, Methods of
+Numerical Integration, 2nd ed., 1984).  For Re(mu) <= 1/4 this is
+m = 1/(2 Re(mu)); for integer 2 Re(mu) no grade is needed.
 
 Refinement runs in rounds over one list of panels kept in theta order.
 Each round takes the exactly rounded panel sum (``series.fsum_complex``)
@@ -250,9 +254,12 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     raises DomainError when the endpoint is detected as non-integrable or
     the tail has no certifiable decay.
 
-    For 0 < Re(mu) < 1/2 the leftmost panels are graded (see the module
-    docstring) and the tail cutoff moves with the tolerance.  A complex
-    mu gains little: t^(2i Im(mu)) still oscillates in log t.
+    Unless 2 Re(mu) is an integer, the leftmost panels are graded by
+    m = ceil(4 Re(mu))/(2 Re(mu)) (see the module docstring) and the
+    tail cutoff moves with the tolerance.  At small Re(mu) a complex mu
+    gains little: t^(2i Im(mu)) still oscillates in log t.  The grade
+    follows x^(mu-1) alone; a g that also vanishes at 0 is graded more
+    than it needs.
 
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
@@ -267,8 +274,11 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     lam = complex(lambda_eff)
     intg = _Integrand(g, a, mu, lam)
     scale = cmath.exp((mu - lam) * math.log(a))
-    # Grade the leftmost panels where t^(2 Re(mu) - 1) is unbounded at 0.
-    grade = 0.5 / mu.real if 0.0 < mu.real < 0.5 else 0.0
+    # Grade the leftmost panels where t^(2 Re(mu) - 1) is not a polynomial
+    # (a finite 2 Re(mu) that is not an integer is below 2^52).
+    two_mu = 2.0 * mu.real
+    graded = 0.0 < two_mu < math.inf and not two_mu.is_integer()
+    grade = math.ceil(2.0 * two_mu) / two_mu if graded else 0.0
 
     pilot = []
     rate = lam.real - mu.real

@@ -15,6 +15,7 @@ import pytest
 from struveint import (
     FoxWrightSpec,
     IntegralCase,
+    StruveintError,
     StruveParams,
     fox_wright,
     gamma,
@@ -285,3 +286,48 @@ def test_theorem1_tail_decaying_through_struve_factor():
     rep = verify_case(case)
     assert rep.passed, rep.reason
     assert abs(rep.lhs - ref) <= 1e-6 * abs(ref)
+
+
+# Indices of the paper-domain sweep's draws that verify_case fails today:
+# 61 "tail not certifiable", 23 "quadrature tolerance not met", one
+# relative error of 2.461e-04 and one overflowing substituted integrand.
+# Together they take ~10 s, so they are not run.
+SWEEP_FAILURES = frozenset((
+    1, 2, 7, 8, 12, 13, 16, 17, 23, 32, 33, 37, 39, 40, 42, 44, 50, 54, 58, 60, 61, 67, 82,
+    83, 85, 88, 94, 99, 101, 103, 104, 105, 111, 115, 119, 120, 121, 125, 130, 138, 141, 142,
+    146, 147, 150, 151, 153, 162, 165, 169, 175, 176, 178, 183, 186, 189, 191, 194, 197, 204,
+    205, 206, 207, 210, 213, 220, 222, 230, 231, 237, 241, 243, 244, 247, 250, 252, 259, 260,
+    261, 264, 267, 270, 280, 281, 283, 289,
+))
+
+
+def paper_domain_sweep():
+    """The first 300 seeded draws over the paper's stated domain that
+    pass IntegralCase's checks of its conditions (ROADMAP's sweep)."""
+    rng = random.Random(7)
+    cases = []
+    while len(cases) < 300:
+        variant = rng.choice(["theorem1", "theorem2"])
+        n = rng.choice([1, 1, 2])
+        p = tuple(rng.uniform(-0.9, 3) for _ in range(n))
+        y = tuple(rng.uniform(0.1, 8) for _ in range(n))
+        a = math.exp(rng.uniform(math.log(0.1), math.log(10)))
+        mu = rng.uniform(-1.5, 3)
+        lam = rng.uniform(-1, 4)
+        b, c = rng.choice([(1, 1), (-1, 1), (1, -1), (2, 0.5), (3, 2)])
+        try:
+            cases.append(IntegralCase(variant, a=a, lam=lam, mu=mu, b=b, c=c, p=p, y=y))
+        except StruveintError:
+            pass
+    return cases
+
+
+def test_paper_domain_sweep_keeps_its_passing_cases():
+    cases = paper_domain_sweep()
+    failed = [
+        (i, rep.reason)
+        for i, case in enumerate(cases)
+        if i not in SWEEP_FAILURES and not (rep := verify_case(case)).passed
+    ]
+    assert len(cases) - len(SWEEP_FAILURES) == 214
+    assert not failed, failed

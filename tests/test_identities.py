@@ -336,6 +336,25 @@ def test_integrand_out_of_range_is_range_error(case, x, message):
     assert str(excinfo.value) == message
 
 
+def test_integrand_at_underflowed_struve_argument():
+    # theorem2's u = x y / kernel underflows to 0 from the valid x = 5e-324;
+    # the factor takes its limit there, 0 for Re(p) > -1.
+    case = IntegralCase("theorem2", a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,), y=(0.3,))
+    g = _struve_product(case, DEFAULT_CONTROL)
+    assert struve_arguments(case, 5e-324) == (0.0,)
+    assert lhs_integrand(case, 5e-324) == 0 and g(5e-324) == 0
+    # A subnormal u > 0 is still summed, with the bits of struve_w_full.
+    (u,) = struve_arguments(case, 2e-323)
+    assert 0 < u < 1e-322
+    assert bits(lambda: g(2e-323)) == bits(lambda: struve_w_full(case.struve_params()[0], u).value)
+    # For Re(p) <= -1 the factor has no finite limit at 0.
+    for p in (-1.5, -1.0 + 0.5j):
+        case = IntegralCase("theorem2", a=1.0, lam=4.0, mu=2.75, b=2.0, c=1.0, p=(p,), y=(0.3,))
+        for f in (lambda x: lhs_integrand(case, x), _struve_product(case, DEFAULT_CONTROL)):
+            with pytest.raises(RangeError, match="Struve argument underflows to 0"):
+                f(5e-324)
+
+
 # --- verify_case -----------------------------------------------------------------
 
 def test_verify_central_case():
@@ -456,16 +475,17 @@ def test_verify_tiny_mu_graded_head_keeps_x_positive():
 
 def test_report_diagnostics_are_pinned():
     # The report derives abs_err, rel_err and both diagnostic dicts from
-    # the results it holds; these are the values it stored before.
+    # the results it holds; these are the anchor's values (mu = 3/4, its
+    # head graded by t = h v^2).
     rep = verify_case(make_case())
     assert rep.passed and rep.reason is None
     expected = (
         {
-            "panels_used": 27,
+            "panels_used": 10,
             "cutoff_theta": 11.424400000000004,
-            "error_estimate": 2.335700420178984e-13,
+            "error_estimate": 2.576475149557365e-13,
             "converged": True,
-            "evaluations": 820,
+            "evaluations": 310,
         },
         {
             "shells": 10,
@@ -473,15 +493,15 @@ def test_report_diagnostics_are_pinned():
             "tail_estimate": 2.3003709479220665e-17,
             "prefactor": (0.028946378411222447, 0.0),
         },
-        1.0824674490095276e-14,
-        3.874948247680122e-13,
+        3.469446951953614e-18,
+        1.2419705922051672e-16,
     )
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
     # Failed on the tolerance: the same results, and the verdict.
-    rep = verify_case(make_case(), tol=1e-13)
+    rep = verify_case(make_case(), tol=1e-16)
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
     assert not rep.passed
-    assert rep.reason == "relative error 3.875e-13 exceeds tolerance 1.0e-13"
+    assert rep.reason == "relative error 1.242e-16 exceeds tolerance 1.0e-16"
     # Failed while evaluating: no results to report.
     rep = verify_case(make_case(y=(1e6,)))
     assert not rep.passed
