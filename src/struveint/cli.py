@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .errors import (
@@ -34,8 +34,9 @@ from .identities import (
     verify_case,
 )
 from .lauricella import LauricellaSpec, lauricella_eval_full
-from .quadrature import QuadControl, oberhettinger_closed_form
+from .quadrature import DEFAULT_QUAD, QuadControl, oberhettinger_closed_form
 from .series import (
+    DEFAULT_CONTROL,
     FoxWrightSpec,
     SeriesControl,
     StruveParams,
@@ -397,6 +398,14 @@ def _verify_split(todo: list, workers: int, qctl, sctl, tol) -> list:
     return reports
 
 
+def _utc_timestamp() -> str:
+    """The time now as ``datetime.now(timezone.utc).isoformat()`` writes
+    it, whole microseconds taken by flooring, without importing datetime."""
+    seconds, ns = divmod(time.time_ns(), 1_000_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{ns // 1000:06d}+00:00" if ns >= 1000 else f"{stamp}+00:00"
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -430,7 +439,7 @@ def cmd_verify(args) -> int:
     passed = sum(1 for _, rep in results if rep.passed)
     report = {
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(),
         "cases": entries,
         "summary": {"total": len(entries), "passed": passed, "failed": len(entries) - passed},
     }
@@ -543,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the options it reads.
     max_terms = argparse.ArgumentParser(add_help=False)
     max_terms.add_argument(
-        "--max-terms", type=_positive_int, default=SeriesControl.max_terms, help="series term budget"
+        "--max-terms", type=_positive_int, default=DEFAULT_CONTROL.max_terms, help="series term budget"
     )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None, help="write output to this path instead of stdout")
@@ -569,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=DEFAULT_TOLERANCE, help="verification relative tolerance"
     )
     p_verify.add_argument(
-        "--quad-tol", type=float, default=QuadControl.rel_tol, help="quadrature relative tolerance"
+        "--quad-tol", type=float, default=DEFAULT_QUAD.rel_tol, help="quadrature relative tolerance"
     )
     p_verify.add_argument(
         "--jobs", type=_positive_int, default=1,

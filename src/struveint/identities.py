@@ -19,12 +19,12 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, StruveintError
 from .gammafn import _EXP_LIMIT, log_gamma
 from .lauricella import LauricellaResult, LauricellaSpec, lauricella_eval_full
 from .quadrature import DEFAULT_QUAD, QuadControl, QuadResult, integrate_kernel, kernel_factor
+from .record import Record, _set
 from .series import (
     _LOG_GAMMA_3_2,
     DEFAULT_CONTROL,
@@ -55,8 +55,7 @@ def _checked_tolerance(tol) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class IntegralCase:
+class IntegralCase(Record):
     """One instance of either integral identity.
 
     ``p`` and ``y`` are the per-factor Struve orders and scale points;
@@ -65,35 +64,29 @@ class IntegralCase:
     with the violated inequality named in the error.
     """
 
-    variant: str
-    a: float
-    lam: complex
-    mu: complex
-    b: complex
-    c: complex
-    p: tuple
-    y: tuple
-    n: int = 0
+    __slots__ = ("variant", "a", "lam", "mu", "b", "c", "p", "y", "n")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        p = tuple(complex(v) for v in self.p)
-        y = tuple(float(v) for v in self.y)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "y", y)
-        n = self.n or len(p)
-        object.__setattr__(self, "n", n)
+    def __init__(self, variant: str, a: float, lam: complex, mu: complex, b: complex, c: complex,
+                 p: tuple, y: tuple, n: int = 0):
+        if variant not in VARIANTS:
+            raise DomainError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        _set(self, "variant", variant)
+        p = tuple(complex(v) for v in p)
+        y = tuple(float(v) for v in y)
+        _set(self, "p", p)
+        _set(self, "y", y)
+        n = n or len(p)
+        _set(self, "n", n)
         if n < 1 or len(p) != n or len(y) != n:
             raise DomainError(f"p and y must both have length n = {n}")
-        a = float(self.a)
-        object.__setattr__(self, "a", a)
+        a = float(a)
+        _set(self, "a", a)
         if not (a > 0 and math.isfinite(a)):
             raise DomainError("condition violated: a > 0")
         if any(not (v > 0 and math.isfinite(v)) for v in y):
             raise DomainError("condition violated: y_j > 0")
-        for name in ("lam", "mu", "b", "c"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        for name, v in (("lam", lam), ("mu", mu), ("b", b), ("c", c)):
+            _set(self, name, complex(v))
         ps = self.p_sum
         if self.variant == THEOREM1:
             if not self.mu.real > 0:
@@ -368,21 +361,19 @@ def _relative_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(Record):
     """One case's verdict, holding the results it was built from: the
     left side's ``QuadResult``, the right side's ``LauricellaResult`` and
     the prefactor (all None where evaluation failed first).  The sides,
     their errors and the two diagnostic dicts are derived from them."""
 
-    case: IntegralCase | None
-    passed: bool
-    tolerance_used: float
-    reason: str | None = None
-    quad: QuadResult | None = None
-    series: LauricellaResult | None = None
-    prefactor: complex | None = None
-    wall_clock_s: float = 0.0
+    __slots__ = ("case", "passed", "tolerance_used", "reason", "quad", "series", "prefactor", "wall_clock_s")
+
+    def __init__(self, case: IntegralCase | None, passed: bool, tolerance_used: float,
+                 reason: str | None = None, quad: QuadResult | None = None,
+                 series: LauricellaResult | None = None, prefactor: complex | None = None,
+                 wall_clock_s: float = 0.0):
+        self._init(case, passed, tolerance_used, reason, quad, series, prefactor, wall_clock_s)
 
     @property
     def lhs(self) -> complex:

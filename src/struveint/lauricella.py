@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 from .errors import DivergenceError, DomainError, RangeError
 from .gammafn import _EXP_LIMIT, gamma_ratio_block
+from .record import Record, _set
 from .series import (_RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, boundary_radius,
                      fsum_complex, sum_terms)
 
@@ -70,8 +70,7 @@ def _norm_per_var(blocks, n: int, label: str):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LauricellaSpec:
+class LauricellaSpec(Record):
     """Full parameter structure of the generalized Lauricella series.
 
     ``global_upper``/``global_lower`` hold (parameter, exponent-vector)
@@ -83,19 +82,17 @@ class LauricellaSpec:
     are 1).
     """
 
-    global_upper: tuple
-    global_lower: tuple
-    per_var_upper: tuple
-    per_var_lower: tuple
-    n: int
+    __slots__ = ("global_upper", "global_lower", "per_var_upper", "per_var_lower", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, global_upper: tuple, global_lower: tuple, per_var_upper: tuple,
+                 per_var_lower: tuple, n: int):
+        if n < 1:
             raise DomainError("n must be a positive integer")
-        object.__setattr__(self, "global_upper", _norm_global(self.global_upper, self.n, "global_upper"))
-        object.__setattr__(self, "global_lower", _norm_global(self.global_lower, self.n, "global_lower"))
-        object.__setattr__(self, "per_var_upper", _norm_per_var(self.per_var_upper, self.n, "per_var_upper"))
-        object.__setattr__(self, "per_var_lower", _norm_per_var(self.per_var_lower, self.n, "per_var_lower"))
+        _set(self, "global_upper", _norm_global(global_upper, n, "global_upper"))
+        _set(self, "global_lower", _norm_global(global_lower, n, "global_lower"))
+        _set(self, "per_var_upper", _norm_per_var(per_var_upper, n, "per_var_upper"))
+        _set(self, "per_var_lower", _norm_per_var(per_var_lower, n, "per_var_lower"))
+        _set(self, "n", n)
         for m, margin in enumerate(self.convergence_margins()):
             if margin < 0:
                 raise DivergenceError(
@@ -129,17 +126,16 @@ def _labelled(block, label: str) -> list:
     return [(p, e if isinstance(e, float) else e[0], f"{label}[{j}]") for j, (p, e) in enumerate(block)]
 
 
-@dataclass(frozen=True, slots=True)
-class LauricellaResult:
+class LauricellaResult(Record):
     """The series value; ``shells``, the last total degree summed;
     ``terms``, the degrees summed (``shells + 1``, what
     ``SeriesControl.max_terms`` counts); and the tail estimate of
     ``sum_terms``."""
 
-    value: complex
-    shells: int
-    terms: int
-    tail_estimate: float
+    __slots__ = ("value", "shells", "terms", "tail_estimate")
+
+    def __init__(self, value: complex, shells: int, terms: int, tail_estimate: float):
+        self._init(value, shells, terms, tail_estimate)
 
 
 def _degree_sums(spec: LauricellaSpec, zs, moduli):
@@ -224,7 +220,7 @@ def lauricella_eval_full(
     # Whole-shell sums are the terms of the common stopping rule, under
     # one budget: ctl.max_terms shells, at most total degree _MAX_DEGREE.
     sums = _degree_sums(spec, zs, moduli)
-    res = sum_terms(sums, replace(ctl, max_terms=min(ctl.max_terms, _MAX_DEGREE + 1)))
+    res = sum_terms(sums, SeriesControl(min(ctl.max_terms, _MAX_DEGREE + 1)))
     return LauricellaResult(res.value, res.terms - 1, res.terms, res.tail_estimate)
 
 

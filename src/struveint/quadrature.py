@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, log_gamma
+from .record import Record, _set
 from .series import fsum_complex
 
 
@@ -99,30 +99,30 @@ _MIN_RATE = 1e-6
 _MAX_PANELS = 2000
 
 
-@dataclass(frozen=True)
-class QuadControl:
+class QuadControl(Record):
     """Relative tolerance of ``integrate_kernel``: a result is converged
     when its error estimate is at most rel_tol * |value|."""
 
-    rel_tol: float = 1e-11
+    __slots__ = ("rel_tol",)
 
-    def __post_init__(self):
-        if not 0 < self.rel_tol < math.inf:
+    def __init__(self, rel_tol: float = 1e-11):
+        if isinstance(rel_tol, bool):
+            raise DomainError(f"quadrature tolerance must be a number, got {rel_tol!r}")
+        if not 0 < rel_tol < math.inf:
             raise DomainError("quadrature tolerance must be positive and finite")
+        _set(self, "rel_tol", rel_tol)
 
 
 DEFAULT_QUAD = QuadControl()
 
 
-@dataclass(frozen=True, slots=True)
-class QuadResult:
-    value: complex
-    error_estimate: float
-    panels_used: int
-    cutoff_theta: float
-    converged: bool
-    # Calls of g, counting the pilot panels and the tail probes.
-    evaluations: int
+class QuadResult(Record):
+    # evaluations: calls of g, counting the pilot panels and the tail probes.
+    __slots__ = ("value", "error_estimate", "panels_used", "cutoff_theta", "converged", "evaluations")
+
+    def __init__(self, value: complex, error_estimate: float, panels_used: int, cutoff_theta: float,
+                 converged: bool, evaluations: int):
+        self._init(value, error_estimate, panels_used, cutoff_theta, converged, evaluations)
 
 
 def kernel_factor(x: float, a: float) -> float:

@@ -23,10 +23,10 @@ import itertools
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
 from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, gamma_ratio_block, log_gamma, nearest_pole
+from .record import Record, _set
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
 _LOG_2 = math.log(2.0)
@@ -47,8 +47,7 @@ _HUGE = sys.float_info.max
 _ROUNDING_ROOM = 1.0 + 2.0**-30
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class SeriesControl(Record):
     """Term budget shared by every infinite series in the library.
 
     The sum stops once three successive terms satisfy
@@ -58,21 +57,24 @@ class SeriesControl:
     to that rule.
     """
 
-    max_terms: int = 10_000
+    __slots__ = ("max_terms",)
 
-    def __post_init__(self):
-        if self.max_terms < 1:
+    def __init__(self, max_terms: int = 10_000):
+        if isinstance(max_terms, bool) or not isinstance(max_terms, int):
+            raise DomainError(f"max_terms must be an int, got {max_terms!r}")
+        if max_terms < 1:
             raise DomainError("max_terms must be >= 1")
+        _set(self, "max_terms", max_terms)
 
 
 DEFAULT_CONTROL = SeriesControl()
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: complex
-    terms: int
-    tail_estimate: float
+class SeriesResult(Record):
+    __slots__ = ("value", "terms", "tail_estimate")
+
+    def __init__(self, value: complex, terms: int, tail_estimate: float):
+        self._init(value, terms, tail_estimate)
 
 
 def _fsum(values) -> float:
@@ -135,23 +137,19 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
     )
 
 
-@dataclass(frozen=True)
-class StruveParams:
+class StruveParams(Record):
     """Order and shape parameters (p, b, c) of the generalized Struve
     series; nothing in it changes once built, so threads may share one."""
 
-    p: complex
-    b: complex
-    c: complex
-    # log Gamma(p + (b+2)/2), the leading term's constant.
-    _log_gamma_shifted: complex = field(init=False, repr=False, compare=False)
+    # _log_gamma_shifted: log Gamma(p + (b+2)/2), the leading term's constant.
+    __slots__ = ("p", "b", "c", "_log_gamma_shifted")
 
-    def __post_init__(self):
-        for name in ("p", "b", "c"):
-            v = complex(getattr(self, name))
+    def __init__(self, p: complex, b: complex, c: complex):
+        for name, v in (("p", p), ("b", b), ("c", c)):
+            v = complex(v)
             if not cmath.isfinite(v):
                 raise DomainError(f"StruveParams.{name} must be finite")
-            object.__setattr__(self, name, v)
+            _set(self, name, v)
         # Every term's second gamma argument is p + (b+2)/2 + k; a pole
         # there (k = 0 is the worst case) poisons the whole series.
         shifted = self.shifted_order
@@ -162,7 +160,7 @@ class StruveParams:
                 f"p + (b+2)/2 = {exc.location} is a non-positive integer; "
                 "the generalized Struve series is undefined"
             ) from None
-        object.__setattr__(self, "_log_gamma_shifted", lgs)
+        _set(self, "_log_gamma_shifted", lgs)
 
     @property
     def shifted_order(self) -> complex:
@@ -367,24 +365,18 @@ def struve_w_derivative(params: StruveParams, z, order: int, ctl: SeriesControl 
     return struve_w_derivative_full(params, z, order, ctl).value
 
 
-@dataclass(frozen=True)
-class FoxWrightSpec:
+class FoxWrightSpec(Record):
     """Parameter/weight pairs (alpha_j, A_j), (beta_j, B_j) of a pPsiq series.
 
     All weights must be positive and the convergence margin
     Delta = 1 + sum(B) - sum(A) must be non-negative.
     """
 
-    upper: tuple = field(default=())
-    lower: tuple = field(default=())
+    __slots__ = ("upper", "lower")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "upper", tuple((complex(a), float(w)) for a, w in self.upper)
-        )
-        object.__setattr__(
-            self, "lower", tuple((complex(b), float(w)) for b, w in self.lower)
-        )
+    def __init__(self, upper: tuple = (), lower: tuple = ()):
+        _set(self, "upper", tuple((complex(a), float(w)) for a, w in upper))
+        _set(self, "lower", tuple((complex(b), float(w)) for b, w in lower))
         for _, w in self.upper + self.lower:
             if not w > 0:
                 raise DomainError("Fox-Wright weights must be positive reals")

@@ -485,6 +485,23 @@ def test_verify_deterministic_numeric_fields(tmp_path, capsys):
         assert c1["rel_err"] == c2["rel_err"]
 
 
+def test_report_timestamp_is_utc_isoformat(tmp_path, capsys, monkeypatch):
+    from datetime import datetime, timedelta, timezone
+
+    # The report's timestamp as datetime.now(timezone.utc).isoformat()
+    # writes it: floored microseconds, omitted when they are zero.
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    for ns in (0, 999, 1_700_000_000_123_456_789, 1_700_000_000_000_000_999, 4_102_444_800_000_001_000):
+        monkeypatch.setattr(cli.time, "time_ns", lambda ns=ns: ns)
+        assert cli._utc_timestamp() == (epoch + timedelta(microseconds=ns // 1000)).isoformat()
+    monkeypatch.undo()
+    path = write_cases(tmp_path, [GOOD_CASE])
+    before = datetime.now(timezone.utc)
+    assert run(capsys, "verify", str(path), "--output", str(tmp_path / "r.json"))[0] == 0
+    stamp = datetime.fromisoformat(json.loads((tmp_path / "r.json").read_text())["timestamp"])
+    assert before <= stamp <= datetime.now(timezone.utc)
+
+
 def numeric_report(path):
     report = json.loads(path.read_text())
     del report["timestamp"]
@@ -685,8 +702,9 @@ def test_verify_non_finite_control_exit_2(tmp_path, capsys):
 def test_verify_defaults_are_the_library_defaults():
     args = cli.build_parser().parse_args(["verify", "cases.json"])
     assert args.tol == identities.DEFAULT_TOLERANCE
-    assert args.quad_tol == QuadControl.rel_tol
-    assert args.max_terms == SeriesControl.max_terms
+    # The records are slotted, so a field's default is read off a default-built one.
+    assert args.quad_tol == QuadControl().rel_tol
+    assert args.max_terms == SeriesControl().max_terms
 
 
 SPEC = {

@@ -91,9 +91,13 @@ def test_non_finite_inputs_rejected():
 def test_import_does_not_load_scipy_special(tmp_path):
     # Nothing in the library or the CLI imports scipy or numpy (log_gamma
     # is stdlib-only), and verify --jobs 2 forks its worker with no
-    # process pool, so multiprocessing is never loaded either.
+    # process pool, so multiprocessing is never loaded either.  The value
+    # records are plain slotted classes and the report's timestamp is
+    # formatted by the time module, so no path loads dataclasses (which
+    # brings inspect, ast and dis) or datetime.
     src = os.path.dirname(os.path.dirname(struveint.__file__))
-    heavy = {"numpy", "scipy", "concurrent.futures.process", "multiprocessing"}
+    heavy = {"numpy", "scipy", "concurrent.futures.process", "multiprocessing",
+             "dataclasses", "inspect", "datetime"}
     case = {"variant": "theorem1", "a": 1.0, "lambda": "2", "mu": "0.75",
             "b": "1", "c": "1", "p": ["1"], "y": [1.0]}
     cases = tmp_path / "cases.json"

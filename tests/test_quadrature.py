@@ -228,6 +228,10 @@ def test_control_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             QuadControl(rel_tol=bad)
+    # True used to run at rel_tol 1.0.
+    for bad in (True, False):
+        with pytest.raises(DomainError, match="quadrature tolerance must be a number"):
+            QuadControl(rel_tol=bad)
     with pytest.raises(DomainError):
         integrate_kernel(lambda x: 1.0, 0.0, 1.0, 2.0)
 

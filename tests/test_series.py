@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -94,6 +95,10 @@ def test_struve_params_equality_and_repr_ignore_cached_log_gamma():
     assert hash(params) == hash(StruveParams(1, 1 + 0j, 1.0))
     assert params != StruveParams(1.0, 1.0, -1.0)
     assert repr(params) == "StruveParams(p=(1+0j), b=(1+0j), c=(1+0j))"
+    # A pickled copy rebuilds the cached log Gamma with the same bits.
+    back = pickle.loads(pickle.dumps(params))
+    assert back == params and repr(back) == repr(params)
+    assert repr(back._log_gamma_shifted) == repr(params._log_gamma_shifted)
 
 
 def test_struve_params_pole_rejected():
@@ -383,6 +388,14 @@ def test_pfq_divergence_rules():
 def test_series_control_validation():
     with pytest.raises(DomainError):
         SeriesControl(max_terms=0)
+
+
+def test_series_control_rejects_a_budget_that_is_not_an_int():
+    # A float budget used to build, then fail every series with a bare
+    # TypeError from islice; True used to build a budget of one term.
+    for bad in (1.5, 10.0, math.inf, True, False, "10"):
+        with pytest.raises(DomainError, match="max_terms must be an int"):
+            SeriesControl(max_terms=bad)
 
 
 def test_non_convergence_reported():
