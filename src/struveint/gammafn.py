@@ -220,9 +220,13 @@ def gamma_ratio_block(upper, lower, pochhammer: bool):
     return log_at
 
 
+def exp_checked(log_value: complex, what: str) -> complex:
+    """exp(log_value); RangeError naming ``what`` where it overflows."""
+    if log_value.real > _EXP_LIMIT:
+        raise RangeError(f"{what} overflows double precision")
+    return cmath.exp(log_value)
+
+
 def gamma(z) -> complex:
     """Gamma(z) = exp(log_gamma(z)); overflow raises RangeError."""
-    lg = log_gamma(z)
-    if lg.real > _EXP_LIMIT:
-        raise RangeError(f"gamma({z!r}) overflows double precision")
-    return cmath.exp(lg)
+    return exp_checked(log_gamma(z), f"gamma({z!r})")

@@ -21,7 +21,7 @@ import math
 import time
 
 from .errors import DomainError, RangeError, StruveintError
-from .gammafn import _EXP_LIMIT, log_gamma
+from .gammafn import exp_checked, log_gamma
 from .lauricella import LauricellaResult, LauricellaSpec, lauricella_eval_full
 from .quadrature import DEFAULT_QUAD, QuadControl, QuadResult, integrate_kernel, kernel_factor
 from .record import Record, _set
@@ -48,7 +48,10 @@ _TABLE_MARGIN = 1.0 + 1e-9
 
 
 def _checked_tolerance(tol) -> float:
-    """The verification tolerance as a float; DomainError unless 0 < tol < inf."""
+    """The verification tolerance as a float; DomainError for a bool or
+    unless 0 < tol < inf."""
+    if isinstance(tol, bool):
+        raise DomainError(f"verification tolerance must be a number, got {tol!r}")
     tol = float(tol)
     if not 0 < tol < math.inf:
         raise DomainError(f"verification tolerance must be positive and finite, got {tol!r}")
@@ -75,6 +78,8 @@ class IntegralCase(Record):
         y = tuple(float(v) for v in y)
         _set(self, "p", p)
         _set(self, "y", y)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DomainError(f"n must be an int, got {n!r}")
         n = n or len(p)
         _set(self, "n", n)
         if n < 1 or len(p) != n or len(y) != n:
@@ -115,12 +120,6 @@ def _common_factor_logs(case: IntegralCase) -> complex:
     return total
 
 
-def _exp_checked(log_val: complex, what: str) -> complex:
-    if log_val.real > _EXP_LIMIT:
-        raise RangeError(f"{what} overflows double precision")
-    return cmath.exp(log_val)
-
-
 def prefactor_theorem1(case: IntegralCase) -> complex:
     """Coefficient multiplying the fixed-argument identity's series:
 
@@ -141,7 +140,7 @@ def prefactor_theorem1(case: IntegralCase) -> complex:
         - log_gamma(1 + s + case.mu)
         + _common_factor_logs(case)
     )
-    return s * _exp_checked(log_val, "prefactor")
+    return s * exp_checked(log_val, "prefactor")
 
 
 def prefactor_theorem2(case: IntegralCase) -> complex:
@@ -163,7 +162,7 @@ def prefactor_theorem2(case: IntegralCase) -> complex:
         - log_gamma(1 + case.lam + case.mu + 2 * case.p_sum + 2 * case.n)
         + _common_factor_logs(case)
     )
-    return s * _exp_checked(log_val, "prefactor")
+    return s * exp_checked(log_val, "prefactor")
 
 
 def _per_variable_blocks(case: IntegralCase):
@@ -228,7 +227,7 @@ def _corollary1_value(case: IntegralCase, lower_gamma: complex, z: complex,
         - log_gamma(2 + case.lam + p + case.mu)
         - log_gamma(lower_gamma)
     )
-    pref = (1 + case.lam + p) * _exp_checked(log_pref, "prefactor")
+    pref = (1 + case.lam + p) * exp_checked(log_pref, "prefactor")
     upper = (1.5 + half, 0.5 + half - case.mu / 2, 1 + half - case.mu / 2, 1.0)
     lower = (0.5 + half, 1 + half + case.mu / 2, 1.5 + half + case.mu / 2, lower_gamma, 1.5)
     return pref * pfq(upper, lower, z, ctl)
@@ -245,7 +244,7 @@ def _corollary2_value(case: IntegralCase, second_lower: complex, z: complex,
         + (p + 1) * math.log(y)
         + log_gamma(case.lam - case.mu)
     )
-    pref = _exp_checked(log_pref, "prefactor")
+    pref = exp_checked(log_pref, "prefactor")
     spec = FoxWrightSpec(
         upper=((1.0, 1.0), (case.lam + p + 2, 2.0), (2 * case.mu + 2 * p + 2, 4.0)),
         lower=(
@@ -343,7 +342,7 @@ def lhs_integrand(case: IntegralCase, x: float, ctl: SeriesControl = DEFAULT_CON
     if not x > 0:
         raise DomainError("x must be positive")
     kern = kernel_factor(x, case.a)
-    value = _exp_checked((case.mu - 1) * math.log(x) - case.lam * math.log(kern), "integrand weight")
+    value = exp_checked((case.mu - 1) * math.log(x) - case.lam * math.log(kern), "integrand weight")
     prod = 1.0 + 0j
     for prm, u in zip(case.struve_params(), struve_arguments(case, x)):
         prod *= struve_w(prm, u, ctl) if u else _w_at_zero(prm)

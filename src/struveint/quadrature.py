@@ -19,10 +19,9 @@ A panel takes its 15 nodes in one loop: each node's kernel weight, its
 exponent formed as real and imaginary floats (math.exp where it is real
 and cmath.exp rounds alike), then, unless the weight underflowed to 0,
 one call of g, the node's Kronrod term and, at the 7 Gauss nodes, its
-Gauss term.  The eight pilot panels that size the tail become the first
-panels of the layout.  Every panel, the leftmost included, is judged by
-|K15 - G7| alone, as in QUADPACK's adaptive rules, and the tail is cut
-where an exponential envelope bounds the remainder.
+Gauss term.  Every panel, the leftmost included, is judged by |K15 - G7|
+alone, as in QUADPACK's adaptive rules, and the tail is cut where an
+exponential envelope bounds the remainder.
 
 The endpoint factor is unbounded for 0 < Re(mu) < 1/2 and not smooth
 wherever 2 Re(mu) is not an integer.  There every leftmost panel [0, h]
@@ -33,12 +32,15 @@ differentiable at v = 0 (P. J. Davis and P. Rabinowitz, Methods of
 Numerical Integration, 2nd ed., 1984).  For Re(mu) <= 1/4 this is
 m = 1/(2 Re(mu)); for integer 2 Re(mu) no grade is needed.
 
-Refinement runs in rounds over one list of panels kept in theta order.
-Each round takes the exactly rounded panel sum (``series.fsum_complex``)
-and the error sum once and stops when the errors plus the tail bound
-meet the target; otherwise it bisects the fewest worst panels whose
-errors cover the excess, worst first and no more than the panel cap
-leaves room for.  The last round's sums are the result.
+Refinement runs in rounds over one list of panels kept in theta order,
+from 8 equal panels on [0, 4].  Each round takes the exactly rounded
+panel sum (``series.fsum_complex``) once.  While the tail bound exceeds
+a _TAIL_SAFETY-th of the target, the round moves the cutoff out to where
+the envelope, at its present coefficient, falls to that share, and the
+new stretch is one panel: the tail is one more error term.  Otherwise the round stops when the errors
+plus the tail bound meet the target, or it bisects the fewest worst
+panels whose errors cover the excess, worst first and no more than the
+panel cap leaves room for.  The last round's sums are the result.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import cmath
 import math
 
 from .errors import DomainError, RangeError
-from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, log_gamma
+from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, exp_checked, log_gamma
 from .record import Record, _set
 from .series import fsum_complex
 
@@ -92,10 +94,10 @@ _TAIL_SAFETY = 10.0
 _THETA_CAP = 200.0
 _MIN_RATE = 1e-6
 
-# Refinement stops, unconverged, once the list holds this many panels.
-# The initial layout is always evaluated in full (16 panels for g = 1,
-# a = 1, mu = 0.3, lambda = 1.1, even at a cap of 1); a refinement that
-# reaches the cap ends with exactly _MAX_PANELS panels.
+# Refinement (bisecting or moving the cutoff) stops, unconverged, once
+# the list holds this many panels.  The 8 starting panels are always
+# evaluated, even at a cap of 1; a refinement that reaches the cap ends
+# with exactly _MAX_PANELS panels.
 _MAX_PANELS = 2000
 
 
@@ -117,12 +119,19 @@ DEFAULT_QUAD = QuadControl()
 
 
 class QuadResult(Record):
-    # evaluations: calls of g, counting the pilot panels and the tail probes.
+    # evaluations: calls of g, counting the tail probes.
     __slots__ = ("value", "error_estimate", "panels_used", "cutoff_theta", "converged", "evaluations")
 
     def __init__(self, value: complex, error_estimate: float, panels_used: int, cutoff_theta: float,
                  converged: bool, evaluations: int):
         self._init(value, error_estimate, panels_used, cutoff_theta, converged, evaluations)
+
+
+def _checked_a(a) -> float:
+    a = float(a)
+    if not (a > 0 and math.isfinite(a)):
+        raise DomainError(f"a must be a positive real, got {a!r}")
+    return a
 
 
 def kernel_factor(x: float, a: float) -> float:
@@ -254,12 +263,12 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     raises DomainError when the endpoint is detected as non-integrable or
     the tail has no certifiable decay.
 
-    Unless 2 Re(mu) is an integer, the leftmost panels are graded by
-    m = ceil(4 Re(mu))/(2 Re(mu)) (see the module docstring) and the
-    tail cutoff moves with the tolerance.  At small Re(mu) a complex mu
-    gains little: t^(2i Im(mu)) still oscillates in log t.  The grade
-    follows x^(mu-1) alone; a g that also vanishes at 0 is graded more
-    than it needs.
+    The tail cutoff moves with the tolerance, for every mu.  Unless
+    2 Re(mu) is an integer, the leftmost panels are graded by
+    m = ceil(4 Re(mu))/(2 Re(mu)) (see the module docstring).  At small
+    Re(mu) a complex mu gains little: t^(2i Im(mu)) still oscillates in
+    log t.  The grade follows x^(mu-1) alone; a g that also vanishes at 0
+    is graded more than it needs.
 
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
@@ -267,9 +276,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     at 2000 panels).  The paper's integrands are unaffected: their Struve
     arguments, y or x y over x + a + sqrt(x^2 + 2ax), tend to 0 or y/2.
     """
-    a = float(a)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError(f"a must be a positive real, got {a!r}")
+    a = _checked_a(a)
     mu = complex(mu)
     lam = complex(lambda_eff)
     intg = _Integrand(g, a, mu, lam)
@@ -280,7 +287,6 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     graded = 0.0 < two_mu < math.inf and not two_mu.is_integer()
     grade = math.ceil(2.0 * two_mu) / two_mu if graded else 0.0
 
-    pilot = []
     rate = lam.real - mu.real
     if rate < _MIN_RATE:
         # Only an identically-small g can rescue the tail; probe it.
@@ -290,63 +296,34 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
                 "tail not certifiable: Re(lambda_eff) - Re(mu) = "
                 f"{rate:.3g} is not positive"
             )
-        theta_max = 10.0
-        tail_bound = 0.0
+        theta, tail_bound = 10.0, 0.0
     else:
-        # Pilot pass: sets the magnitude scale, and its panels inside
-        # the cutoff start the layout below.
-        theta_pilot = 3.0 + 20.0 / max(rate, 0.25)
-        step = theta_pilot / 8.0
-        pilot = [_panel(intg, i * step, (i + 1) * step, grade) for i in range(8)]
-        pilot_value = sum(rec[2] for rec in pilot)
-        tail_target = ctl.rel_tol * abs(pilot_value) / _TAIL_SAFETY
-
-        # Walk the cutoff outward until the envelope bound (with |g|
-        # re-sampled beyond each candidate) certifies the remainder.
-        theta_max = 4.0
-        while True:
-            coeff = _tail_coefficient(intg, theta_max)
-            tail_bound = coeff * math.exp(-rate * theta_max) / rate
-            if tail_bound <= tail_target or theta_max >= _THETA_CAP:
-                break
-            theta_max = min(_THETA_CAP, 1.3 * theta_max)
-        # With a graded head the remainder beyond the cutoff is most of
-        # the error, and the x1.3 grid would fix it over a range of
-        # tolerances.  Cut where the bound is a _TAIL_SAFETY-th of the tail
-        # target instead, if |g| re-sampled there certifies it (ungraded
-        # cases keep the grid's cutoff).
-        if grade and 0.0 < tail_bound <= tail_target and theta_max < _THETA_CAP:
-            theta = theta_max + math.log(_TAIL_SAFETY * tail_bound / tail_target) / rate
-            if theta_max / 1.3 < theta < _THETA_CAP:
-                bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
-                if bound <= tail_target:
-                    theta_max, tail_bound = theta, bound
-
-    # Initial panel layout: the reused pilot panels, else a short leftmost
-    # panel when the endpoint factor is singular; panels of length <= 2
-    # out to the cutoff.
-    panels = [rec for rec in pilot if rec[1] <= theta_max]
-    if panels:
-        cuts = [panels[-1][1]]
-    else:
-        cuts = [0.0]
-        if mu.real < 1.0:
-            cuts.append(min(1.0, theta_max / 8.0))
-    start = cuts[-1]
-    pieces = math.ceil((theta_max - start) / 2.0)
-    width = (theta_max - start) / max(pieces, 1)
-    cuts.extend(start + width * (i + 1) for i in range(pieces))
-    panels.extend(_panel(intg, lo, hi, grade) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        theta = 4.0
+        tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+    panels = [_panel(intg, theta * i / 8.0, theta * (i + 1) / 8.0, grade) for i in range(8)]
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
     while True:
         raw = fsum_complex([rec[2] for rec in panels])
+        target = ctl.rel_tol * abs(raw)
+        room = _MAX_PANELS - len(panels)
+        if room > 0 and theta < _THETA_CAP and _TAIL_SAFETY * tail_bound > target:
+            # Move the cutoff to where the envelope should be a
+            # _TAIL_SAFETY-th of the target, by 1 at least (doubling it
+            # for a zero target); the stretch is one new panel.
+            if target:
+                step = max(math.log(_TAIL_SAFETY * tail_bound / target) / rate, 1.0)
+            else:
+                step = theta
+            hi = min(theta + step, _THETA_CAP)
+            panels.append(_panel(intg, theta, hi))
+            theta = hi
+            tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+            continue
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound
-        target = ctl.rel_tol * abs(raw)
         converged = err_total <= target
-        room = _MAX_PANELS - len(panels)
         if converged or room <= 0:
             break
         excess = err_total - target
@@ -381,7 +358,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         value=value,
         error_estimate=abs(scale) * err_total,
         panels_used=len(panels),
-        cutoff_theta=theta_max,
+        cutoff_theta=theta,
         converged=converged,
         evaluations=intg.evaluations,
     )
@@ -392,9 +369,7 @@ def oberhettinger_closed_form(a, mu, lam) -> complex:
 
     Requires a > 0 and 0 < Re(mu) < Re(lam).
     """
-    a = float(a)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError(f"a must be a positive real, got {a!r}")
+    a = _checked_a(a)
     mu = complex(mu)
     lam = complex(lam)
     if not mu.real > 0:
@@ -409,6 +384,4 @@ def oberhettinger_closed_form(a, mu, lam) -> complex:
         + log_gamma(lam - mu)
         - log_gamma(1.0 + lam + mu)
     )
-    if log_val.real > _EXP_LIMIT:
-        raise RangeError("closed form overflows double precision")
-    return cmath.exp(log_val)
+    return exp_checked(log_val, "closed form")

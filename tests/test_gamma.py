@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -59,7 +60,7 @@ def test_gamma_pole_carries_location():
 
 def test_gamma_overflow_is_range_error():
     for x in (200.0, 1e306, 1e308, complex(1e306, 1e306)):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=rf"^gamma\({re.escape(repr(x))}\) overflows double precision$"):
             gamma(x)
 
 

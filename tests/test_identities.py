@@ -66,6 +66,10 @@ def test_condition_enforcement_names_inequality():
         make_case(p=(1.0, 2.0))
     with pytest.raises(DomainError, match="variant"):
         make_case(variant="theorem3")
+    # n=True used to be stored as given, and n=1.0 built a case.
+    for bad in (True, 1.0):
+        with pytest.raises(DomainError, match="n must be an int"):
+            make_case(n=bad)
 
 
 def test_theorem2_boundary_in_mu_is_accepted():
@@ -418,6 +422,10 @@ def test_verify_rejects_tolerance_outside_open_interval():
     for bad in (0.0, -1e-6, math.inf, math.nan):
         with pytest.raises(DomainError):
             verify_case(make_case(), tol=bad)
+    # True used to run at tolerance 1.0.
+    for bad in (True, False):
+        with pytest.raises(DomainError, match="verification tolerance must be a number"):
+            verify_case(make_case(), tol=bad)
 
 
 def test_verify_independent_routes_disagree_when_tampered(monkeypatch):
@@ -481,11 +489,11 @@ def test_report_diagnostics_are_pinned():
     assert rep.passed and rep.reason is None
     expected = (
         {
-            "panels_used": 10,
-            "cutoff_theta": 11.424400000000004,
-            "error_estimate": 2.576475149557365e-13,
+            "panels_used": 13,
+            "cutoff_theta": 17.301579506002156,
+            "error_estimate": 1.7194102491673906e-13,
             "converged": True,
-            "evaluations": 310,
+            "evaluations": 265,
         },
         {
             "shells": 10,
@@ -493,15 +501,18 @@ def test_report_diagnostics_are_pinned():
             "tail_estimate": 2.3003709479220665e-17,
             "prefactor": (0.028946378411222447, 0.0),
         },
-        3.469446951953614e-18,
-        1.2419705922051672e-16,
+        0.0,
+        0.0,
     )
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
-    # Failed on the tolerance: the same results, and the verdict.
-    rep = verify_case(make_case(), tol=1e-16)
-    assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
+    # Failed on the tolerance: the same results, and the verdict (at
+    # y = 1/2, where the two sides differ in their last bits).
+    passing = verify_case(make_case(y=(0.5,)))
+    rep = verify_case(make_case(y=(0.5,)), tol=1e-16)
+    assert passing.passed and rep.rel_err == 1.209286723091023e-16
+    assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err) == (passing.lhs_diag, passing.rhs_diag, passing.abs_err)
     assert not rep.passed
-    assert rep.reason == "relative error 1.242e-16 exceeds tolerance 1.0e-16"
+    assert rep.reason == "relative error 1.209e-16 exceeds tolerance 1.0e-16"
     # Failed while evaluating: no results to report.
     rep = verify_case(make_case(y=(1e6,)))
     assert not rep.passed

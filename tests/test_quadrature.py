@@ -82,12 +82,12 @@ def test_unit_integrand_vs_closed_form_singular_endpoint():
 # Re(mu) < 1/2 only, bisection by |K15 - G7| took 640 at mu = 0.3 (then
 # graded by m = 1/(2 mu) = 5/3, a non-integer power of v), 970 at 0.6,
 # 820 at 0.75 and 605 at 1.25.
-TINY_MU_CALLS = {0.01: 1500, 0.1: 600, 0.3: 500, 0.6: 500, 0.75: 400, 1.25: 500}
+TINY_MU_CALLS = {0.01: 1285, 0.1: 355, 0.3: 385, 0.6: 355, 0.75: 265, 1.25: 295}
 # Integer 2 Re(mu): t^(2 mu - 1) is a polynomial and the head is not
 # graded; the value's bits and the calls of g are pinned.
 UNGRADED_MU = {
-    0.5: ("0x1.822cb17ff2a54p-1", 215),
-    1.0: ("0x1.5555555555519p-2", 330),
+    0.5: ("0x1.822cb17ff21b5p-1", 205),
+    1.0: ("0x1.5555555554a23p-2", 235),
 }
 
 
@@ -111,11 +111,27 @@ def test_zero_integrand():
     assert res.error_estimate == 0.0
     assert res.converged
     # Re(lambda_eff) < Re(mu): a g that vanishes on the tail probes has no
-    # tail, and panels of length <= 2 run out to theta = 10, after a short
-    # leftmost panel when mu < 1.
-    for mu, panels in ((1.0, 5), (0.5, 6)):
+    # tail, and the 8 starting panels span [0, 10] and are all kept.
+    for mu, panels in ((1.0, 8), (0.5, 8)):
         res = integrate_kernel(lambda x: 0.0, 1.0, mu, mu - 0.5)
         assert (res.value, res.converged, res.panels_used, res.cutoff_theta) == (0, True, panels, 10.0)
+
+
+@pytest.mark.parametrize("a, mu, lam", [(1.0, 1.0, 1.3), (1.0, 0.8, 1.1), (2.0, 1.5, 1.75)])
+def test_long_tail_cutoff_follows_the_tolerance(a, mu, lam):
+    # Decay rates 0.25-0.3: the cutoff lies far out and moves with the
+    # tolerance for every mu, ungraded mu = 1 included.  A cutoff walked
+    # on a fixed grid took 670, 630 and 610 calls of g at 1e-11.
+    closed = oberhettinger_closed_form(a, mu, lam)
+    cutoffs = []
+    for tol in (1e-6, 1e-8, 1e-11):
+        res = integrate_kernel(lambda x: 1.0, a, mu, lam, QuadControl(rel_tol=tol))
+        assert res.converged, tol
+        assert rel(res.value, closed) <= tol, tol
+        assert abs(res.value - closed) <= res.error_estimate, tol
+        cutoffs.append(res.cutoff_theta)
+    assert cutoffs[0] < cutoffs[1] < cutoffs[2], cutoffs
+    assert res.evaluations <= 400
 
 
 def test_baseline_grid_against_closed_form():
@@ -192,11 +208,11 @@ def test_panel_budget_exhaustion_flags_result(monkeypatch):
 
 
 def test_panel_cap_limits_refinement_not_layout(monkeypatch):
-    # The panel cap limits refinement only: the initial layout is always
-    # evaluated, and the last round splits just enough panels to reach
-    # the cap exactly (at cap 29 the last round wants two splits and
-    # gets one).
-    for cap, expected in ((1, 16), (29, 29), (30, 30)):
+    # The panel cap limits refinement only: the 8 starting panels on
+    # [0, 4] are always evaluated (at cap 1 the cutoff cannot move), and
+    # the last round splits just enough panels to reach the cap exactly
+    # (at cap 31 the last round wants two splits and gets one).
+    for cap, expected in ((1, 8), (31, 31), (32, 32)):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
         res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
         assert not res.converged
