@@ -8,45 +8,63 @@ the kernel becomes a e^t and the integral turns into
     a^(mu-lambda) * int_0^inf (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t) g(x(t)) dt,
 
 an exponentially-decaying tail plus an algebraic endpoint factor
-t^(2 Re(mu) - 1) near t = 0.  Panels use the 15-point Gauss-Kronrod
-rule, whose embedded 7-point Gauss rule gives the error estimate
-|K15 - G7| at no extra integrand evaluations.  Nodes and weights are
-the published table of QUADPACK's QK15 (R. Piessens, E. de
+t^(2 mu - 1) near t = 0.  Panels away from t = 0 use the 15-point
+Gauss-Kronrod rule, whose embedded 7-point Gauss rule gives the error
+estimate |K15 - G7| at no extra integrand evaluations.  Nodes and
+weights are the published table of QUADPACK's QK15 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
 a test solves the rule at 40 digits and checks every tabulated double.
-A panel takes its 15 nodes in one loop: each node's kernel weight, its
-exponent formed as real and imaginary floats (math.exp where it is real
-and cmath.exp rounds alike), then, unless the weight underflowed to 0,
-one call of g, the node's Kronrod term and, at the 7 Gauss nodes, its
-Gauss term.  Every panel, the leftmost included, is judged by |K15 - G7|
-alone, as in QUADPACK's adaptive rules, and the tail is cut where an
-exponential envelope bounds the remainder.
+A panel takes its nodes in one loop, shared with the head rule below:
+each node's kernel weight, its exponent formed as real and imaginary
+floats (math.exp where it is real and cmath.exp rounds alike), then,
+unless the weight underflowed to 0, one call of g and the node's terms.
+Every 15-point panel is judged by its |K15 - G7| alone, as in
+QUADPACK's adaptive rules, and the tail is cut where an exponential
+envelope bounds the remainder.
 
-The endpoint factor is unbounded for 0 < Re(mu) < 1/2 and not smooth
-wherever 2 Re(mu) is not an integer.  There every leftmost panel [0, h]
-is taken in v in [0, 1] with t = h v^m, m = ceil(4 Re(mu))/(2 Re(mu)):
-t^(2 Re(mu) - 1) dt becomes m h^(2 Re(mu)) v^(ceil(4 Re(mu)) - 1) dv,
-an integer power of v, and m >= 2 keeps the analytic rest twice
-differentiable at v = 0 (P. J. Davis and P. Rabinowitz, Methods of
-Numerical Integration, 2nd ed., 1984).  For Re(mu) <= 1/4 this is
-m = 1/(2 Re(mu)); for integer 2 Re(mu) no grade is needed.
+Near t = 0 the substituted integrand is t^(2 mu - 1) times
+phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
+which is analytic wherever g is analytic at x = 0 (theorem1's g is).
+For Re(mu) > 0 every leftmost panel [0, h] is one product-integration
+rule that takes t^(2 mu - 1) exactly, complex mu included: phi is sampled
+at N = 20 first-kind Chebyshev points, which exclude t = 0, and its
+interpolant is integrated against the weight through the modified
+moments M_k = int_{-1}^{1} (1+x)^B T_k(x) dx, B = 2 mu - 1, from
+M_0 = 2^(B+1)/(B+1), M_1 = M_0 B/(B+2) and the forward recurrence
+(B+k+2) M_{k+1} = 2B M_k - (B+2-k) M_{k-1} (R. Piessens and
+M. Branders, BIT 13 (1973) 443-450; QUADPACK's QAWS).  The moments are
+kept as M_k/M_0 and the factor h^(2 mu)/(2 mu) goes into each node's
+exponent, so a large mu overflows nothing.  The head's error estimate is
+2 (|c_{N-2}| + |c_{N-1}|) int_0^h |t^(2 mu - 1)| dt, c_k the
+interpolant's Chebyshev coefficients.  A head that misses it is
+bisected into a new head and a 15-point sibling.  The coefficients
+understate the error where phi itself has a weak power at 0 (theorem2's
+g ~ x^(p+1) with p < 0), but a head's error falls as h^(2 Re(mu)) or
+faster, so the change a bisection made, over 2^(2 Re(mu)) - 1, bounds
+the new head's error too, and the larger of the two is kept.  Both
+rules share one node loop.
+Re(mu) <= 0 keeps a 15-point head: the integral then converges only
+where g vanishes at 0 (theorem2), and a head that grows under
+bisection is refused as a non-integrable endpoint.
 
 Refinement runs in rounds over one list of panels kept in theta order,
 from 8 equal panels on [0, 4].  Each round takes the exactly rounded
 panel sum (``series.fsum_complex``) once.  While the tail bound exceeds
 a _TAIL_SAFETY-th of the target, the round moves the cutoff out to where
 the envelope, at its present coefficient, falls to that share, and the
-new stretch is one panel: the tail is one more error term.  Otherwise the round stops when the errors
-plus the tail bound meet the target, or it bisects the fewest worst
-panels whose errors cover the excess, worst first and no more than the
-panel cap leaves room for.  The last round's sums are the result.
+new stretch is one panel: the tail is one more error term.  Otherwise
+the round stops when the errors plus the tail bound meet the target, or
+it bisects the fewest worst panels whose errors cover the excess, worst
+first and no more than the panel cap leaves room for.  The last round's
+sums are the result.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, exp_checked, log_gamma
@@ -76,14 +94,24 @@ _QK15_GAUSS = (
 
 _GAUSS_POINTS = 7
 # Both rules over all of [-1, 1] in ascending node order; the embedded
-# Gauss rule's nodes are the odd-indexed Kronrod nodes.  _panel runs on
-# _RULE, their (node x, Kronrod weight, Gauss weight or 0.0, log v)
-# tuples, v = (1 + x)/2 the node mapped onto [0, 1] for a graded panel.
+# Gauss rule's nodes are the odd-indexed Kronrod nodes.  _panel runs
+# _node_sums on _RULE, their (node x, Kronrod weight, Gauss weight or
+# 0.0, 0.0) tuples.
 _KRONROD = tuple((-x, w) for x, w in _QK15[:-1]) + _QK15[::-1]
 _GAUSS_WEIGHTS = _QK15_GAUSS[:-1] + _QK15_GAUSS[::-1]
 _RULE = tuple(
-    (x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0, math.log(0.5 + 0.5 * x))
+    (x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0, 0.0)
     for i, (x, w) in enumerate(_KRONROD)
+)
+
+# The head rule's N first-kind Chebyshev points x_j = cos(theta_j),
+# theta_j = pi (j + 1/2) / N, in ascending order, as the rows
+# cos(k theta_j), 0 < k < N, that turn samples into Chebyshev
+# coefficients; each row starts with its node.
+_CHEB_POINTS = 20
+_CHEB_COS = tuple(
+    tuple(math.cos(k * math.pi * (j + 0.5) / _CHEB_POINTS) for k in range(1, _CHEB_POINTS))
+    for j in reversed(range(_CHEB_POINTS))
 )
 
 # Tail truncation, driven by the decay rate Re(lambda_eff) - Re(mu) of the
@@ -148,8 +176,7 @@ def _cosh_m1(t: float) -> float:
 
 
 # Below this, cosh t - 1 = 2 sinh(t/2)^2 nears or reaches underflow (at
-# t ~ 1e-154), so its log comes from sinh(t/2) instead, or, in a graded
-# panel, from log t.
+# t ~ 1e-154), so its log comes from sinh(t/2) instead.
 _TINY_COSH_M1 = 1e-300
 _LOG_2 = math.log(2.0)
 
@@ -174,52 +201,39 @@ class _Integrand:
         return complex(self.g(self.a * _cosh_m1(t)))
 
 
-def _panel(intg: _Integrand, lo: float, hi: float, grade: float = 0.0) -> tuple[float, float, complex, float]:
-    """(lo, hi, 15-point Kronrod value, |K15 - G7|) of one panel; a node
-    whose kernel weight underflows to 0 adds nothing and calls no g.
+def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tuple[complex, complex, complex]:
+    """Sums of w0 f, w1 f and w2 f over a rule's (x, w0, w1, w2) nodes
+    mapped onto [lo, hi], f the substituted integrand; a node whose
+    kernel weight underflows to 0 adds nothing and calls no g.
 
-    A grade m > 1 takes a leftmost panel (lo = 0) in v in [0, 1] at the
-    nodes t = hi v^m, log t = log hi + m log v (t may underflow, its log
-    does not), each exponent plus the log Jacobian log(m hi) + (m-1) log v."""
-    graded = grade and lo == 0.0
-    if graded:
-        half = 0.5
-        log_hi, log_jac, grade_m1 = math.log(hi), math.log(grade * hi), grade - 1.0
-    else:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
+    power = (b_re, b_im, c_re, c_im) divides f by t^b and multiplies it
+    by e^c, both folded into the node's exponent."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     g, a = intg.g, intg.a
     mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
     lam_re, lam_im = intg.lam.real, intg.lam.imag
+    if power:
+        b_re, b_im, c_re, c_im = power
     log, log1p, exp, cexp, sinh = math.log, math.log1p, math.exp, cmath.exp, math.sinh
     isfinite = cmath.isfinite
-    kronrod = gauss = 0j
+    s0 = s1 = s2 = 0j
     calls = 0
-    for xi, wk, wg, log_v in _RULE:
-        if graded:
-            log_t = log_hi + grade * log_v
-            t = exp(log_t)
-        else:
-            t = mid + half * xi
+    for xi, w0, w1, w2 in rule:
+        t = mid + half * xi
         s = sinh(0.5 * t)  # w = _cosh_m1(t), inline
         w = 2.0 * s * s
-        if w >= _TINY_COSH_M1:
-            log_w = log(w)
-        elif graded:
-            # sinh(t/2) rounds to t/2 this far down.  x = a w is near or
-            # past underflow, and g, defined for x > 0, takes x = 1e-300 a.
-            log_w = 2.0 * log_t - _LOG_2
-            w = _TINY_COSH_M1
-        else:
-            log_w = _log_tiny_cosh_m1(t)
+        log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
         if t < 1e-3:
-            log_sinh = (log_t if graded else log(t)) + log1p(t * t / 6.0)
+            log_sinh = log(t) + log1p(t * t / 6.0)
         else:
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
         re = mu_re * log_w + log_sinh - lam_re * t
-        if graded:
-            re += log_jac + grade_m1 * log_v
         im = mu_im * log_w - lam_im * t
+        if power:
+            log_t = log(t)
+            re += c_re - b_re * log_t
+            im += c_im - b_im * log_t
         if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
         if im:
@@ -232,12 +246,58 @@ def _panel(intg: _Integrand, lo: float, hi: float, grade: float = 0.0) -> tuple[
         val = kern * complex(g(a * w))
         if not isfinite(val):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
-        kronrod += wk * val
-        if wg:
-            gauss += wg * val
+        s0 += w0 * val
+        if w1:
+            s1 += w1 * val
+        if w2:
+            s2 += w2 * val
     intg.evaluations += calls
+    return s0, s1, s2
+
+
+def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, complex, float]:
+    """(lo, hi, 15-point Kronrod value, |K15 - G7|) of one panel."""
+    half = 0.5 * (hi - lo)
+    kronrod, gauss, _ = _node_sums(intg, lo, hi, _RULE)
     kronrod *= half
     return lo, hi, kronrod, abs(kronrod - half * gauss)
+
+
+def _jacobi_moments(b) -> list:
+    """M_k / M_0 for k < _CHEB_POINTS, where M_k = int_{-1}^{1} (1+x)^b T_k(x) dx
+    and M_0 = 2^(b+1) / (b+1), Re(b) > -1, by the forward recurrence
+    (b+k+2) M_{k+1} = 2b M_k - (b+2-k) M_{k-1} from M_1 = M_0 b / (b+2)."""
+    m = [1.0, b / (b + 2.0)]
+    for k in range(1, _CHEB_POINTS - 1):
+        m.append((2.0 * b * m[k] - (b + 2.0 - k) * m[k - 1]) / (b + k + 2.0))
+    return m
+
+
+def _head_rule(mu: complex):
+    """(nodes, b, error factor) of the product rule for t^b phi(t) on a
+    leftmost panel, b = 2 mu - 1, Re(mu) > 0: the nodes are
+    (x_j, W_j, 2/N cos((N-2) theta_j), 2/N cos((N-1) theta_j)), with
+    W_j = 2/N sum'_k cos(k theta_j) M_k / M_0, and 2 |b+1| / Re(b+1)
+    turns the last two coefficients of phi hi^(b+1) / (b+1) into the
+    error bound."""
+    b = 2.0 * mu - 1.0 if mu.imag else 2.0 * mu.real - 1.0
+    moments = _jacobi_moments(b)[1:]
+    scale = 2.0 / _CHEB_POINTS
+    nodes = tuple(
+        (row[0], scale * (0.5 + sum(map(operator.mul, row, moments))), scale * row[-2], scale * row[-1])
+        for row in _CHEB_COS
+    )
+    return nodes, b, 2.0 * abs(b + 1.0) / (b.real + 1.0)
+
+
+def _head_panel(intg: _Integrand, hi: float, rule) -> tuple[float, float, complex, float]:
+    """(0, hi, value, error estimate) of the leftmost panel by the head
+    rule: phi = f / t^b at the Chebyshev points, each times
+    e^c = hi^(b+1) / (b+1), against the rule's weights."""
+    nodes, b, err_factor = rule
+    c = (b + 1.0) * math.log(hi) - cmath.log(b + 1.0)
+    value, c_n2, c_n1 = _node_sums(intg, 0.0, hi, nodes, (b.real, b.imag, c.real, c.imag))
+    return 0.0, hi, value, err_factor * (abs(c_n2) + abs(c_n1))
 
 
 def _tail_coefficient(intg: _Integrand, theta_c: float) -> float:
@@ -263,12 +323,11 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     raises DomainError when the endpoint is detected as non-integrable or
     the tail has no certifiable decay.
 
-    The tail cutoff moves with the tolerance, for every mu.  Unless
-    2 Re(mu) is an integer, the leftmost panels are graded by
-    m = ceil(4 Re(mu))/(2 Re(mu)) (see the module docstring).  At small
-    Re(mu) a complex mu gains little: t^(2i Im(mu)) still oscillates in
-    log t.  The grade follows x^(mu-1) alone; a g that also vanishes at 0
-    is graded more than it needs.
+    The tail cutoff moves with the tolerance, for every mu.  For
+    Re(mu) > 0 each leftmost panel integrates the endpoint factor
+    t^(2 mu - 1) exactly (see the module docstring), so only the rest of
+    the integrand must be smooth there; a g that carries its own
+    non-integer power at 0, as theorem2's does, still bisects the head.
 
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
@@ -281,11 +340,6 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     lam = complex(lambda_eff)
     intg = _Integrand(g, a, mu, lam)
     scale = cmath.exp((mu - lam) * math.log(a))
-    # Grade the leftmost panels where t^(2 Re(mu) - 1) is not a polynomial
-    # (a finite 2 Re(mu) that is not an integer is below 2^52).
-    two_mu = 2.0 * mu.real
-    graded = 0.0 < two_mu < math.inf and not two_mu.is_integer()
-    grade = math.ceil(2.0 * two_mu) / two_mu if graded else 0.0
 
     rate = lam.real - mu.real
     if rate < _MIN_RATE:
@@ -300,7 +354,21 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     else:
         theta = 4.0
         tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
-    panels = [_panel(intg, theta * i / 8.0, theta * (i + 1) / 8.0, grade) for i in range(8)]
+    # Every leftmost panel [0, h] is one head-rule panel where Re(mu) > 0.
+    # A head's error is h^(2 Re(mu) + s) times a constant, where
+    # phi(t) - phi(0) goes like t^s, s > 0.  So it shrinks by
+    # 2^(-2 Re(mu)) or faster per bisection, and what a bisection changed,
+    # over 2^(2 Re(mu)) - 1, bounds the new head's error where the
+    # coefficient estimate falls short (small s: g with a fractional zero).
+    rule = _head_rule(mu) if mu.real > 0 else None
+    # (Capped where expm1 would overflow; the scale is below 1e-300 there.)
+    drop_scale = 1.0 / math.expm1(min(2.0 * mu.real, 1000.0) * _LOG_2) if rule else 0.0
+
+    def head(hi: float):
+        return _head_panel(intg, hi, rule) if rule else _panel(intg, 0.0, hi)
+
+    panels = [head(theta / 8.0)]
+    panels += [_panel(intg, theta * i / 8.0, theta * (i + 1) / 8.0) for i in range(1, 8)]
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
@@ -346,8 +414,13 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
                         "non-integrable endpoint: head contributions diverge under refinement"
                     )
             mid_point = 0.5 * (lo + hi)
+            left = head(mid_point) if lo == 0.0 else _panel(intg, lo, mid_point)
+            right = _panel(intg, mid_point, hi)
+            if lo == 0.0 and rule:
+                drop = abs(value - left[2] - right[2])
+                left = (0.0, mid_point, left[2], max(left[3], drop * drop_scale))
             refined += panels[kept_from:i]
-            refined += (_panel(intg, lo, mid_point, grade), _panel(intg, mid_point, hi))
+            refined += (left, right)
             kept_from = i + 1
         panels = refined + panels[kept_from:]
 

@@ -437,8 +437,8 @@ def test_verify_failed_cases_are_standard_json(tmp_path, capsys):
 
 
 def test_verify_tiny_mu_passes_and_a_failed_case_does_not_stop_the_run(tmp_path, capsys):
-    # mu = 0.01 converges in the graded head; y = 1e6 fails on its own
-    # and the run goes on.
+    # mu = 0.01 converges (the head rule takes t^-0.98 exactly); y = 1e6
+    # fails on its own and the run goes on.
     cases = [dict(GOOD_CASE, mu="0.01"), dict(GOOD_CASE, y=[1e6]), GOOD_CASE]
     path = write_cases(tmp_path, cases)
     report_path = tmp_path / "report.json"

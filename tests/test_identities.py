@@ -460,21 +460,22 @@ def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
 
 
 def test_verify_small_mu_case_in_few_calls():
-    # The graded head brings theorem1 at mu = 0.1 to tolerance in 455
-    # calls of g; plain head bisection took 6,000.
+    # The head rule brings theorem1 at mu = 0.1 to tolerance in 150 calls
+    # of g; a head graded by t = h v^5 took 355, plain head bisection 6,000.
     case = make_case(mu=0.1)
     rep = verify_case(case)
     assert rep.passed, rep.reason
-    assert rep.lhs_diag["evaluations"] <= 600
+    assert rep.lhs_diag["evaluations"] <= 150
     assert rep.rel_err <= 1e-12
 
 
 def test_verify_tiny_mu_graded_head_keeps_x_positive():
-    # At mu = 0.005 the graded head's outer nodes have x = a (cosh t - 1)
-    # below the double range.  theorem2's Struve argument x y / kernel
-    # would underflow to 0 there, outside W's domain; g is sampled at
-    # x = 1e-300 a instead.  theorem1 overflowed or failed as divergent
-    # before the head was graded.
+    # At mu = 0.005 the endpoint factor is t^-0.99.  The head rule takes
+    # it exactly and never samples t = 0, so x = a (cosh t - 1) stays
+    # positive, as theorem2's Struve argument x y / kernel needs; a head
+    # graded by t = h v^100 put x below the double range and sampled g at
+    # x = 1e-300 a.  theorem1 overflowed or failed as divergent under
+    # plain head bisection.
     for variant, y in (("theorem2", 0.3), ("theorem1", 1.0)):
         rep = verify_case(make_case(variant=variant, mu=0.005, y=(y,)))
         assert rep.passed, (variant, rep.reason)
@@ -484,16 +485,16 @@ def test_verify_tiny_mu_graded_head_keeps_x_positive():
 def test_report_diagnostics_are_pinned():
     # The report derives abs_err, rel_err and both diagnostic dicts from
     # the results it holds; these are the anchor's values (mu = 3/4, its
-    # head graded by t = h v^2).
+    # head one panel of the head rule).
     rep = verify_case(make_case())
     assert rep.passed and rep.reason is None
     expected = (
         {
-            "panels_used": 13,
+            "panels_used": 11,
             "cutoff_theta": 17.301579506002156,
-            "error_estimate": 1.7194102491673906e-13,
+            "error_estimate": 1.6300912347431466e-13,
             "converged": True,
-            "evaluations": 265,
+            "evaluations": 210,
         },
         {
             "shells": 10,

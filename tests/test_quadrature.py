@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import beta, factorial, mp, mpc, mpf, rf
 from numpy.polynomial.legendre import leggauss
 
 from struveint import (
@@ -16,12 +16,16 @@ from struveint import (
 )
 from struveint.gammafn import _EXP_LIMIT
 from struveint.quadrature import (
+    _CHEB_POINTS,
     _GAUSS_POINTS,
     _GAUSS_WEIGHTS,
     _KRONROD,
     _THETA_CAP,
     _cosh_m1,
+    _head_panel,
+    _head_rule,
     _Integrand,
+    _jacobi_moments,
     _panel,
 )
 
@@ -69,8 +73,8 @@ def test_unit_integrand_analytic_value():
 
 
 def test_unit_integrand_vs_closed_form_singular_endpoint():
-    # At mu = 0.03 the graded head's nodes reach down to ~1e-40 of its
-    # width.
+    # At mu = 0.03 the endpoint factor t^(2 mu - 1) is t^-0.94, which the
+    # head rule integrates exactly.
     for a, mu, lam in ((2.0, 0.5, 1.5), (1.0, 0.03, 2.0)):
         res = integrate_kernel(lambda x: 1.0, a, mu, lam)
         assert res.converged, mu
@@ -78,31 +82,44 @@ def test_unit_integrand_vs_closed_form_singular_endpoint():
 
 
 # Calls of g allowed at a = 1, lambda = 2.  Plain head bisection took
-# 5,925 at mu = 0.1 and overflowed at mu = 0.01; with the head graded for
-# Re(mu) < 1/2 only, bisection by |K15 - G7| took 640 at mu = 0.3 (then
-# graded by m = 1/(2 mu) = 5/3, a non-integer power of v), 970 at 0.6,
-# 820 at 0.75 and 605 at 1.25.
-TINY_MU_CALLS = {0.01: 1285, 0.1: 355, 0.3: 385, 0.6: 355, 0.75: 265, 1.25: 295}
-# Integer 2 Re(mu): t^(2 mu - 1) is a polynomial and the head is not
-# graded; the value's bits and the calls of g are pinned.
-UNGRADED_MU = {
-    0.5: ("0x1.822cb17ff21b5p-1", 205),
-    1.0: ("0x1.5555555554a23p-2", 235),
+# 5,925 at mu = 0.1 and overflowed at mu = 0.01.  A head graded by
+# t = h v^m, m = ceil(4 Re mu)/(2 Re mu), took 1,285 at mu = 0.01, 355
+# at 0.1, 385 at 0.3, 355 at 0.6, 265 at 0.75, 295 at 1.25, 655 at
+# 0.75 + 0.2i, 6,145 at 0.1 + 0.2i and 835 at 0.54 + 0.18i: it made
+# t^(2 Re mu - 1) an integer power, and t^(2i Im mu) still oscillated.
+TINY_MU_CALLS = {
+    0.01: 180, 0.02: 180, 0.05: 180, 0.1: 210, 0.3: 210, 0.5: 210, 0.6: 240, 0.75: 240,
+    1.0: 240, 1.25: 270, 0.75 + 0.2j: 240, 0.1 + 0.2j: 210, 0.54 + 0.18j: 240,
+}
+# The value's bits and the calls of g, pinned where t^(2 mu - 1) is a
+# polynomial and where it is a complex power.
+PINNED_MU = {
+    0.5: (("0x1.822cb17ff21b7p-1", "0x0.0p+0"), 210),
+    1.0: (("0x1.5555555554a23p-2", "0x0.0p+0"), 240),
+    0.1 + 0.2j: (("-0x1.eeab00a9158f0p-4", "-0x1.826b6f16ad903p+1"), 210),
 }
 
 
-@pytest.mark.parametrize("mu", [0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 0.6, 0.75, 1.0, 1.25, 0.75 + 0.2j])
+@pytest.mark.parametrize("mu", list(TINY_MU_CALLS))
 def test_tiny_mu_endpoint_converges(mu):
-    # The leftmost panel is taken in t = h v^m, m = ceil(4 Re mu)/(2 Re mu),
-    # whose Jacobian turns t^(2 Re mu - 1) into v^(ceil(4 Re mu) - 1), an
-    # integer power (m = 1/(2 mu) for mu <= 1/4); t itself may underflow.
+    # The leftmost panel integrates t^(2 mu - 1) exactly against the
+    # Chebyshev interpolant of the rest, complex mu included.
     res = integrate_kernel(lambda x: 1.0, 1.0, mu, 2.0)
     assert res.converged, mu
     assert rel(res.value, oberhettinger_closed_form(1.0, mu, 2.0)) < 1e-11, mu
-    assert res.evaluations <= TINY_MU_CALLS.get(mu, math.inf), mu
-    if mu in UNGRADED_MU:
-        assert (res.value.real.hex(), res.value.imag, res.evaluations) == (
-            UNGRADED_MU[mu][0], 0.0, UNGRADED_MU[mu][1]), mu
+    assert res.evaluations <= TINY_MU_CALLS[mu], mu
+    if mu in PINNED_MU:
+        bits = (res.value.real.hex(), res.value.imag.hex())
+        assert (bits, res.evaluations) == PINNED_MU[mu], mu
+
+
+def test_large_mu_head_does_not_overflow():
+    # 2^(2 mu) alone overflows at mu = 600.3; the head rule keeps its
+    # moments as M_k / M_0 and folds h^(2 mu) / (2 mu) into each node's
+    # exponent.
+    res = integrate_kernel(lambda x: 1.0, 1.0, 600.3, 601.0)
+    assert res.converged
+    assert rel(res.value, oberhettinger_closed_form(1.0, 600.3, 601.0)) <= 1e-12
 
 
 def test_zero_integrand():
@@ -120,8 +137,8 @@ def test_zero_integrand():
 @pytest.mark.parametrize("a, mu, lam", [(1.0, 1.0, 1.3), (1.0, 0.8, 1.1), (2.0, 1.5, 1.75)])
 def test_long_tail_cutoff_follows_the_tolerance(a, mu, lam):
     # Decay rates 0.25-0.3: the cutoff lies far out and moves with the
-    # tolerance for every mu, ungraded mu = 1 included.  A cutoff walked
-    # on a fixed grid took 670, 630 and 610 calls of g at 1e-11.
+    # tolerance for every mu.  A cutoff walked on a fixed grid took 670,
+    # 630 and 610 calls of g at 1e-11.
     closed = oberhettinger_closed_form(a, mu, lam)
     cutoffs = []
     for tol in (1e-6, 1e-8, 1e-11):
@@ -175,19 +192,51 @@ def test_complex_parameters_match_closed_form():
     assert rel(res.value, closed) <= 1e-9
 
 
+def mp_kernel_integral(g, a, mu, lam):
+    """integrate_kernel's integral at 30 digits by mpmath's quad, in t;
+    on [0, 1] t = u^m, m = ceil(2 / Re(mu)), turns t^(2 mu - 1) dt into
+    a power of u whose real part is at least 1."""
+    with mp.workdps(30):
+        a, mu, lam = mpf(a), mpc(mu), mpc(lam)
+
+        def f(t):
+            w = 2 * mp.sinh(t / 2) ** 2
+            return w ** (mu - 1) * mp.sinh(t) * mp.exp(-lam * t) * g(a * w)
+
+        m = math.ceil(2 / mu.real)
+        head = mp.quad(lambda u: f(u**m) * m * u ** (m - 1), [0, 1])
+        return complex(a ** (mu - lam) * (head + mp.quad(f, [1, 4, 16, mp.inf])))
+
+
+SMALL_MU_GRID = [
+    (a, mu, mu + gap)
+    for a in (1.0, 1e4)
+    for mu in (0.02, 0.05, 0.1, 0.1 + 0.2j)
+    for gap in (0.3, 2.0)
+]
+
+
 def test_error_estimate_is_conservative_on_grid():
-    # BASE_GRID plus small and complex mu, where the leftmost panels'
-    # |K15 - G7| is the whole head's error estimate.
-    small_mu = [
-        (a, mu, mu + gap)
-        for a in (1.0, 1e4)
-        for mu in (0.02, 0.05, 0.1, 0.1 + 0.2j)
-        for gap in (0.3, 2.0)
-    ]
-    for a, mu, lam in BASE_GRID + small_mu:
+    # BASE_GRID plus small and complex mu, where the head rule's
+    # coefficient bound is the leftmost panel's error estimate.
+    for a, mu, lam in BASE_GRID + SMALL_MU_GRID:
         res = integrate_kernel(lambda x: 1.0, a, mu, lam)
         closed = oberhettinger_closed_form(a, mu, lam)
         assert abs(res.value - closed) <= res.error_estimate, (a, mu, lam)
+    # A g with a pole at x = -1, against a 30-digit reference.
+    for a, mu, lam in SMALL_MU_GRID + [(0.5, 0.3, 2.3), (2.0, 1.7, 3.7)]:
+        res = integrate_kernel(lambda x: (1.0 + x) ** -3, a, mu, lam)
+        reference = mp_kernel_integral(lambda x: (1 + x) ** -3, a, mu, lam)
+        assert abs(res.value - reference) <= res.error_estimate, (a, mu, lam)
+    # theorem2-style g, vanishing like x^q at 0 with q = p + 1 and
+    # non-integer 2p: the head's phi carries t^(2q), which no rule takes
+    # exactly, and x^q K^-q times the kernel is the kernel at
+    # (mu + q, lambda + q).
+    for q in (1.3, 0.55):
+        for a, mu, lam in BASE_GRID + SMALL_MU_GRID:
+            res = integrate_kernel(lambda x: (x / kernel_factor(x, a)) ** q, a, mu, lam)
+            closed = oberhettinger_closed_form(a, mu + q, lam + q)
+            assert abs(res.value - closed) <= res.error_estimate, (q, a, mu, lam)
 
 
 def test_result_invariants(monkeypatch):
@@ -210,11 +259,13 @@ def test_panel_budget_exhaustion_flags_result(monkeypatch):
 def test_panel_cap_limits_refinement_not_layout(monkeypatch):
     # The panel cap limits refinement only: the 8 starting panels on
     # [0, 4] are always evaluated (at cap 1 the cutoff cannot move), and
-    # the last round splits just enough panels to reach the cap exactly
-    # (at cap 31 the last round wants two splits and gets one).
-    for cap, expected in ((1, 8), (31, 31), (32, 32)):
+    # the last round splits just enough panels to reach the cap exactly.
+    # g = cos(3x) is never resolved (see integrate_kernel); its rounds go
+    # 8 -> 9 (cutoff move) -> 15 -> 23, so at cap 16 the last round wants
+    # eight splits and gets one.
+    for cap, expected in ((1, 8), (16, 16), (23, 23), (24, 24)):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
-        res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
+        res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 2.0)
         assert not res.converged
         assert res.panels_used == expected, cap
 
@@ -447,94 +498,98 @@ def test_panel_errors_name_the_failing_node():
     assert panel_outcome(lambda: one_loop_panel(*overflow)) == "substituted integrand overflows"
 
 
-# --- the graded leftmost panel against a per-node integrand -------------------
+# --- the head rule: modified moments and one panel at 40 digits ----------------
 
-def reference_graded_panel(g, a, mu, lam, hi, m):
-    """(Kronrod value, |K15 - G7|, calls of g) of [0, hi] taken in v in
-    [0, 1], t = hi v^m, node by node: log t = log hi + m log v, the
-    weight's exponent plus the log Jacobian log(m hi) + (m - 1) log v."""
+def mp_moments(b):
+    """M_k = int_{-1}^{1} (1+x)^b T_k(x) dx, k < N, by the closed sum
+    2^(b+1) sum_i (-k)_i (k)_i / ((1/2)_i i!) B(b+1, i+1), from
+    T_k(x) = 2F1(-k, k; 1/2; (1-x)/2)."""
+    return [
+        2 ** (b + 1) * sum(
+            rf(-k, i) * rf(k, i) / (rf(mpf(1) / 2, i) * factorial(i)) * beta(b + 1, i + 1)
+            for i in range(k + 1)
+        )
+        for k in range(_CHEB_POINTS)
+    ]
+
+
+@pytest.mark.parametrize("b", [-0.98, -0.5, 0.0, 0.5, 2.0, 5.0, -0.8 + 0.4j, 0.2 + 0.6j])
+def test_jacobi_moments_match_the_closed_sum(b):
+    # The forward recurrence, normalised by M_0, against the closed sum.
+    moments = _jacobi_moments(b)
+    assert len(moments) == _CHEB_POINTS
+    with mp.workdps(40):
+        exact = mp_moments(mpc(b) if isinstance(b, complex) else mpf(b))
+        for k, m in enumerate(moments):
+            assert abs(mpc(m) * exact[0] - exact[k]) <= 1e-14 * abs(exact[0]), k
+
+
+def reference_head_panel(g, a, mu, lam, hi):
+    """(value, error estimate, calls of g) of the head rule on [0, hi] at
+    40 digits, node by node: phi = f / t^(2 mu - 1) at the N first-kind
+    Chebyshev points, its interpolant's coefficients c_k, the value
+    (hi/2)^(2 mu) sum'_k c_k M_k = int_0^hi t^(2 mu - 1) p(t) dt, and the
+    estimate 2 (|c_{N-2}| + |c_{N-1}|) int_0^hi |t^(2 mu - 1)| dt."""
+    n = _CHEB_POINTS
     calls = []
-    values = []
-    for xi, _ in _KRONROD:
-        log_v = math.log(0.5 + 0.5 * xi)
-        log_t = math.log(hi) + m * log_v
-        t = math.exp(log_t)
-        s = math.sinh(0.5 * t)
-        w = 2.0 * s * s
-        if w >= 1e-300:
-            log_w = math.log(w)
-        else:  # g is sampled at x = 1e-300 a, never at an underflowed x
-            log_w = 2.0 * log_t - math.log(2.0)
-            w = 1e-300
-        if t < 1e-3:
-            log_sinh = log_t + math.log1p(t * t / 6.0)
-        else:
-            log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
-        re = (mu.real - 1.0) * log_w + log_sinh - lam.real * t
-        re += math.log(m * hi) + (m - 1.0) * log_v
-        im = mu.imag * log_w - lam.imag * t
-        if re > _EXP_LIMIT:
-            raise RangeError("substituted integrand overflows")
-        kern = cmath.exp(complex(re, im))
-        if kern == 0:
-            values.append(0j)
-            continue
-        calls.append(a * w)
-        values.append(kern * complex(g(a * w)))
-    kronrod = 0j
-    for (_, wi), fi in zip(_KRONROD, values):
-        kronrod += wi * fi
-    gauss = 0j
-    for wi, fi in zip(_GAUSS_WEIGHTS, values[1::2]):
-        gauss += wi * fi
-    kronrod *= 0.5
-    return kronrod, abs(kronrod - 0.5 * gauss), calls
+    with mp.workdps(40):
+        a, mu, lam, hi = mpf(a), mpc(mu), mpc(lam), mpf(hi)
+        b = 2 * mu - 1
+        angles = [mp.pi * (j + mpf(1) / 2) / n for j in reversed(range(n))]
+        phi = []
+        for angle in angles:
+            t = hi / 2 * (1 + mp.cos(angle))
+            x = float(a * 2 * mp.sinh(t / 2) ** 2)
+            calls.append(x)
+            phi.append((2 * mp.sinh(t / 2) ** 2) ** (mu - 1) * mp.sinh(t) * mp.exp(-lam * t) * g(x) / t**b)
+        c = [2 * sum(f * mp.cos(k * angle) for f, angle in zip(phi, angles)) / n for k in range(n)]
+        moments = mp_moments(b)
+        value = (hi / 2) ** (2 * mu) * (c[0] * moments[0] / 2 + sum(c[k] * moments[k] for k in range(1, n)))
+        estimate = 2 * (abs(c[-2]) + abs(c[-1])) * hi ** (2 * mu.real) / (2 * mu.real)
+        return complex(value), float(estimate), calls
 
 
-GRADED_PANEL_CASES = [
-    # (g, a, mu, lam, hi): grade m = 1 / (2 Re(mu)).  At mu = 0.03 and
-    # hi = 1e-300 the outer nodes' t underflows to 0 while log t does not,
-    # and every node's x = a (cosh t - 1) is below 1e-300 a.
-    (lambda x: 1.0 + x, 1.0, 0.03 + 0j, 2.0 + 0j, 1e-300),
-    (lambda x: 1.0, 1.0, 0.03 + 0j, 2.0 + 0j, 1.5),
+HEAD_PANEL_CASES = [
+    # (g, a, mu, lam, hi): a head far below and one above t = 1, complex
+    # parameters, a smooth g, and a g with a fractional zero at 0, which
+    # phi carries, so that the estimate is far above rounding noise.
+    (lambda x: 1.0 + x, 1.0, 0.03, 2.0, 1e-3),
+    (lambda x: 1.0, 1.0, 0.03, 2.0, 1.5),
     (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.1 + 0.2j, 2.1 - 0.1j, 2.0),
-    (lambda x: math.exp(-x), 2.0, 0.3 + 0j, 1.9 + 0j, 5.0),
+    (lambda x: math.exp(-x), 2.0, 0.3, 1.9, 5.0),
+    (lambda x: (x / kernel_factor(x, 1.0)) ** 0.55, 1.0, 0.75, 2.0, 0.5),
 ]
 
 
-@pytest.mark.parametrize("case", GRADED_PANEL_CASES)
-def test_graded_panel_matches_per_node_integrand(case):
+@pytest.mark.parametrize("case", HEAD_PANEL_CASES)
+def test_head_panel_matches_node_by_node_integral(case):
     g, a, mu, lam, hi = case
-    m = 0.5 / mu.real
-    expected = panel_outcome(lambda: reference_graded_panel(g, a, mu, lam, hi, m))
-    assert len(expected[1]) == 15
+    value, estimate, calls = reference_head_panel(g, a, mu, lam, hi)
+    seen = []
 
-    def graded():
-        calls = []
+    def recorded(x):
+        seen.append(x)
+        return g(x)
 
-        def recorded(x):
-            calls.append(x)
-            return g(x)
-
-        intg = _Integrand(recorded, a, mu, lam)
-        record = _panel(intg, 0.0, hi, m)
-        assert intg.evaluations == len(calls)
-        assert record[:2] == (0.0, hi)
-        return *record[2:], calls
-
-    assert panel_outcome(graded) == expected
+    intg = _Integrand(recorded, a, complex(mu), complex(lam))
+    lo_out, hi_out, head_value, head_estimate = _head_panel(intg, hi, _head_rule(complex(mu)))
+    assert (lo_out, hi_out, intg.evaluations) == (0.0, hi, _CHEB_POINTS)
+    assert len(seen) == _CHEB_POINTS and all(x > 0 for x in seen)
+    assert max(abs(x - y) / y for x, y in zip(seen, calls)) <= 1e-13
+    assert rel(head_value, value) <= 1e-13
+    # The last coefficients round like the value does.
+    assert abs(head_estimate - estimate) <= 1e-13 * abs(value)
 
 
-def test_graded_panel_integrates_the_endpoint_power():
-    # One graded panel of g = 1 at lambda = 0 on [0, 1e-3] against
+def test_head_panel_integrates_the_endpoint_power():
+    # One head panel of g = 1 at lambda = 0 on [0, 1e-3] against
     # int_0^h (cosh t - 1)^(mu-1) sinh t dt = (cosh h - 1)^mu / mu, where
-    # a plain panel is off by 1 % (mu = 0.3) to 65 % (mu = 0.03).
+    # a plain 15-point panel is off by 1 % (mu = 0.3) to 65 % (mu = 0.03).
     h = 1e-3
-    for mu in (0.03, 0.1, 0.3):
+    for mu in (0.03, 0.1, 0.3, 0.1 + 0.2j):
         exact = _cosh_m1(h) ** mu / mu
         intg = _Integrand(lambda x: 1.0, 1.0, complex(mu), 0j)
-        _, _, value, _ = _panel(intg, 0.0, h, 0.5 / mu)
+        _, _, value, _ = _head_panel(intg, h, _head_rule(complex(mu)))
         assert rel(value, exact) <= 1e-14, mu
         _, _, plain, _ = _panel(intg, 0.0, h)
         assert rel(plain, exact) > 5e-3, mu
-
