@@ -8,20 +8,23 @@ the kernel becomes a e^t and the integral turns into
     a^(mu-lambda) * int_0^inf (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t) g(x(t)) dt,
 
 an exponentially-decaying tail plus an algebraic endpoint factor
-t^(2 mu - 1) near t = 0.  Panels away from t = 0 use the 15-point
-Gauss-Kronrod rule, whose embedded 7-point Gauss rule gives the error
-estimate |K15 - G7| at no extra integrand evaluations.  Nodes and
-weights are the published table of QUADPACK's QK15 (R. Piessens, E. de
+t^(2 mu - 1) near t = 0.  Panels away from t = 0 use the 21-point
+Gauss-Kronrod rule, whose embedded 10-point Gauss rule gives the error
+estimate |K21 - G10| at no extra integrand evaluations.  Nodes and
+weights are the published table of QUADPACK's QK21 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
-a test solves the rule at 40 digits and checks every tabulated double.
+a test solves the rule at 40 digits and checks every written digit.
 A panel takes its nodes in one loop, shared with the head rule below:
 each node's kernel weight, its exponent formed as real and imaginary
 floats (math.exp where it is real and cmath.exp rounds alike), then,
 unless the weight underflowed to 0, one call of g and the node's terms.
-Every 15-point panel is judged by its |K15 - G7| alone, as in
+Every 21-point panel is judged by its |K21 - G10| alone, as in
 QUADPACK's adaptive rules, and the tail is cut where an exponential
-envelope bounds the remainder.
+envelope bounds the remainder.  Every estimate, the head's too, is at
+least QUADPACK's rounding floor 50 eps sum |w_j f_j| over the panel's
+nodes: where the two rules agree to the last bits their difference
+says nothing of the sum's own rounding.
 
 Near t = 0 the substituted integrand is t^(2 mu - 1) times
 phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
@@ -38,18 +41,20 @@ kept as M_k/M_0 and the factor h^(2 mu)/(2 mu) goes into each node's
 exponent, so a large mu overflows nothing.  The head's error estimate is
 2 (|c_{N-2}| + |c_{N-1}|) int_0^h |t^(2 mu - 1)| dt, c_k the
 interpolant's Chebyshev coefficients.  A head that misses it is
-bisected into a new head and a 15-point sibling.  The coefficients
+bisected into a new head and a 21-point sibling.  The coefficients
 understate the error where phi itself has a weak power at 0 (theorem2's
 g ~ x^(p+1) with p < 0), but a head's error falls as h^(2 Re(mu)) or
 faster, so the change a bisection made, over 2^(2 Re(mu)) - 1, bounds
 the new head's error too, and the larger of the two is kept.  Both
 rules share one node loop.
-Re(mu) <= 0 keeps a 15-point head: the integral then converges only
+Re(mu) <= 0 keeps a 21-point head: the integral then converges only
 where g vanishes at 0 (theorem2), and a head that grows under
 bisection is refused as a non-integrable endpoint.
 
 Refinement runs in rounds over one list of panels kept in theta order,
-from 8 equal panels on [0, 4].  Each round takes the exactly rounded
+from four panels on [0, 4]: the head on [0, 1/2], then 21-point panels
+on [1/2, 1], [1, 2] and [2, 4], where the integrand is smoother and
+decays.  Each round takes the exactly rounded
 panel sum (``series.fsum_complex``) once.  While the tail bound exceeds
 a _TAIL_SAFETY-th of the target, the round moves the cutoff out to where
 the envelope, at its present coefficient, falls to that share, and the
@@ -72,33 +77,37 @@ from .record import Record, _set
 from .series import fsum_complex
 
 
-# QK15 (see the module docstring): the Kronrod (node, weight) pairs for
-# x >= 0, outermost first, and the weights of the embedded Gauss rule,
-# whose nodes are the 2nd, 4th, 6th and 8th of these.
-_QK15 = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238),
-    (0.586087235467691130294144838258730, 0.169004726639267902826583426598550),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649),
-    (0.000000000000000000000000000000000, 0.209482141084727828012999174891714),
+# QK21 (see the module docstring): the Kronrod (node, weight) pairs for
+# x >= 0, outermost first, and the weights of the embedded 10-point
+# Gauss rule, whose nodes are the 2nd, 4th, 6th, 8th and 10th of these.
+_QK21 = (
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068),
+    (0.000000000000000000000000000000000, 0.149445554002916905664936468389821),
 )
-_QK15_GAUSS = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+_QK21_GAUSS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
 
-_GAUSS_POINTS = 7
+_GAUSS_POINTS = 10
 # Both rules over all of [-1, 1] in ascending node order; the embedded
-# Gauss rule's nodes are the odd-indexed Kronrod nodes.  _panel runs
-# _node_sums on _RULE, their (node x, Kronrod weight, Gauss weight or
-# 0.0, 0.0) tuples.
-_KRONROD = tuple((-x, w) for x, w in _QK15[:-1]) + _QK15[::-1]
-_GAUSS_WEIGHTS = _QK15_GAUSS[:-1] + _QK15_GAUSS[::-1]
+# Gauss rule's nodes are the odd-indexed Kronrod nodes, and the centre
+# node is the Kronrod rule's alone.  _panel runs _node_sums on _RULE,
+# their (node x, Kronrod weight, Gauss weight or 0.0, 0.0) tuples.
+_KRONROD = tuple((-x, w) for x, w in _QK21[:-1]) + _QK21[::-1]
+_GAUSS_WEIGHTS = _QK21_GAUSS + _QK21_GAUSS[::-1]
 _RULE = tuple(
     (x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0, 0.0)
     for i, (x, w) in enumerate(_KRONROD)
@@ -123,15 +132,24 @@ _THETA_CAP = 200.0
 _MIN_RATE = 1e-6
 
 # Refinement (bisecting or moving the cutoff) stops, unconverged, once
-# the list holds this many panels.  The 8 starting panels are always
+# the list holds this many panels: their 29,988 nodes are about the
+# 30,000 of 2000 15-point panels.  The 4 starting panels are always
 # evaluated, even at a cap of 1; a refinement that reaches the cap ends
 # with exactly _MAX_PANELS panels.
-_MAX_PANELS = 2000
+_MAX_PANELS = 1428
+
+# QUADPACK's rounding floor: no error estimate is below this times the
+# panel's sum of |w f| over its nodes.
+_ROUNDING_FLOOR = 50.0 * 2.0**-52
 
 
 class QuadControl(Record):
     """Relative tolerance of ``integrate_kernel``: a result is converged
-    when its error estimate is at most rel_tol * |value|."""
+    when its error estimate is at most rel_tol * |value|.  No panel's
+    estimate is below 50 eps (1.1e-14) times its sum of |w f|, so a
+    rel_tol near that is not met and refinement runs to the panel cap
+    (g = 1 at a = 1, mu = 0.75, lambda = 2 converges at 3e-14 and not at
+    1e-14)."""
 
     __slots__ = ("rel_tol",)
 
@@ -201,9 +219,9 @@ class _Integrand:
         return complex(self.g(self.a * _cosh_m1(t)))
 
 
-def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tuple[complex, complex, complex]:
-    """Sums of w0 f, w1 f and w2 f over a rule's (x, w0, w1, w2) nodes
-    mapped onto [lo, hi], f the substituted integrand; a node whose
+def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tuple[complex, complex, complex, float]:
+    """Sums of w0 f, w1 f, w2 f and |w0 f| over a rule's (x, w0, w1, w2)
+    nodes mapped onto [lo, hi], f the substituted integrand; a node whose
     kernel weight underflows to 0 adds nothing and calls no g.
 
     power = (b_re, b_im, c_re, c_im) divides f by t^b and multiplies it
@@ -218,6 +236,7 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
     log, log1p, exp, cexp, sinh = math.log, math.log1p, math.exp, cmath.exp, math.sinh
     isfinite = cmath.isfinite
     s0 = s1 = s2 = 0j
+    s_abs = 0.0
     calls = 0
     for xi, w0, w1, w2 in rule:
         t = mid + half * xi
@@ -246,21 +265,24 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
         val = kern * complex(g(a * w))
         if not isfinite(val):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
-        s0 += w0 * val
+        term = w0 * val
+        s0 += term
+        s_abs += abs(term)
         if w1:
             s1 += w1 * val
         if w2:
             s2 += w2 * val
     intg.evaluations += calls
-    return s0, s1, s2
+    return s0, s1, s2, s_abs
 
 
 def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, complex, float]:
-    """(lo, hi, 15-point Kronrod value, |K15 - G7|) of one panel."""
+    """(lo, hi, 21-point Kronrod value, error estimate) of one panel: its
+    |K21 - G10|, or the rounding floor if that is larger."""
     half = 0.5 * (hi - lo)
-    kronrod, gauss, _ = _node_sums(intg, lo, hi, _RULE)
+    kronrod, gauss, _, s_abs = _node_sums(intg, lo, hi, _RULE)
     kronrod *= half
-    return lo, hi, kronrod, abs(kronrod - half * gauss)
+    return lo, hi, kronrod, max(abs(kronrod - half * gauss), _ROUNDING_FLOOR * half * s_abs)
 
 
 def _jacobi_moments(b) -> list:
@@ -274,30 +296,33 @@ def _jacobi_moments(b) -> list:
 
 
 def _head_rule(mu: complex):
-    """(nodes, b, error factor) of the product rule for t^b phi(t) on a
-    leftmost panel, b = 2 mu - 1, Re(mu) > 0: the nodes are
+    """(nodes, 2 mu, error factor) of the product rule for t^b phi(t) on
+    a leftmost panel, b = 2 mu - 1, Re(mu) > 0: the nodes are
     (x_j, W_j, 2/N cos((N-2) theta_j), 2/N cos((N-1) theta_j)), with
-    W_j = 2/N sum'_k cos(k theta_j) M_k / M_0, and 2 |b+1| / Re(b+1)
-    turns the last two coefficients of phi hi^(b+1) / (b+1) into the
-    error bound."""
-    b = 2.0 * mu - 1.0 if mu.imag else 2.0 * mu.real - 1.0
-    moments = _jacobi_moments(b)[1:]
+    W_j = 2/N sum'_k cos(k theta_j) M_k / M_0, and 2 |2 mu| / Re(2 mu)
+    turns the last two coefficients of phi hi^(2 mu) / (2 mu) into the
+    error bound.  b + 1 is taken as 2 mu, exactly, not as (2 mu - 1) + 1."""
+    two_mu = 2.0 * mu if mu.imag else 2.0 * mu.real
+    moments = _jacobi_moments(two_mu - 1.0)[1:]
     scale = 2.0 / _CHEB_POINTS
     nodes = tuple(
         (row[0], scale * (0.5 + sum(map(operator.mul, row, moments))), scale * row[-2], scale * row[-1])
         for row in _CHEB_COS
     )
-    return nodes, b, 2.0 * abs(b + 1.0) / (b.real + 1.0)
+    return nodes, two_mu, 2.0 * abs(two_mu) / two_mu.real
 
 
 def _head_panel(intg: _Integrand, hi: float, rule) -> tuple[float, float, complex, float]:
     """(0, hi, value, error estimate) of the leftmost panel by the head
     rule: phi = f / t^b at the Chebyshev points, each times
-    e^c = hi^(b+1) / (b+1), against the rule's weights."""
-    nodes, b, err_factor = rule
-    c = (b + 1.0) * math.log(hi) - cmath.log(b + 1.0)
-    value, c_n2, c_n1 = _node_sums(intg, 0.0, hi, nodes, (b.real, b.imag, c.real, c.imag))
-    return 0.0, hi, value, err_factor * (abs(c_n2) + abs(c_n1))
+    e^c = hi^(2 mu) / (2 mu), against the rule's weights W_j.  The
+    estimate is the coefficient bound, or the rounding floor on the sum
+    of |W_j phi_j e^c| if that is larger."""
+    nodes, two_mu, err_factor = rule
+    b = two_mu - 1.0
+    c = two_mu * math.log(hi) - cmath.log(two_mu)
+    value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, hi, nodes, (b.real, b.imag, c.real, c.imag))
+    return 0.0, hi, value, max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
 
 
 def _tail_coefficient(intg: _Integrand, theta_c: float) -> float:
@@ -329,11 +354,18 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     the integrand must be smooth there; a g that carries its own
     non-integer power at 0, as theorem2's does, still bisects the head.
 
+    Panels are 21-point Gauss-Kronrod rules judged by |K21 - G10|.
+    Refinement starts from a head on [0, theta/8] and panels on
+    [theta/8, theta/4], [theta/4, theta/2] and [theta/2, theta], theta = 4
+    (10 for a g that vanishes where the kernel does not decay).  No
+    estimate is below 50 eps times its panel's sum of |w f|.
+
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
     unconverged (``g = cos(3x)``, a = 1, mu = 0.9, lambda_eff = 2 ends
-    at 2000 panels).  The paper's integrands are unaffected: their Struve
-    arguments, y or x y over x + a + sqrt(x^2 + 2ax), tend to 0 or y/2.
+    at 1428 panels after 59,864 calls of g).  The paper's integrands are
+    unaffected: their Struve arguments, y or x y over
+    x + a + sqrt(x^2 + 2ax), tend to 0 or y/2.
     """
     a = _checked_a(a)
     mu = complex(mu)
@@ -367,8 +399,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     def head(hi: float):
         return _head_panel(intg, hi, rule) if rule else _panel(intg, 0.0, hi)
 
+    # The head on [0, theta/8], then panels that double in width.
     panels = [head(theta / 8.0)]
-    panels += [_panel(intg, theta * i / 8.0, theta * (i + 1) / 8.0) for i in range(1, 8)]
+    panels += [_panel(intg, theta / 2.0**k, theta / 2.0 ** (k - 1)) for k in (3, 2, 1)]
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []

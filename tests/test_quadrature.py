@@ -1,5 +1,8 @@
+import ast
 import cmath
+import inspect
 import math
+import sys
 
 import pytest
 from mpmath import beta, factorial, mp, mpc, mpf, rf
@@ -35,6 +38,10 @@ BASE_GRID = [
     for mu in (0.3, 1.0, 1.7)
     for lam in (mu + 0.5, mu + 2.0)
 ]
+
+
+# QUADPACK's floor on every error estimate, as a share of sum |w f|.
+ROUNDING_FLOOR = 50 * sys.float_info.epsilon
 
 
 def rel(actual, expected):
@@ -87,16 +94,19 @@ def test_unit_integrand_vs_closed_form_singular_endpoint():
 # at 0.1, 385 at 0.3, 355 at 0.6, 265 at 0.75, 295 at 1.25, 655 at
 # 0.75 + 0.2i, 6,145 at 0.1 + 0.2i and 835 at 0.54 + 0.18i: it made
 # t^(2 Re mu - 1) an integer power, and t^(2i Im mu) still oscillated.
+# The head rule with eight equal 15-point panels on [0, 4] took 180 to
+# 270: 180 at mu = 0.01, 210 at 0.1, 240 at 0.75 and 270 at 1.25.
 TINY_MU_CALLS = {
-    0.01: 180, 0.02: 180, 0.05: 180, 0.1: 210, 0.3: 210, 0.5: 210, 0.6: 240, 0.75: 240,
-    1.0: 240, 1.25: 270, 0.75 + 0.2j: 240, 0.1 + 0.2j: 210, 0.54 + 0.18j: 240,
+    0.01: 114, 0.02: 114, 0.05: 114, 0.1: 114, 0.3: 156, 0.5: 156, 0.6: 156, 0.75: 156,
+    1.0: 198, 1.25: 240, 0.75 + 0.2j: 198, 0.1 + 0.2j: 156, 0.54 + 0.18j: 156,
 }
 # The value's bits and the calls of g, pinned where t^(2 mu - 1) is a
-# polynomial and where it is a complex power.
+# polynomial and where it is a complex power.  At 0.5 and 1.0 the bits
+# are those of the eight 15-point panels (210 and 240 calls).
 PINNED_MU = {
-    0.5: (("0x1.822cb17ff21b7p-1", "0x0.0p+0"), 210),
-    1.0: (("0x1.5555555554a23p-2", "0x0.0p+0"), 240),
-    0.1 + 0.2j: (("-0x1.eeab00a9158f0p-4", "-0x1.826b6f16ad903p+1"), 210),
+    0.5: (("0x1.822cb17ff21b7p-1", "0x0.0p+0"), 156),
+    1.0: (("0x1.5555555554a23p-2", "0x0.0p+0"), 198),
+    0.1 + 0.2j: (("-0x1.eeab00a9158c4p-4", "-0x1.826b6f16ad904p+1"), 156),
 }
 
 
@@ -128,8 +138,8 @@ def test_zero_integrand():
     assert res.error_estimate == 0.0
     assert res.converged
     # Re(lambda_eff) < Re(mu): a g that vanishes on the tail probes has no
-    # tail, and the 8 starting panels span [0, 10] and are all kept.
-    for mu, panels in ((1.0, 8), (0.5, 8)):
+    # tail, and the 4 starting panels span [0, 10] and are all kept.
+    for mu, panels in ((1.0, 4), (0.5, 4)):
         res = integrate_kernel(lambda x: 0.0, 1.0, mu, mu - 0.5)
         assert (res.value, res.converged, res.panels_used, res.cutoff_theta) == (0, True, panels, 10.0)
 
@@ -257,13 +267,13 @@ def test_panel_budget_exhaustion_flags_result(monkeypatch):
 
 
 def test_panel_cap_limits_refinement_not_layout(monkeypatch):
-    # The panel cap limits refinement only: the 8 starting panels on
+    # The panel cap limits refinement only: the 4 starting panels on
     # [0, 4] are always evaluated (at cap 1 the cutoff cannot move), and
     # the last round splits just enough panels to reach the cap exactly.
     # g = cos(3x) is never resolved (see integrate_kernel); its rounds go
-    # 8 -> 9 (cutoff move) -> 15 -> 23, so at cap 16 the last round wants
-    # eight splits and gets one.
-    for cap, expected in ((1, 8), (16, 16), (23, 23), (24, 24)):
+    # 4 -> 5 -> 6 (two cutoff moves) -> 9 -> 13, so at cap 7 the last
+    # round wants three splits and gets one, and at cap 10 four and one.
+    for cap, expected in ((1, 4), (7, 7), (9, 9), (10, 10)):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
         res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 2.0)
         assert not res.converged
@@ -334,31 +344,69 @@ def test_kronrod_rule_polynomial_exactness():
         assert abs(approx - exact) <= 1e-14, d
 
 
+def table_decimals():
+    """_QK21's (node, weight) pairs and _QK21_GAUSS's weights as the
+    decimals written in quadrature.py, before they round to doubles."""
+    source = inspect.getsource(quadrature)
+    tables = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            tables[node.targets[0].id] = node.value
+    pairs = [tuple(ast.get_source_segment(source, e) for e in pair.elts) for pair in tables["_QK21"].elts]
+    gauss = [ast.get_source_segment(source, e) for e in tables["_QK21_GAUSS"].elts]
+    return pairs, gauss
+
+
 def test_kronrod_table_is_the_nearest_doubles():
-    # Solve the rule at 40 digits: the Gauss nodes are the roots of P_7,
-    # with weights 2 / ((1 - x^2) P_7'(x)^2); the other four positive
-    # nodes and the eight Kronrod weights of x >= 0 solve the even-degree
-    # exactness equations 0..22, seeded with the table.
+    # Solve the rule at 40 digits: the Gauss nodes are the roots of P_10,
+    # with weights 2 / ((1 - x^2) P_10'(x)^2); the other five positive
+    # nodes and the eleven Kronrod weights of x >= 0 solve the
+    # even-degree exactness equations 0..30, seeded with the table.
     half = _KRONROD[_GAUSS_POINTS:][::-1]
+    pairs, gauss_decimals = table_decimals()
+    assert len(pairs) == len(half) == 11 and len(gauss_decimals) == 5
     with mp.workdps(40):
-        gauss = [mp.findroot(lambda x: mp.legendre(7, x), half[i][0]) for i in (1, 3, 5)]
+        gauss = [mp.findroot(lambda x: mp.legendre(10, x), half[i][0]) for i in (1, 3, 5, 7, 9)]
         gauss_weights = [
-            2 / ((1 - x**2) * mp.diff(lambda t: mp.legendre(7, t), x) ** 2)
-            for x in gauss + [mpf(0)]
+            2 / ((1 - x**2) * mp.diff(lambda t: mp.legendre(10, t), x) ** 2) for x in gauss
         ]
 
         def nodes(extra):
-            return [extra[0], gauss[0], extra[1], gauss[1], extra[2], gauss[2], extra[3], mpf(0)]
+            return [v for pair in zip(extra, gauss) for v in pair] + [mpf(0)]
 
         def residuals(*unknowns):
             # Every node but the centre stands for itself and its mirror.
-            pairs = zip(nodes(unknowns[:4]), unknowns[4:], [2] * 7 + [1])
+            pairs = zip(nodes(unknowns[:5]), unknowns[5:], [2] * 10 + [1])
             terms = [(x * x, m * w) for x, w, m in pairs]
-            return [sum(mw * x2**j for x2, mw in terms) - mpf(2) / (2 * j + 1) for j in range(12)]
+            return [sum(mw * x2**j for x2, mw in terms) - mpf(2) / (2 * j + 1) for j in range(16)]
 
-        seed = [half[i][0] for i in (0, 2, 4, 6)] + [w for _, w in half]
+        seed = [half[i][0] for i in (0, 2, 4, 6, 8)] + [w for _, w in half]
         solved = mp.findroot(residuals, seed)
-        exact = list(zip(nodes(solved[:4]), solved[4:]))
+        exact = list(zip(nodes(solved[:5]), solved[5:]))
+        # The written decimals round the 40-digit rule at their 33rd
+        # digit, so a digit recalled wrong anywhere shows, even one too
+        # far down to change the double.
+        ulp33 = mpf(10) ** -33
+        for (x_text, w_text), (x40, w40) in zip(pairs, exact):
+            assert abs(mpf(x_text) - x40) <= ulp33 / 2, x_text
+            assert abs(mpf(w_text) - w40) <= ulp33 / 2, w_text
+        for w_text, w40 in zip(gauss_decimals, gauss_weights):
+            assert abs(mpf(w_text) - w40) <= ulp33 / 2, w_text
+
+        # The decimals, mirrored, integrate x^d exactly through d = 31 =
+        # 3 * 10 + 1, and the embedded G10 through d = 19; neither rule
+        # is exact one even degree further.
+        def error(rule, d):
+            return sum(mpf(w) * mpf(x) ** d for x, w in rule) - (mpf(2) / (d + 1) if d % 2 == 0 else 0)
+
+        kronrod = pairs + [("-" + x, w) for x, w in pairs[:-1]]
+        embedded = [(pairs[2 * i + 1][0], w) for i, w in enumerate(gauss_decimals)]
+        embedded += [("-" + x, w) for x, w in embedded]
+        for d in range(32):
+            assert abs(error(kronrod, d)) <= 1e-32, d
+            if d < 20:
+                assert abs(error(embedded, d)) <= 1e-32, d
+        assert abs(error(kronrod, 32)) > 1e-12 and abs(error(embedded, 20)) > 1e-6
     for (x, w), (x40, w40) in zip(half, exact):
         assert (x, w) == (float(x40), float(w40)), x
     assert list(_GAUSS_WEIGHTS[_GAUSS_POINTS // 2:]) == [float(w) for w in gauss_weights[::-1]]
@@ -391,7 +439,7 @@ def test_evaluations_count_every_call_of_g():
         assert res.evaluations == len(calls)
 
 
-# --- one panel's 15 nodes in one loop against a per-node integrand ----------------
+# --- one panel's 21 nodes in one loop against a per-node integrand ----------------
 
 def reference_node(g, a, mu, lam, t, calls):
     """The substituted integrand at one node, node by node: kernel weight
@@ -417,19 +465,23 @@ def reference_node(g, a, mu, lam, t, calls):
 
 
 def reference_panel(g, a, mu, lam, lo, hi):
-    """(Kronrod value, |K15 - G7|, calls of g) summed as _panel sums."""
+    """(Kronrod value, error estimate, calls of g) summed as _panel sums:
+    |K21 - G10|, or QUADPACK's rounding floor 50 eps sum |w f| if that
+    is larger."""
     calls = []
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     values = [reference_node(g, a, mu, lam, mid + half * xi, calls) for xi, _ in _KRONROD]
     kronrod = 0j
+    resabs = 0.0
     for (_, wi), fi in zip(_KRONROD, values):
         kronrod += wi * fi
+        resabs += abs(wi * fi)
     gauss = 0j
     for wi, fi in zip(_GAUSS_WEIGHTS, values[1::2]):
         gauss += wi * fi
     kronrod *= half
-    return kronrod, abs(kronrod - half * gauss), calls
+    return kronrod, max(abs(kronrod - half * gauss), ROUNDING_FLOOR * half * resabs), calls
 
 
 def panel_outcome(run):
@@ -474,7 +526,7 @@ PANEL_CASES = [
 @pytest.mark.parametrize("case", PANEL_CASES)
 def test_panel_matches_per_node_integrand(case):
     expected = panel_outcome(lambda: reference_panel(*case))
-    assert len(expected[1]) == 15
+    assert len(expected[1]) == 21
     assert panel_outcome(lambda: one_loop_panel(*case)) == expected
 
 
@@ -483,7 +535,7 @@ def test_panel_skips_g_where_the_weight_underflows():
     # and are not evaluations.
     case = (lambda x: 1.0 + x, 1.0, 1.0, 1000.0, 0.7, 0.8)
     expected = panel_outcome(lambda: reference_panel(*case))
-    assert 0 < len(expected[1]) < 15
+    assert 0 < len(expected[1]) < 21
     assert panel_outcome(lambda: one_loop_panel(*case)) == expected
 
 
@@ -525,11 +577,12 @@ def test_jacobi_moments_match_the_closed_sum(b):
 
 
 def reference_head_panel(g, a, mu, lam, hi):
-    """(value, error estimate, calls of g) of the head rule on [0, hi] at
-    40 digits, node by node: phi = f / t^(2 mu - 1) at the N first-kind
-    Chebyshev points, its interpolant's coefficients c_k, the value
-    (hi/2)^(2 mu) sum'_k c_k M_k = int_0^hi t^(2 mu - 1) p(t) dt, and the
-    estimate 2 (|c_{N-2}| + |c_{N-1}|) int_0^hi |t^(2 mu - 1)| dt."""
+    """(value, coefficient bound, sum |W_j phi_j|, calls of g) of the head
+    rule on [0, hi] at 40 digits, node by node: phi = f / t^(2 mu - 1) at
+    the N first-kind Chebyshev points, its interpolant's coefficients c_k,
+    the value (hi/2)^(2 mu) sum'_k c_k M_k = int_0^hi t^(2 mu - 1) p(t) dt
+    = sum_j W_j phi_j, and the bound 2 (|c_{N-2}| + |c_{N-1}|)
+    int_0^hi |t^(2 mu - 1)| dt."""
     n = _CHEB_POINTS
     calls = []
     with mp.workdps(40):
@@ -545,8 +598,13 @@ def reference_head_panel(g, a, mu, lam, hi):
         c = [2 * sum(f * mp.cos(k * angle) for f, angle in zip(phi, angles)) / n for k in range(n)]
         moments = mp_moments(b)
         value = (hi / 2) ** (2 * mu) * (c[0] * moments[0] / 2 + sum(c[k] * moments[k] for k in range(1, n)))
-        estimate = 2 * (abs(c[-2]) + abs(c[-1])) * hi ** (2 * mu.real) / (2 * mu.real)
-        return complex(value), float(estimate), calls
+        bound = 2 * (abs(c[-2]) + abs(c[-1])) * hi ** (2 * mu.real) / (2 * mu.real)
+        weights = [
+            (hi / 2) ** (2 * mu) * 2 / n * (moments[0] / 2 + sum(mp.cos(k * angle) * moments[k] for k in range(1, n)))
+            for angle in angles
+        ]
+        resabs = sum(abs(w * f) for w, f in zip(weights, phi))
+        return complex(value), float(bound), float(resabs), calls
 
 
 HEAD_PANEL_CASES = [
@@ -564,7 +622,8 @@ HEAD_PANEL_CASES = [
 @pytest.mark.parametrize("case", HEAD_PANEL_CASES)
 def test_head_panel_matches_node_by_node_integral(case):
     g, a, mu, lam, hi = case
-    value, estimate, calls = reference_head_panel(g, a, mu, lam, hi)
+    value, bound, resabs, calls = reference_head_panel(g, a, mu, lam, hi)
+    estimate = max(bound, ROUNDING_FLOOR * resabs)
     seen = []
 
     def recorded(x):
@@ -581,10 +640,38 @@ def test_head_panel_matches_node_by_node_integral(case):
     assert abs(head_estimate - estimate) <= 1e-13 * abs(value)
 
 
+def test_rounding_floor_bounds_every_estimate():
+    # QUADPACK's floor: no panel's estimate is below 50 eps sum |w f|.
+    # At mu = 0.02, g = (1 + x)^-3, the panel [0.5, 1] has |K21 - G10| =
+    # 9.2e-16 under a floor of 2.0e-15, and the head on [0, 0.5] a
+    # coefficient bound of 4.0e-14 under a floor of 1.0e-12: its weights
+    # W_j alternate, and the sum rounds at the scale of sum |W_j phi_j|.
+    def g(x):
+        return (1.0 + x) ** -3
+
+    a, mu, lam = 1.0, 0.02, 2.02
+    intg = _Integrand(g, a, complex(mu), complex(lam))
+    for lo, hi in ((0.5, 1.0), (1.0, 2.0), (2.0, 4.0)):
+        half = 0.5 * (hi - lo)
+        values = [reference_node(g, a, mu, lam, 0.5 * (hi + lo) + half * xi, []) for xi, _ in _KRONROD]
+        floor = ROUNDING_FLOOR * half * sum(abs(w * f) for (_, w), f in zip(_KRONROD, values))
+        _, _, _, estimate = _panel(intg, lo, hi)
+        assert estimate >= floor, (lo, hi)
+        if lo == 0.5:
+            assert estimate == floor
+    _, bound, resabs, _ = reference_head_panel(g, a, mu, lam, 0.5)
+    _, _, _, estimate = _head_panel(intg, 0.5, _head_rule(complex(mu)))
+    assert bound < 0.1 * ROUNDING_FLOOR * resabs
+    assert estimate >= ROUNDING_FLOOR * resabs * (1 - 1e-13)
+
+
 def test_head_panel_integrates_the_endpoint_power():
     # One head panel of g = 1 at lambda = 0 on [0, 1e-3] against
     # int_0^h (cosh t - 1)^(mu-1) sinh t dt = (cosh h - 1)^mu / mu, where
-    # a plain 15-point panel is off by 1 % (mu = 0.3) to 65 % (mu = 0.03).
+    # a plain 21-point panel is off by 0.6 % (mu = 0.3) to 63 % (mu = 0.03).
+    # The rule takes b + 1 as 2 mu exactly: (2 mu - 1) + 1 is
+    # 0.040000000000000036 at mu = 0.02.
+    assert _head_rule(0.02 + 0j)[1] == 0.04
     h = 1e-3
     for mu in (0.03, 0.1, 0.3, 0.1 + 0.2j):
         exact = _cosh_m1(h) ** mu / mu
