@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -315,89 +314,6 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where known)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _verify_split(todo: list, workers: int, qctl, sctl, tol) -> list:
-    """``verify_case`` over ``todo`` in input order.  Share i is
-    ``todo[i::workers]``: this process runs share 0 and a forked child
-    runs each other share, sending back ``(ok, reports or exception)``
-    pickled over its own pipe.  A child's exception is raised here; a
-    child that dies or exits non-zero raises ChildProcessError.  On any
-    failure every child still running is killed and reaped first.
-    """
-
-    def share(i: int) -> list:
-        return [verify_case(case, qctl, sctl, tol) for case in todo[i::workers]]
-
-    if workers == 1:
-        return share(0)
-    # Imported here: only the fork path sends reports between processes.
-    import pickle
-    import signal
-
-    # Flushed so that no child writes out text buffered before the fork.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []  # (pid, read end of its pipe), share order
-    try:
-        for i in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # child: never returns
-                code = 1
-                try:
-                    os.close(read_fd)
-                    try:
-                        ok, result = True, share(i)
-                    except BaseException as exc:
-                        ok, result = False, exc
-                    data = pickle.dumps((ok, result))
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(data)
-                    code = 0 if ok else 1
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        shares = [share(0)]
-        for i in range(1, workers):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            try:
-                ok, result = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):  # the pipe ended early
-                ok, result = None, None
-            if ok is False:
-                raise result
-            if code != 0 or not ok:
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(f"verify worker {i} (pid {pid}) ended without its reports ({how})")
-            shares.append(result)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    reports = [None] * len(todo)
-    for i, reports_i in enumerate(shares):
-        reports[i::workers] = reports_i
-    return reports
-
-
 def _utc_timestamp() -> str:
     """The time now as ``datetime.now(timezone.utc).isoformat()`` writes
     it, whole microseconds taken by flooring, without importing datetime."""
@@ -428,12 +344,10 @@ def cmd_verify(args) -> int:
         except DomainError as exc:
             parsed.append((raw, _failed_report(None, tol, str(exc), 0.0)))
 
-    # Forked children run only verify_case; parsing and serialization
-    # stay here, and the reports come back in input order.
-    todo = [case for _, case in parsed if isinstance(case, IntegralCase)]
-    workers = max(1, min(args.jobs, len(todo), _usable_cpus())) if hasattr(os, "fork") else 1
-    done = iter(_verify_split(todo, workers, qctl, sctl, tol))
-    results = [(raw, case if isinstance(case, VerificationReport) else next(done)) for raw, case in parsed]
+    results = [
+        (raw, case if isinstance(case, VerificationReport) else verify_case(case, qctl, sctl, tol))
+        for raw, case in parsed
+    ]
 
     entries = [report_to_dict(rep, raw) for raw, rep in results]
     passed = sum(1 for _, rep in results if rep.passed)
@@ -468,7 +382,7 @@ def _scalar_choices(text: str, field: str) -> list[complex]:
             start, end, step = (Decimal(v) for v in parts)
         except DecimalException:
             raise CaseParseError(f"{field}: range bounds must be real numbers") from None
-        # is_finite() first: float() raises on a signalling NaN.
+        # is_finite() first: float() raises on Decimal('sNaN').
         if (
             not all(v.is_finite() and math.isfinite(float(v)) for v in (start, end, step))
             or step <= 0
@@ -582,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes (capped at the usable CPUs and the case count)",
+        help="accepted for compatibility; verify runs in one process",
     )
     p_verify.set_defaults(func=cmd_verify)
 

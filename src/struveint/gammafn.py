@@ -98,21 +98,27 @@ def _log_gamma_reflected(z: complex) -> complex:
     |Im z| = 225, is never called.
     """
     x, y = z.real, z.imag
-    # 1 - e^(i theta - s), theta = 2 pi (x - round(x)), s = 2 pi y, built
-    # from expm1 and sin^2(theta/2) so it keeps full relative accuracy
-    # next to the poles, where it tends to 0.
-    theta = 2.0 * math.pi * (x - round(x))
-    s = 2.0 * math.pi * y
-    half_sin = math.sin(0.5 * theta)
-    one_minus = complex(
-        2.0 * half_sin * half_sin - math.expm1(-s) * math.cos(theta),
-        -math.exp(-s) * math.sin(theta),
-    )
     return (
         _LOG_2PI
         + complex(-math.pi * y, math.pi * (x - 0.5))
-        - cmath.log(one_minus)
+        - cmath.log(_one_minus_q(x, y))
         - _log_gamma_right(1.0 - z)
+    )
+
+
+def _one_minus_q(x: float, y: float) -> complex:
+    """1 - q, q = e^(2 pi i z), for z = x + i y with y >= 0.
+
+    Taken as 1 - e^(i theta - s), theta = 2 pi (x - round(x)), s = 2 pi y,
+    from expm1 and sin^2(theta/2), so it keeps full relative accuracy next
+    to the poles, where it tends to 0.
+    """
+    theta = 2.0 * math.pi * (x - round(x))
+    s = 2.0 * math.pi * y
+    half_sin = math.sin(0.5 * theta)
+    return complex(
+        2.0 * half_sin * half_sin - math.expm1(-s) * math.cos(theta),
+        -math.exp(-s) * math.sin(theta),
     )
 
 
@@ -124,6 +130,33 @@ def _log_gamma_complex(z: complex) -> complex:
         # Conjugate symmetry; -0j maps to +0j, the other side of the cut.
         return _log_gamma_reflected(z.conjugate()).conjugate()
     return _log_gamma_reflected(z)
+
+
+def _digamma(z: complex) -> complex:
+    """psi(z) = d/dz log Gamma(z) off the poles, the derivative of the
+    sums that ``_log_gamma_complex`` takes: for Re z >= 1/2 the same shift
+    to |z| >= 10, where d/dz log(z (z+1)) = 1/z + 1/(z+1), then
+    log z - 1/(2z) - sum_k B_2k / (2k z^2k); below that the reflection
+    psi(z) = psi(1 - z) - pi cot(pi z), with
+    pi cot(pi z) = -i pi (1 + q) / (1 - q), q = e^(2 pi i z), and 1 - q
+    from ``_one_minus_q``; conjugate symmetry below the real axis.
+    """
+    if z.real < 0.5:
+        if math.copysign(1.0, z.imag) < 0.0:
+            return _digamma(z.conjugate()).conjugate()
+        one_minus = _one_minus_q(z.real, z.imag)
+        return _digamma(1.0 - z) + 1j * math.pi * (2.0 - one_minus) / one_minus
+    shift = 0j
+    while z.real * z.real + z.imag * z.imag < _STIRLING_MIN_ABS2:
+        shift += 1.0 / z + 1.0 / (z + 1.0)
+        z += 2.0
+    inv = 1.0 / z
+    w = inv * inv
+    # (2k - 1) B_2k / (2k (2k - 1)) = B_2k / 2k, k = 8 down to 1.
+    series = 15.0 * _STIRLING[-1]
+    for k, coef in zip(range(7, 0, -1), _STIRLING[-2::-1]):
+        series = series * w + (2 * k - 1) * coef
+    return cmath.log(z) - 0.5 * inv - series * w - shift
 
 
 def log_gamma(z) -> complex:

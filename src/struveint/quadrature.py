@@ -147,9 +147,9 @@ class QuadControl(Record):
     """Relative tolerance of ``integrate_kernel``: a result is converged
     when its error estimate is at most rel_tol * |value|.  No panel's
     estimate is below 50 eps (1.1e-14) times its sum of |w f|, so a
-    rel_tol near that is not met and refinement runs to the panel cap
-    (g = 1 at a = 1, mu = 0.75, lambda = 2 converges at 3e-14 and not at
-    1e-14)."""
+    rel_tol below that is refused, as QUADPACK refuses such an epsrel
+    (ier = 6); near it convergence is not assured (g = 1 at a = 1,
+    mu = 0.75, lambda = 2 converges at 3e-14, in 240 calls)."""
 
     __slots__ = ("rel_tol",)
 
@@ -158,6 +158,11 @@ class QuadControl(Record):
             raise DomainError(f"quadrature tolerance must be a number, got {rel_tol!r}")
         if not 0 < rel_tol < math.inf:
             raise DomainError("quadrature tolerance must be positive and finite")
+        if rel_tol < _ROUNDING_FLOOR:
+            raise DomainError(
+                f"quadrature tolerance must be at least the rounding floor 50 eps = "
+                f"{_ROUNDING_FLOOR!r} of every error estimate, got {rel_tol!r}"
+            )
         _set(self, "rel_tol", rel_tol)
 
 
@@ -345,8 +350,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     compacts; integrability at 0 (x^(mu-1) against g's small-x order) is
     the caller's responsibility.  Returns the best estimate flagged
     unconverged when the panel budget runs out before tolerance is met;
-    raises DomainError when the endpoint is detected as non-integrable or
-    the tail has no certifiable decay.
+    raises DomainError when the endpoint is detected as non-integrable, or,
+    before any call of g, when the kernel does not decay
+    (Re(lambda_eff) - Re(mu) below 1e-6), whatever g is.
 
     The tail cutoff moves with the tolerance, for every mu.  For
     Re(mu) > 0 each leftmost panel integrates the endpoint factor
@@ -355,10 +361,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     non-integer power at 0, as theorem2's does, still bisects the head.
 
     Panels are 21-point Gauss-Kronrod rules judged by |K21 - G10|.
-    Refinement starts from a head on [0, theta/8] and panels on
-    [theta/8, theta/4], [theta/4, theta/2] and [theta/2, theta], theta = 4
-    (10 for a g that vanishes where the kernel does not decay).  No
-    estimate is below 50 eps times its panel's sum of |w f|.
+    Refinement starts from a head on [0, 1/2] and panels on [1/2, 1],
+    [1, 2] and [2, 4].  No estimate is below 50 eps times its panel's sum
+    of |w f|.
 
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
@@ -375,17 +380,12 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
 
     rate = lam.real - mu.real
     if rate < _MIN_RATE:
-        # Only an identically-small g can rescue the tail; probe it.
-        probe = max(abs(intg.g_at(t)) for t in (1.0, 5.0, 20.0, 80.0))
-        if probe > 0:
-            raise DomainError(
-                "tail not certifiable: Re(lambda_eff) - Re(mu) = "
-                f"{rate:.3g} is not positive"
-            )
-        theta, tail_bound = 10.0, 0.0
-    else:
-        theta = 4.0
-        tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+        raise DomainError(
+            "tail not certifiable: Re(lambda_eff) - Re(mu) = "
+            f"{rate:.3g} is not positive"
+        )
+    theta = 4.0
+    tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
     # Every leftmost panel [0, h] is one head-rule panel where Re(mu) > 0.
     # A head's error is h^(2 Re(mu) + s) times a constant, where
     # phi(t) - phi(0) goes like t^s, s > 0.  So it shrinks by
@@ -399,7 +399,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     def head(hi: float):
         return _head_panel(intg, hi, rule) if rule else _panel(intg, 0.0, hi)
 
-    # The head on [0, theta/8], then panels that double in width.
+    # The head on [0, 1/2], then panels that double in width up to 4.
     panels = [head(theta / 8.0)]
     panels += [_panel(intg, theta / 2.0**k, theta / 2.0 ** (k - 1)) for k in (3, 2, 1)]
 

@@ -25,7 +25,7 @@ import sys
 from bisect import bisect_left
 
 from .errors import ConvergenceError, DivergenceError, DomainError, GammaPoleError, RangeError
-from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, gamma_ratio_block, log_gamma, nearest_pole
+from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, _digamma, gamma_ratio_block, log_gamma, nearest_pole
 from .record import Record, _set
 
 _LOG_GAMMA_3_2 = math.lgamma(1.5)
@@ -45,6 +45,8 @@ _TINY = sys.float_info.min
 _HUGE = sys.float_info.max
 # Room for rounding in _w_evaluator's bound on the terms' moduli.
 _ROUNDING_ROOM = 1.0 + 2.0**-30
+# Unit roundoff of a double.
+_U = 2.0**-53
 
 
 class SeriesControl(Record):
@@ -139,10 +141,13 @@ def sum_terms(terms, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
 
 class StruveParams(Record):
     """Order and shape parameters (p, b, c) of the generalized Struve
-    series; nothing in it changes once built, so threads may share one."""
+    series; its fields never change once built, and its one lazily taken
+    value is the same whoever takes it, so threads may share one."""
 
-    # _log_gamma_shifted: log Gamma(p + (b+2)/2), the leading term's constant.
-    __slots__ = ("p", "b", "c", "_log_gamma_shifted")
+    # _log_gamma_shifted: log Gamma(p + (b+2)/2), the leading term's constant;
+    # _s_rounding: struve_w_full's factor for the rounding of p + (b+2)/2,
+    # None until its first call (_rounding_of_s).
+    __slots__ = ("p", "b", "c", "_log_gamma_shifted", "_s_rounding")
 
     def __init__(self, p: complex, b: complex, c: complex):
         for name, v in (("p", p), ("b", b), ("c", c)):
@@ -161,6 +166,7 @@ class StruveParams(Record):
                 "the generalized Struve series is undefined"
             ) from None
         _set(self, "_log_gamma_shifted", lgs)
+        _set(self, "_s_rounding", None)
 
     @property
     def shifted_order(self) -> complex:
@@ -328,9 +334,28 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
 
 
 def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> SeriesResult:
+    """``struve_w``'s value, its term count and a tail estimate.
+
+    The estimate is the series' own (1e-16 |t_0| from the table, or
+    ``sum_terms``') plus u (|p| + |b+2|/2) |psi(s)| |W|, u = 2^-53: s =
+    p + (b+2)/2 is rounded before Gamma(s) is taken, and Gamma turns that
+    rounding into |psi(s)| times it, which near a pole of Gamma is the
+    largest error.
+    """
     z = _require_positive_z(z)
     half = z / 2.0
-    return _w_evaluator(params, half * half, ctl)(z, True)
+    res = _w_evaluator(params, half * half, ctl)(z, True)
+    return SeriesResult(res.value, res.terms, res.tail_estimate + _rounding_of_s(params) * abs(res.value))
+
+
+def _rounding_of_s(params: StruveParams) -> float:
+    """u (|p| + |b+2|/2) |psi(s)|, taken once per params and kept; threads
+    that race here each store the same value."""
+    rounding = params._s_rounding
+    if rounding is None:
+        rounding = _U * (abs(params.p) + abs(params.b + 2) / 2) * abs(_digamma(params.shifted_order))
+        _set(params, "_s_rounding", rounding)
+    return rounding
 
 
 def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
@@ -338,7 +363,9 @@ def struve_w(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL) -> c
 
     sum_{k>=0} (-c)^k (z/2)^(2k+p+1) / (Gamma(k+3/2) Gamma(k+p+(b+2)/2)).
     """
-    return struve_w_full(params, z, ctl).value
+    z = _require_positive_z(z)
+    half = z / 2.0
+    return complex(_w_evaluator(params, half * half, ctl)(z))
 
 
 def _struve_derivative_terms(params: StruveParams, z: float, order: int):

@@ -1,7 +1,5 @@
 import json
 import math
-import os
-import time
 
 import pytest
 
@@ -67,8 +65,8 @@ def test_eval_struve_w_smallest_positive_z(capsys):
 @pytest.mark.parametrize(
     "argv, value, diag",
     [
-        (("struve_h", "nu=0.5", "z=1"), "3.356983535709017e-01", "# terms=9 tail_estimate=3.989e-17"),
-        (("struve_l", "nu=0.7", "z=2"), "2.047519605903489e+00", "# terms=12 tail_estimate=1.229e-16"),
+        (("struve_h", "nu=0.5", "z=1"), "3.356983535709017e-01", "# terms=9 tail_estimate=6.141e-17"),
+        (("struve_l", "nu=0.7", "z=2"), "2.047519605903489e+00", "# terms=12 tail_estimate=2.017e-16"),
     ],
 )
 def test_eval_struve_h_and_l(argv, value, diag, capsys):
@@ -164,6 +162,7 @@ def test_eval_series_modulus_overflow_exit_2(capsys):
          "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--max-terms", "50"),
         ("verify", "cases.json", "--jobs", "0"),
         ("verify", "cases.json", "--jobs", "-3"),
+        ("verify", "cases.json", "--jobs", "1.5"),
     ],
 )
 def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
@@ -173,7 +172,9 @@ def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     if argv[0] == "verify":
-        assert "argument --jobs: must be at least 1" in captured.err
+        # --jobs selects nothing but is still checked: a positive integer.
+        expected = "invalid" if argv[-1] == "1.5" else f"must be at least 1, got {argv[-1]}"
+        assert f"argument --jobs: {expected}" in captured.err
     else:
         assert "unrecognized arguments" in captured.err
 
@@ -510,161 +511,48 @@ def numeric_report(path):
     return report
 
 
-def test_verify_jobs_parallel_same_output(tmp_path, capsys):
-    # b = -4 makes p + (b+2)/2 = 0, so its Struve series is undefined:
-    # a failed report, in place, from the worker as from the serial run.
+def test_verify_jobs_flag_keeps_the_flagless_report(tmp_path, capsys):
+    # --jobs is accepted and selects nothing.  mu = 50 fails validation
+    # while the file is parsed; b = -4 makes p + (b+2)/2 = 0, so its
+    # Struve series is undefined and the case fails while it is run.
+    # Both failed reports stay in place, in input order.
     cases = [
-        GOOD_CASE, dict(GOOD_CASE, mu="0.6"), dict(GOOD_CASE, b="-4"),
-        dict(GOOD_CASE, **{"lambda": "3"}),
+        GOOD_CASE, dict(GOOD_CASE, mu="0.6"), dict(GOOD_CASE, mu="50"),
+        dict(GOOD_CASE, b="-4"), dict(GOOD_CASE, **{"lambda": "3"}),
     ]
     path = write_cases(tmp_path, cases)
-    out1 = tmp_path / "serial.json"
-    out2 = tmp_path / "parallel.json"
-    assert run(capsys, "verify", str(path), "--output", str(out1))[0] == 1
-    assert run(capsys, "verify", str(path), "--output", str(out2), "--jobs", "4")[0] == 1
-    r1 = numeric_report(out1)
-    assert r1 == numeric_report(out2)
-    assert [c["pass"] for c in r1["cases"]] == [True, True, False, True]
-    assert "non-positive integer" in r1["cases"][2]["reason"]
+    flagless = tmp_path / "flagless.json"
+    assert run(capsys, "verify", str(path), "--output", str(flagless))[0] == 1
+    report = numeric_report(flagless)
+    assert [c["pass"] for c in report["cases"]] == [True, True, False, False, True]
+    assert [c["case"] for c in report["cases"]] == cases
+    assert "condition violated" in report["cases"][2]["reason"]
+    assert "non-positive integer" in report["cases"][3]["reason"]
+    for jobs in ("1", "2", "4"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert run(capsys, "verify", str(path), "--output", str(out), "--jobs", jobs)[0] == 1
+        assert numeric_report(out) == report, jobs
 
 
-@pytest.mark.parametrize(
-    "jobs, good, cpus, expected",
-    [(1, 3, 8, None), (4, 1, 8, None), (2, 5, 8, 2), (8, 3, 8, 3), (1000, 5, 3, 3)],
-)
-def test_verify_jobs_worker_count(jobs, good, cpus, expected, tmp_path, capsys, monkeypatch):
-    # min(--jobs, cases left to run, usable CPUs) workers: this process
-    # and one forked child per further worker; one means no fork.
-    # A case that fails validation (mu = 50) is not left to run.
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    path = write_cases(tmp_path, [dict(GOOD_CASE, mu="50")] + [GOOD_CASE] * good)
-    code, out, _ = run(capsys, "verify", str(path), "--jobs", str(jobs))
-    assert code == 1
-    assert json.loads(out)["summary"] == {"total": good + 1, "passed": good, "failed": 1}
-    assert len(forks) == (0 if expected is None else expected - 1)
-
-
-def test_verify_without_fork_runs_in_one_process(tmp_path, capsys, monkeypatch):
-    # Where the platform cannot fork, --jobs 2 runs every case here.
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    path = write_cases(tmp_path, [GOOD_CASE, dict(GOOD_CASE, mu="0.6")])
-    serial, split = tmp_path / "jobs1.json", tmp_path / "jobs2.json"
-    assert run(capsys, "verify", str(path), "--output", str(serial))[0] == 0
-    assert run(capsys, "verify", str(path), "--output", str(split), "--jobs", "2")[0] == 0
-    assert numeric_report(serial) == numeric_report(split)
-
-
-def test_verify_uneven_shares_keep_input_order(tmp_path, capsys, monkeypatch):
-    # Five cases to run in three shares of 2, 2 and 1, and one invalid
-    # case between them: the report is --jobs 1's, case for case.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    cases = [dict(GOOD_CASE, mu=mu) for mu in ("0.6", "0.75", "0.9")]
-    cases.insert(2, dict(GOOD_CASE, mu="50"))
-    cases += [dict(GOOD_CASE, **{"lambda": "3"}), dict(GOOD_CASE, y=[0.5])]
-    path = write_cases(tmp_path, cases)
-    serial, split = tmp_path / "jobs1.json", tmp_path / "jobs3.json"
-    assert run(capsys, "verify", str(path), "--output", str(serial))[0] == 1
-    assert run(capsys, "verify", str(path), "--output", str(split), "--jobs", "3")[0] == 1
-    report = numeric_report(serial)
-    assert report == numeric_report(split)
-    assert [c["pass"] for c in report["cases"]] == [True, True, False, True, True, True]
-
-
-def test_verify_child_death_is_an_error(tmp_path, capsys, monkeypatch):
-    # A child that dies before sending its reports fails the run: an
-    # error line, no report, and no child left behind.
-    parent = os.getpid()
+def test_verify_error_on_a_later_case_ends_the_run(tmp_path, capsys, monkeypatch):
+    # A case that raises a usage-class error after earlier cases have
+    # run ends the run: an error line, nothing on stdout, no report.
     true_verify = cli.verify_case
-
-    def dying_verify(*args):
-        if os.getpid() != parent:
-            os._exit(3)
-        return true_verify(*args)
-
-    monkeypatch.setattr(cli, "verify_case", dying_verify)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    path = write_cases(tmp_path, [GOOD_CASE] * 2)
-    out_path = tmp_path / "report.json"
-    code, out, err = run(capsys, "verify", str(path), "--jobs", "2", "--output", str(out_path))
-    assert code != 0
-    assert err.startswith("error:") and "exit status 3" in err
-    assert out == "" and not out_path.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_verify_parent_failure_kills_children(tmp_path, capsys, monkeypatch):
-    # When this process's own share raises, the children still running
-    # are killed and reaped rather than waited for.
-    parent = os.getpid()
-
-    def failing_verify(*args):
-        if os.getpid() == parent:
-            raise CaseParseError("share 0 failed")
-        time.sleep(60)
-
-    monkeypatch.setattr(cli, "verify_case", failing_verify)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    path = write_cases(tmp_path, [GOOD_CASE] * 3)
-    t0 = time.monotonic()
-    code, out, err = run(capsys, "verify", str(path), "--jobs", "3")
-    assert time.monotonic() - t0 < 30
-    assert code == 2
-    assert err.startswith("error: share 0 failed") and out == ""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_verify_fork_failure_kills_children(tmp_path, capsys, monkeypatch):
-    # The second fork fails: the first child is killed and reaped, and
-    # the run ends with an error line.
-    real_fork = os.fork
-    forks = []
-
-    def failing_fork():
-        forks.append(1)
-        if len(forks) == 2:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
-    path = write_cases(tmp_path, [GOOD_CASE] * 3)
-    code, out, err = run(capsys, "verify", str(path), "--jobs", "3")
-    assert code == 2 and len(forks) == 2
-    assert err.startswith("error:") and out == ""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_verify_child_exception_is_raised_here(tmp_path, capsys, monkeypatch):
-    # A child's exception comes back over its pipe and fails the run as
-    # it would in one process.
-    parent = os.getpid()
-    true_verify = cli.verify_case
+    calls = []
 
     def raising_verify(*args):
-        if os.getpid() != parent:
-            raise CaseParseError("child share failed")
+        calls.append(1)
+        if len(calls) == 2:
+            raise CaseParseError("second case failed")
         return true_verify(*args)
 
     monkeypatch.setattr(cli, "verify_case", raising_verify)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    path = write_cases(tmp_path, [GOOD_CASE] * 2)
-    code, out, err = run(capsys, "verify", str(path), "--jobs", "2")
-    assert code == 2
-    assert err.startswith("error: child share failed") and out == ""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    path = write_cases(tmp_path, [GOOD_CASE, dict(GOOD_CASE, mu="0.6"), GOOD_CASE])
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", str(path), "--jobs", "2", "--output", str(out_path))
+    assert code == 2 and len(calls) == 2
+    assert err.startswith("error: second case failed")
+    assert out == "" and not out_path.exists()
 
 
 def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
@@ -683,19 +571,22 @@ def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
 
 def test_verify_non_finite_control_exit_2(tmp_path, capsys):
     path = write_cases(tmp_path, [GOOD_CASE])
+    out_path = tmp_path / "report.json"
     for flag, value, message in (
         ("--tol", "nan", "verification tolerance must be positive and finite"),
         ("--quad-tol", "inf", "quadrature tolerance must be positive and finite"),
         ("--quad-tol", "0", "quadrature tolerance must be positive and finite"),
+        # No quadrature estimate gets below 50 eps (1.1e-14).
+        ("--quad-tol", "1e-15", "quadrature tolerance must be at least the rounding floor 50 eps"),
         ("--max-terms", "0", "argument --max-terms: must be at least 1"),
     ):
         try:
-            code = main(["verify", str(path), flag, value])
+            code = main(["verify", str(path), flag, value, "--output", str(out_path)])
         except SystemExit as exc:  # argparse rejects the value itself
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2, flag
-        assert captured.out == ""
+        assert captured.out == "" and not out_path.exists()
         assert message in captured.err
 
 

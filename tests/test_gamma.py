@@ -22,7 +22,7 @@ from struveint import (
     gamma,
     log_gamma,
 )
-from struveint.gammafn import POLE_TOL, nearest_pole
+from struveint.gammafn import POLE_TOL, _digamma, nearest_pole
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -91,20 +91,20 @@ def test_non_finite_inputs_rejected():
 
 def test_import_does_not_load_scipy_special(tmp_path):
     # Nothing in the library or the CLI imports scipy or numpy (log_gamma
-    # is stdlib-only), and verify --jobs 2 forks its worker with no
-    # process pool, so multiprocessing is never loaded either.  The value
-    # records are plain slotted classes and the report's timestamp is
-    # formatted by the time module, so no path loads dataclasses (which
+    # is stdlib-only), and verify runs every case in this one process, so
+    # multiprocessing, pickle and signal are never loaded either.  The
+    # value records are plain slotted classes and the report's timestamp
+    # is formatted by the time module, so no path loads dataclasses (which
     # brings inspect, ast and dis) or datetime.
     src = os.path.dirname(os.path.dirname(struveint.__file__))
     heavy = {"numpy", "scipy", "concurrent.futures.process", "multiprocessing",
-             "dataclasses", "inspect", "datetime"}
+             "dataclasses", "inspect", "datetime", "pickle", "signal"}
     case = {"variant": "theorem1", "a": 1.0, "lambda": "2", "mu": "0.75",
             "b": "1", "c": "1", "p": ["1"], "y": [1.0]}
     cases = tmp_path / "cases.json"
     cases.write_text(json.dumps({"cases": [case, dict(case, mu="0.6")]}))
     verify = (
-        "import struveint.cli as cli; cli._usable_cpus = lambda: 2; "
+        "import struveint.cli as cli; "
         f"cli.main(['verify', {str(cases)!r}, '--jobs', '2', '--output', {str(tmp_path / 'report.json')!r}])"
     )
     for setup in ("import struveint", "import struveint.cli", verify):
@@ -136,6 +136,33 @@ def test_log_gamma_matches_mpmath(x, y):
     z = complex(x, y)
     assume(nearest_pole(z) is None)
     assert rel_err(log_gamma(z), reference(z)) <= 2e-14
+
+
+def digamma_err(z):
+    with mp.workdps(40):
+        ref = complex(mp.digamma(mp.mpc(z.real, z.imag)))
+    return rel_err(_digamma(z), ref)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(-30.0, 40.0), y=st.floats(-30.0, 30.0), real=st.booleans())
+def test_digamma_matches_mpmath(x, y, real):
+    # Real and complex arguments, half of them at Re z < 1/2, where the
+    # reflection's pi cot(pi z) is taken.
+    z = complex(x, 0.0 if real else y)
+    assume(nearest_pole(z) is None)
+    assert digamma_err(z) <= 1e-12
+
+
+@pytest.mark.parametrize("pole", [0, -1, -2, -5, -17])
+def test_digamma_near_poles_matches_mpmath(pole):
+    # Next to a pole |psi| ~ 1/|z - pole| is large; 1 - q keeps its
+    # relative accuracy there, so psi does too.
+    for offset in (1e-11, 1e-9, 5e-6, 1e-3, 0.3):
+        for delta in (offset, -offset, offset * 1j, complex(offset, -offset)):
+            z = pole + delta
+            if nearest_pole(z) is None:
+                assert digamma_err(z) <= 1e-12, z
 
 
 def test_log_gamma_large_imaginary_part():

@@ -137,11 +137,18 @@ def test_zero_integrand():
     assert res.value == 0
     assert res.error_estimate == 0.0
     assert res.converged
-    # Re(lambda_eff) < Re(mu): a g that vanishes on the tail probes has no
-    # tail, and the 4 starting panels span [0, 10] and are all kept.
-    for mu, panels in ((1.0, 4), (0.5, 4)):
-        res = integrate_kernel(lambda x: 0.0, 1.0, mu, mu - 0.5)
-        assert (res.value, res.converged, res.panels_used, res.cutoff_theta) == (0, True, panels, 10.0)
+    # Re(lambda_eff) < Re(mu): the kernel does not decay, so even g = 0
+    # is refused before it is called.
+    calls = []
+
+    def zero(x):
+        calls.append(x)
+        return 0.0
+
+    for mu in (1.0, 0.5):
+        with pytest.raises(DomainError, match="tail not certifiable"):
+            integrate_kernel(zero, 1.0, mu, mu - 0.5)
+    assert calls == []
 
 
 @pytest.mark.parametrize("a, mu, lam", [(1.0, 1.0, 1.3), (1.0, 0.8, 1.1), (2.0, 1.5, 1.75)])
@@ -305,6 +312,14 @@ def test_control_validation():
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             QuadControl(rel_tol=bad)
+    # Below QUADPACK's rounding floor 50 eps no estimate converges: g = 1
+    # at (1, 0.75, 2) with rel_tol 1e-14 ran to the panel cap, unconverged,
+    # after 59,873 calls of g.  The floor itself is accepted.
+    floor = 50 * 2**-52
+    for bad in (1e-14, math.nextafter(floor, 0.0), 1e-300):
+        with pytest.raises(DomainError, match="rounding floor 50 eps = 1.1102230246251565e-14"):
+            QuadControl(rel_tol=bad)
+    assert QuadControl(rel_tol=floor).rel_tol == floor
     # True used to run at rel_tol 1.0.
     for bad in (True, False):
         with pytest.raises(DomainError, match="quadrature tolerance must be a number"):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -32,6 +32,7 @@ from struveint import (
     struve_w_full,
 )
 from struveint.errors import RangeError, StruveintError
+from struveint.gammafn import _digamma
 from struveint.series import (
     SeriesResult,
     _fox_wright_terms,
@@ -108,15 +109,17 @@ def test_struve_params_pole_rejected():
         StruveParams(-3.0, 2.0, 1.0)  # p + (b+2)/2 = -1
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="near a gamma pole of s, the rounding of s "
-                   "is amplified past tail_estimate (ROADMAP item 6)")
-def test_struve_w_near_gamma_pole_within_reported_error():
-    # s = p + (b+2)/2 = -0.999995 is rounded in double before log Gamma(s),
-    # and Gamma amplifies that rounding by |psi(s)| ~ 2e5: W comes out
-    # 4.4e-11 relative off the 40-digit oracle, with tail_estimate 2.3e-21.
-    # The reported error, plus log_gamma's own 1e-14, should cover it.
-    res = struve_w_full(StruveParams(-3.0, 2.00001, 0.0), 1.0)
-    ref = oracle.struve_w(-3.0, 2.00001, 0.0, 1.0)
+@pytest.mark.parametrize("p, b", [(-3.0, 2.00001), (-1.0, 0.001)])
+def test_struve_w_near_gamma_pole_within_reported_error(p, b):
+    # s = p + (b+2)/2 (-0.999995, then 0.0005) is rounded in double before
+    # log Gamma(s), and Gamma amplifies that rounding by |psi(s)| (2e5,
+    # then 2e3): W comes out 1.0e-15 (4.4e-11 relative), then 6.2e-17,
+    # off the 40-digit oracle.  The series' own tail estimate is 2.3e-21,
+    # then 5.6e-20; the rounding of s adds u (|p| + |b+2|/2) |psi(s)| |W|,
+    # 2.5e-15, then 2.5e-16.  The reported error, plus log_gamma's own
+    # 1e-14, covers it.
+    res = struve_w_full(StruveParams(p, b, 0.0), 1.0)
+    ref = oracle.struve_w(p, b, 0.0, 1.0)
     assert abs(res.value - ref) <= res.tail_estimate + 1e-14 * abs(ref)
 
 
@@ -617,15 +620,20 @@ def test_sum_terms_crafted_streams():
 U = 2.0**-53  # unit roundoff
 
 
-def abs_term_sum(p, b, c, z):
-    """sum_k |t_k| of W_{p,b,c}(z) for real p, b, c, from log |Gamma|."""
+def abs_term_sums(p, b, c, z):
+    """(sum_k |t_k|, sum_k |psi(s + k) t_k|) of W_{p,b,c}(z) for real p,
+    b, c, from log |Gamma|; psi(s + k + 1) = psi(s + k) + 1 / (s + k)."""
     s = p + (b + 2) / 2
     log_half = math.log(z / 2)
-    total = 0.0
+    psi = float(mpmath.digamma(s))
+    total = weighted = 0.0
     for k in range(400 if c else 1):
         log_mag = (2 * k + p + 1) * log_half - math.lgamma(k + 1.5) - math.lgamma(k + s)
-        total += math.exp(log_mag + (k * math.log(abs(c)) if k else 0.0))
-    return total
+        mag = math.exp(log_mag + (k * math.log(abs(c)) if k else 0.0))
+        total += mag
+        weighted += abs(psi) * mag
+        psi += 1.0 / (s + k)
+    return total, weighted
 
 
 def reaches(params, z, ctl=SeriesControl()):
@@ -656,6 +664,8 @@ def struve_draws(draw, real=None, log10_z=(-3.0, math.log10(60.0))):
 
 @settings(max_examples=300, deadline=None)
 @given(draw=struve_draws(real=True, log10_z=(-3.0, math.log10(30.0))))
+# s = 0.0005: the rounding of s, times |psi(s)| = 2e3, is the largest error.
+@example(draw=(StruveParams(-1.0, 0.001, 0.0), 1.0))
 def test_struve_w_real_table_matches_oracle(draw):
     # The table path's value V = fl(t0 * S), S Horner's rule over the K
     # coefficients a_0..a_{K-1} in w = (z/2)^2, misses W by at most
@@ -668,10 +678,17 @@ def test_struve_w_real_table_matches_oracle(draw):
     #   t0 = exp(L): L = (p+1) log(z/2) - log G(3/2) - log G(s) is off by
     #     at most u (3 |(p+1) log(z/2)| + 6 |log G(s)| + 4), which exp
     #     turns into that relative error, plus one rounding each for exp
-    #     and the final product.
+    #     and the final product;
+    #   s = p + (b+2)/2 itself: b + 2 and the sum each round once, so s is
+    #     off by at most u (|b+2|/2 + |s|) <= u (|p| + |b+2|), and every
+    #     term above is exact for that s; t_k moves by psi(s + k) t_k per
+    #     unit of s, to first order.
     # With gamma_n <= 1.01 n u and sum |t_k| = t0 sum |a_k| w^k, all of it
     # is below 1e-16 t0 + u (8K + 4 |(p+1) log(z/2)| + 8 |log G(s)| + 8)
-    # sum |t_k|.  z <= 30 keeps the oracle's 120 terms exact at 40 digits.
+    # sum |t_k| + u (|p| + |b+2|) sum |psi(s + k) t_k|.  z <= 30 keeps the
+    # oracle's 120 terms exact at 40 digits.  The reported tail estimate is
+    # the truncation term plus the rounding of s on the leading term,
+    # u (|p| + |b+2|/2) |psi(s)| |W|.
     params, z = draw
     # A real t0: Gamma(p + (b+2)/2) > 0.
     assume(not params._log_gamma_shifted.imag and reaches(params, z))
@@ -679,16 +696,30 @@ def test_struve_w_real_table_matches_oracle(draw):
     res = struve_w_full(params, z)
     assert res.value.imag == 0.0
     lead = abs(next(_w_terms(params, z)))
-    assert res.tail_estimate == 1e-16 * lead
+    assert res.tail_estimate == w_tail(params, 1e-16 * lead, res.value)
     exponent = abs((p + 1) * math.log(z / 2)) + 2 * abs(params._log_gamma_shifted.real)
-    bound = 1e-16 * lead + U * (8 * res.terms + 4 * exponent + 8) * abs_term_sum(p, b, c, z)
+    total, weighted = abs_term_sums(p, b, c, z)
+    bound = 1e-16 * lead + U * (8 * res.terms + 4 * exponent + 8) * total + U * (abs(p) + abs(b + 2)) * weighted
     assert abs(res.value - oracle.struve_w(p, b, c, z)) <= bound
+
+
+def w_tail(params, series_tail, value):
+    """struve_w_full's tail estimate: the series' own plus the rounding of
+    s = p + (b+2)/2, u (|p| + |b+2|/2) |psi(s)| |W|."""
+    rounding = U * (abs(params.p) + abs(params.b + 2) / 2) * abs(_digamma(params.shifted_order))
+    return series_tail + rounding * abs(value)
 
 
 def assert_matches_sum_terms(params, z, ctl):
     """struve_w_full agrees bit for bit with sum_terms over _w_terms:
-    value, terms and tail, or the error's type and message."""
-    expected = outcome(lambda: sum_terms(_w_terms(params, z), ctl))
+    value, terms and tail (plus the rounding of s), or the error's type
+    and message."""
+
+    def common():
+        res = sum_terms(_w_terms(params, z), ctl)
+        return SeriesResult(res.value, res.terms, w_tail(params, res.tail_estimate, res.value))
+
+    expected = outcome(common)
     assert outcome(lambda: struve_w_full(params, z, ctl)) == expected
     return expected
 
@@ -740,12 +771,24 @@ def test_struve_w_complex_table_matches_sum_terms_and_oracle(draw, real):
         assume(False)
     scale, terms = modulus_sum(params, z)
     assume(terms < 120)
-    assert res.tail_estimate == 1e-16 * abs(next(_w_terms(params, z)))
+    assert res.tail_estimate == w_tail(params, 1e-16 * abs(next(_w_terms(params, z))), res.value)
     rounding = 24 * max(res.terms, common.terms) * U
     assert abs(res.value - common.value) <= max(1e-15, rounding) * scale
     lead = 2e-14 * abs(params._log_gamma_shifted) + 4 * U * abs((params.p + 1) * math.log(z / 2))
     lead += 4 * U * (abs(params.p) + abs(params.b) + 2) * abs(mpmath.digamma(params.shifted_order))
     assert abs(res.value - oracle.struve_w(params.p, params.b, params.c, z)) <= (rounding + lead) * scale
+
+
+def test_struve_w_is_the_full_value():
+    # struve_w skips struve_w_full's tail estimate (and its digamma) but
+    # returns the same complex bits, on the table and past it.
+    for p, b, c, z in [(1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 90.0), (-1.3, 0.0, 1.0, 1.0),
+                       (0.5 + 0.2j, 1.0, -1.0 + 0.1j, 3.0), (-3.0, 2.00001, 0.0, 1.0)]:
+        params = StruveParams(p, b, c)
+        value = struve_w(params, z)
+        assert type(value) is complex
+        full = struve_w_full(params, z).value
+        assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
 
 
 def test_struve_w_real_fallback_crafted():
