@@ -220,7 +220,18 @@ def gamma_ratio_block(upper, lower, pochhammer: bool):
     That path takes log Gamma(p + 0.0) at K = 0, not the log Gamma(p)
     taken here: the sum turns a -0.0 imaginary part into +0.0, the other
     side of log Gamma's cut.
+
+    An upper and a lower row with the same (p, e), p real and positive
+    off the pole at 0, cancel first: their ratio is 1 at every K, and
+    they can raise no pole, though both ``lgamma`` values may overflow.
     """
+    upper, lower = list(upper), list(lower)
+    for row in tuple(upper):
+        p, e, _ = row
+        twin = next((r for r in lower if r[:2] == (p, e)), None)
+        if twin and p.imag == 0.0 and p.real > 0.0 and nearest_pole(p) is None:
+            upper.remove(row)
+            lower.remove(twin)
     rows, floats = ([], []), ([], [])
     for side, float_side, block in zip(rows, floats, (upper, lower)):
         for p, e, label in block:

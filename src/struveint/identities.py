@@ -7,7 +7,10 @@ left side, evaluated here by adaptive quadrature) with a gamma/power
 prefactor times a generalized Lauricella series (the right side,
 summed by total degree).  The two sides share no code path beyond the
 gamma kernel, which is the point: agreement certifies the
-order-interchange the identities rest on.
+order-interchange the identities rest on.  Both right sides are
+Oberhettinger's closed form of the bare kernel integral at shifted
+(mu, lambda), and their series is how that ratio moves with the total
+degree.
 
 Variant "theorem1" feeds each Struve factor the bounded argument
 y_j / (x + a + sqrt(x^2 + 2ax)); variant "theorem2" uses
@@ -23,9 +26,11 @@ import time
 from .errors import DomainError, RangeError, StruveintError
 from .gammafn import exp_checked, log_gamma
 from .lauricella import LauricellaResult, LauricellaSpec, lauricella_eval_full
-from .quadrature import DEFAULT_QUAD, QuadControl, QuadResult, integrate_kernel, kernel_factor
+from .quadrature import (DEFAULT_QUAD, QuadControl, QuadResult, _log_oberhettinger, integrate_kernel,
+                         kernel_factor)
 from .record import Record, _set
 from .series import (
+    _LOG_2,
     _LOG_GAMMA_3_2,
     DEFAULT_CONTROL,
     FoxWrightSpec,
@@ -112,12 +117,35 @@ class IntegralCase(Record):
         return tuple(StruveParams(pj, self.b, self.c) for pj in self.p)
 
 
-def _common_factor_logs(case: IntegralCase) -> complex:
-    """Sum of (p_j+1) log y_j - log Gamma(p_j + (b+2)/2) over the factors."""
-    total = 0j
-    for pj, yj in zip(case.p, case.y):
-        total += (pj + 1) * math.log(yj) - log_gamma(pj + (case.b + 2) / 2)
-    return total
+def _shifted(case: IntegralCase) -> tuple[int, complex, complex]:
+    """(sigma, mu', lam'): (0, mu, lam + P + n) for theorem1 and
+    (1, mu + P + n, lam + P + n) for theorem2, P the sum of the orders.
+    Each theorem's right side is Oberhettinger's ratio at (mu', lam')."""
+    shift = case.p_sum + case.n
+    if case.variant == THEOREM1:
+        return 0, case.mu, case.lam + shift
+    return 1, case.mu + shift, case.lam + shift
+
+
+def _prefactor(case: IntegralCase) -> complex:
+    """lam' exp(_log_oberhettinger(a, mu', lam')) times
+    prod_j (y_j/2)^(p_j+1) / (Gamma(3/2) Gamma(beta_j)), beta_j = p_j+(b+2)/2."""
+    _, mu1, lam1 = _shifted(case)
+    log_val = _log_oberhettinger(case.a, mu1, lam1)
+    for pj, yj, beta in zip(case.p, case.y, _betas(case)):
+        log_val += (pj + 1) * (math.log(yj) - _LOG_2) - _LOG_GAMMA_3_2 - log_gamma(beta)
+    return lam1 * exp_checked(log_val, "prefactor")
+
+
+def _betas(case: IntegralCase) -> tuple:
+    return tuple(pj + (case.b + 2) / 2 for pj in case.p)
+
+
+def _arguments(case: IntegralCase) -> tuple:
+    """The series arguments z_j: -c y_j^2 / (4 a^2) for theorem1 and
+    -c y_j^2 / 16 for theorem2."""
+    scale = 4.0 * case.a * case.a if case.variant == THEOREM1 else 16.0
+    return tuple(-case.c * yj * yj / scale for yj in case.y)
 
 
 def prefactor_theorem1(case: IntegralCase) -> complex:
@@ -126,144 +154,66 @@ def prefactor_theorem1(case: IntegralCase) -> complex:
     (lam+P+n) 2^(1-mu-P-n) a^(mu-lam-P-n) G(2mu) G(lam+P+n-mu)
     prod y_j^(p_j+1) / (G(3/2)^n G(1+lam+P+n+mu) prod G(p_j+(b+2)/2)),
 
-    with P the sum of the orders p_j.
+    with P the sum of the orders p_j: Oberhettinger's ratio at
+    (mu, lam+P+n).
     """
     if case.variant != THEOREM1:
         raise DomainError("prefactor_theorem1 requires a theorem1 case")
-    s = case.lam + case.p_sum + case.n
-    log_val = (
-        (1 - case.mu - case.p_sum - case.n) * math.log(2.0)
-        + (case.mu - s) * math.log(case.a)
-        + log_gamma(2 * case.mu)
-        + log_gamma(s - case.mu)
-        - case.n * _LOG_GAMMA_3_2
-        - log_gamma(1 + s + case.mu)
-        + _common_factor_logs(case)
-    )
-    return s * exp_checked(log_val, "prefactor")
+    return _prefactor(case)
 
 
 def prefactor_theorem2(case: IntegralCase) -> complex:
     """Coefficient for the scaled-argument identity:
 
     (lam+P+n) 2^(1-mu-2P-2n) a^(mu-lam) G(lam-mu) G(2mu+2P+2n)
-    prod y_j^(p_j+1) / (G(3/2)^n G(1+lam+mu+2P+2n) prod G(p_j+(b+2)/2)).
+    prod y_j^(p_j+1) / (G(3/2)^n G(1+lam+mu+2P+2n) prod G(p_j+(b+2)/2)),
+
+    Oberhettinger's ratio at (mu+P+n, lam+P+n).
     """
     if case.variant != THEOREM2:
         raise DomainError("prefactor_theorem2 requires a theorem2 case")
-    s = case.lam + case.p_sum + case.n
-    t = 2 * case.mu + 2 * case.p_sum + 2 * case.n
-    log_val = (
-        (1 - case.mu - 2 * case.p_sum - 2 * case.n) * math.log(2.0)
-        + (case.mu - case.lam) * math.log(case.a)
-        + log_gamma(case.lam - case.mu)
-        + log_gamma(t)
-        - case.n * _LOG_GAMMA_3_2
-        - log_gamma(1 + case.lam + case.mu + 2 * case.p_sum + 2 * case.n)
-        + _common_factor_logs(case)
-    )
-    return s * exp_checked(log_val, "prefactor")
+    return _prefactor(case)
 
 
-def _per_variable_blocks(case: IntegralCase):
-    upper = tuple(((1.0 + 0j, 1.0),) for _ in range(case.n))
-    lower = tuple(
-        ((1.5 + 0j, 1.0), (pj + (case.b + 2) / 2, 1.0)) for pj in case.p
-    )
-    return upper, lower
+def _rhs_spec(case: IntegralCase) -> tuple[LauricellaSpec, tuple]:
+    """The series of shell K is Oberhettinger's ratio at
+    (mu' + 2 sigma K, lam' + 2K) over its value at (mu', lam'), with its
+    powers of 2 and a moved into z, times the per-variable Struve terms.
+    The rows keep each variant's order from the printed theorems."""
+    sigma, mu1, lam1 = _shifted(case)
+    twos = (2.0,) * case.n
+    ratio_upper, ratio_lower = (1 + lam1, twos), (lam1, twos)  # (lam' + 2K) / lam'
+    moved_lower = (1 + lam1 + mu1, (2.0 + 2 * sigma,) * case.n)
+    if sigma:  # G(2mu' + 4K); G(lam' - mu') stays
+        upper, lower = ((2 * mu1, (4.0,) * case.n), ratio_upper), (moved_lower, ratio_lower)
+    else:  # G(lam' - mu' + 2K); G(2mu') stays
+        upper, lower = (ratio_upper, (lam1 - mu1, twos)), (ratio_lower, moved_lower)
+    per_upper = tuple(((1.0 + 0j, 1.0),) for _ in range(case.n))
+    per_lower = tuple(((1.5 + 0j, 1.0), (beta, 1.0)) for beta in _betas(case))
+    return LauricellaSpec(upper, lower, per_upper, per_lower, case.n), _arguments(case)
 
 
 def rhs_spec_theorem1(case: IntegralCase) -> tuple[LauricellaSpec, tuple]:
     """Lauricella spec and argument vector -c y_m^2 / (4 a^2)."""
     if case.variant != THEOREM1:
         raise DomainError("rhs_spec_theorem1 requires a theorem1 case")
-    s = case.lam + case.p_sum + case.n
-    twos = (2.0,) * case.n
-    per_upper, per_lower = _per_variable_blocks(case)
-    spec = LauricellaSpec(
-        global_upper=((1 + s, twos), (s - case.mu, twos)),
-        global_lower=((s, twos), (1 + s + case.mu, twos)),
-        per_var_upper=per_upper,
-        per_var_lower=per_lower,
-        n=case.n,
-    )
-    z = tuple(-case.c * yj * yj / (4.0 * case.a * case.a) for yj in case.y)
-    return spec, z
+    return _rhs_spec(case)
 
 
 def rhs_spec_theorem2(case: IntegralCase) -> tuple[LauricellaSpec, tuple]:
     """Lauricella spec and argument vector -c y_m^2 / 16."""
     if case.variant != THEOREM2:
         raise DomainError("rhs_spec_theorem2 requires a theorem2 case")
-    s = case.lam + case.p_sum + case.n
-    t = 2 * case.mu + 2 * case.p_sum + 2 * case.n
-    twos = (2.0,) * case.n
-    fours = (4.0,) * case.n
-    per_upper, per_lower = _per_variable_blocks(case)
-    spec = LauricellaSpec(
-        global_upper=((t, fours), (1 + s, twos)),
-        global_lower=((1 + case.lam + case.mu + 2 * case.p_sum + 2 * case.n, fours), (s, twos)),
-        per_var_upper=per_upper,
-        per_var_lower=per_lower,
-        n=case.n,
-    )
-    z = tuple(-case.c * yj * yj / 16.0 for yj in case.y)
-    return spec, z
-
-
-def _corollary1_value(case: IntegralCase, lower_gamma: complex, z: complex,
-                      ctl: SeriesControl) -> complex:
-    """Shared printed form of the first/third corollaries: prefactor x 4F5."""
-    p = case.p[0]
-    y = case.y[0]
-    half = (case.lam + p) / 2
-    log_pref = (
-        (-case.mu - p) * math.log(2.0)
-        + (case.mu - 1 - case.lam - p) * math.log(case.a)
-        + (p + 1) * math.log(y)
-        + log_gamma(2 * case.mu)
-        + log_gamma(1 + case.lam + p - case.mu)
-        - _LOG_GAMMA_3_2
-        - log_gamma(2 + case.lam + p + case.mu)
-        - log_gamma(lower_gamma)
-    )
-    pref = (1 + case.lam + p) * exp_checked(log_pref, "prefactor")
-    upper = (1.5 + half, 0.5 + half - case.mu / 2, 1 + half - case.mu / 2, 1.0)
-    lower = (0.5 + half, 1 + half + case.mu / 2, 1.5 + half + case.mu / 2, lower_gamma, 1.5)
-    return pref * pfq(upper, lower, z, ctl)
-
-
-def _corollary2_value(case: IntegralCase, second_lower: complex, z: complex,
-                      ctl: SeriesControl) -> complex:
-    """Shared printed form of the second/fourth corollaries: prefactor x 3Psi4."""
-    p = case.p[0]
-    y = case.y[0]
-    log_pref = (
-        (-case.mu - 2 * p - 1) * math.log(2.0)
-        + (case.mu - case.lam) * math.log(case.a)
-        + (p + 1) * math.log(y)
-        + log_gamma(case.lam - case.mu)
-    )
-    pref = exp_checked(log_pref, "prefactor")
-    spec = FoxWrightSpec(
-        upper=((1.0, 1.0), (case.lam + p + 2, 2.0), (2 * case.mu + 2 * p + 2, 4.0)),
-        lower=(
-            (1.5, 1.0),
-            (second_lower, 1.0),
-            (case.lam + p + 1, 2.0),
-            (case.lam + case.mu + 2 * p + 3, 4.0),
-        ),
-    )
-    return pref * fox_wright(spec, z, ctl)
+    return _rhs_spec(case)
 
 
 def rhs_corollary(case: IntegralCase, which: int, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Right-hand side of one of the four printed single-factor corollaries.
 
-    1: prefactor x 4F5 (fixed-argument identity at n = 1);
+    1: theorem1's prefactor at n = 1 x 4F5;
     2: prefactor x 3Psi4 (scaled-argument identity at n = 1);
-    3, 4: the b = -1, c = 1 specializations of 1 and 2, with the leftover
-    gamma evaluated at b = -1 (i.e. Gamma(p + 1/2)) and the arguments
+    3, 4: the b = -1, c = 1 specializations of 1 and 2, whose leftover
+    gamma Gamma(p + (b+2)/2) is Gamma(p + 1/2) and whose arguments are
     -y^2/(4a^2) and -y^2/16.
     """
     if case.n != 1:
@@ -275,19 +225,24 @@ def rhs_corollary(case: IntegralCase, which: int, ctl: SeriesControl = DEFAULT_C
     expected = THEOREM1 if which in (1, 3) else THEOREM2
     if case.variant != expected:
         raise DomainError(f"corollary {which} requires a {expected} case")
-    p = case.p[0]
-    y = case.y[0]
-    if which == 1:
-        z = -case.c * y * y / (4.0 * case.a * case.a)
-        return _corollary1_value(case, 1 + case.b / 2 + p, z, ctl)
-    if which == 2:
-        z = -case.c * y * y / 16.0
-        return _corollary2_value(case, p + (case.b + 2) / 2, z, ctl)
-    if which == 3:
-        z = -y * y / (4.0 * case.a * case.a)
-        return _corollary1_value(case, p + 0.5, z, ctl)
-    z = -y * y / 16.0
-    return _corollary2_value(case, p + 0.5, z, ctl)
+    lam, mu, p = case.lam, case.mu, case.p[0]
+    (beta,), (z,) = _betas(case), _arguments(case)
+    if expected == THEOREM1:
+        half = (lam + p) / 2
+        upper = (1.5 + half, 0.5 + half - mu / 2, 1 + half - mu / 2, 1.0)
+        lower = (0.5 + half, 1 + half + mu / 2, 1.5 + half + mu / 2, beta, 1.5)
+        return _prefactor(case) * pfq(upper, lower, z, ctl)
+    log_pref = (
+        (-mu - 2 * p - 1) * _LOG_2
+        + (mu - lam) * math.log(case.a)
+        + (p + 1) * math.log(case.y[0])
+        + log_gamma(lam - mu)
+    )
+    spec = FoxWrightSpec(
+        upper=((1.0, 1.0), (lam + p + 2, 2.0), (2 * mu + 2 * p + 2, 4.0)),
+        lower=((1.5, 1.0), (beta, 1.0), (lam + p + 1, 2.0), (lam + mu + 2 * p + 3, 4.0)),
+    )
+    return exp_checked(log_pref, "prefactor") * fox_wright(spec, z, ctl)
 
 
 def struve_arguments(case: IntegralCase, x: float) -> tuple[float, ...]:

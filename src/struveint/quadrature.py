@@ -74,7 +74,7 @@ import operator
 from .errors import DomainError, RangeError
 from .gammafn import _EXP_LIMIT, _MATH_EXP_LIMIT, exp_checked, log_gamma
 from .record import Record, _set
-from .series import fsum_complex
+from .series import _LOG_2, fsum_complex
 
 
 # QK21 (see the module docstring): the Kronrod (node, weight) pairs for
@@ -201,7 +201,6 @@ def _cosh_m1(t: float) -> float:
 # Below this, cosh t - 1 = 2 sinh(t/2)^2 nears or reaches underflow (at
 # t ~ 1e-154), so its log comes from sinh(t/2) instead.
 _TINY_COSH_M1 = 1e-300
-_LOG_2 = math.log(2.0)
 
 
 def _log_tiny_cosh_m1(t: float) -> float:
@@ -470,8 +469,15 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     )
 
 
+def _log_oberhettinger(a: float, mu: complex, lam: complex) -> complex:
+    """log(oberhettinger_closed_form(a, mu, lam) / lam), unchecked."""
+    return ((1 - mu) * _LOG_2 + (mu - lam) * math.log(a) + log_gamma(2 * mu)
+            + log_gamma(lam - mu) - log_gamma(1 + lam + mu))
+
+
 def oberhettinger_closed_form(a, mu, lam) -> complex:
-    """2 lam a^(-lam) (a/2)^mu Gamma(2 mu) Gamma(lam - mu) / Gamma(1 + lam + mu).
+    """2 lam a^(-lam) (a/2)^mu Gamma(2 mu) Gamma(lam - mu) / Gamma(1 + lam + mu)
+    (F. Oberhettinger, Tables of Mellin Transforms, Springer 1974).
 
     Requires a > 0 and 0 < Re(mu) < Re(lam).
     """
@@ -482,12 +488,4 @@ def oberhettinger_closed_form(a, mu, lam) -> complex:
         raise DomainError("condition violated: 0 < Re(mu)")
     if not mu.real < lam.real:
         raise DomainError("condition violated: Re(mu) < Re(lambda)")
-    log_val = (
-        cmath.log(2.0 * lam)
-        - lam * math.log(a)
-        + mu * math.log(0.5 * a)
-        + log_gamma(2.0 * mu)
-        + log_gamma(lam - mu)
-        - log_gamma(1.0 + lam + mu)
-    )
-    return exp_checked(log_val, "closed form")
+    return exp_checked(cmath.log(lam) + _log_oberhettinger(a, mu, lam), "closed form")

@@ -163,6 +163,9 @@ def test_eval_series_modulus_overflow_exit_2(capsys):
         ("verify", "cases.json", "--jobs", "0"),
         ("verify", "cases.json", "--jobs", "-3"),
         ("verify", "cases.json", "--jobs", "1.5"),
+        ("verify", "cases.json", "--max-terms", "1.5"),
+        ("grid", "--variant", "theorem1", "--mu", "1", "--lambda", "2", "--p", "1",
+         "--b", "1", "--c", "1", "--a", "1", "--y", "1", "--n", "1.5"),
     ],
 )
 def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
@@ -171,10 +174,13 @@ def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if argv[0] == "verify":
+    # argparse names the type function of a value it refuses without a message.
+    assert "_positive_int" not in captured.err
+    if argv[-1] == "1.5":
+        assert f"argument {argv[-2]}: expected a positive integer, got '1.5'" in captured.err
+    elif argv[0] == "verify":
         # --jobs selects nothing but is still checked: a positive integer.
-        expected = "invalid" if argv[-1] == "1.5" else f"must be at least 1, got {argv[-1]}"
-        assert f"argument --jobs: {expected}" in captured.err
+        assert f"argument --jobs: must be at least 1, got {argv[-1]}" in captured.err
     else:
         assert "unrecognized arguments" in captured.err
 

@@ -118,6 +118,38 @@ def test_prefactor_theorem2_n3_oracle():
     assert rel(prefactor_theorem2(case), ref) < 1e-13
 
 
+@pytest.mark.parametrize("imag", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["theorem1", "theorem2"])
+def test_right_side_is_oberhettinger_at_shifted_arguments(variant, n, imag):
+    # Both right sides are Oberhettinger's ratio O(a, mu', lam'), with
+    # mu' = mu + sigma (P + n), lam' = lam + P + n, sigma 0 for theorem1
+    # and 1 for theorem2; shell K's global block is how O moves to
+    # (mu' + 2 sigma K, lam' + 2K), its powers of 2 and a put in z.
+    sigma = int(variant == "theorem2")
+    p = tuple(complex(v, imag * (-1) ** j) for j, v in enumerate((0.7, 1.2, 0.4)[:n]))
+    y = (0.8, 1.5, 0.6)[:n]
+    case = IntegralCase(variant, a=1.7, lam=complex(3.1, -imag), mu=complex(0.9, imag / 2),
+                        b=0.6, c=1.0, p=p, y=y)
+    mu1, lam1 = case.mu + sigma * (case.p_sum + n), case.lam + case.p_sum + n
+    base = oberhettinger_closed_form(case.a, mu1, lam1)
+    expected = base
+    for pj, yj in zip(p, y):
+        expected *= (yj / 2) ** (pj + 1) / (gamma(1.5) * gamma(pj + (case.b + 2) / 2))
+    prefactor, rhs_spec = ((prefactor_theorem2, rhs_spec_theorem2) if sigma
+                           else (prefactor_theorem1, rhs_spec_theorem1))
+    assert rel(prefactor(case), expected) < 1e-13
+    spec, _ = rhs_spec(case)
+    z_power = 4.0 ** -sigma * case.a ** (2 * sigma - 2)
+    for k in (1, 2):
+        block = 1
+        for rows, sign in ((spec.global_upper, 1), (spec.global_lower, -1)):
+            for q, e in rows:
+                block *= (gamma(q + e[0] * k) / gamma(q)) ** sign
+        moved = oberhettinger_closed_form(case.a, mu1 + 2 * sigma * k, lam1 + 2 * k)
+        assert rel(block, moved / base / z_power ** k) < 1e-13
+
+
 def test_prefactor_overflow_is_range_error():
     # a^(mu - lam - P - n) at a = 1e-300 is far beyond the double range.
     for variant, prefactor in (("theorem1", prefactor_theorem1), ("theorem2", prefactor_theorem2)):
@@ -242,7 +274,7 @@ def test_lauricella_right_side_bits_pinned(variant, n, overrides, expected, term
     [
         (1, "theorem1", {}, ("0x1.c9aff4081a2b6p-6", "0x0.0p+0")),
         (2, "theorem2", {}, ("0x1.fd1c4e916729fp-9", "0x0.0p+0")),
-        (3, "theorem1", {"b": -1.0}, ("0x1.4f21eab8bf53cp-5", "0x0.0p+0")),
+        (3, "theorem1", {"b": -1.0}, ("0x1.4f21eab8bf536p-5", "0x0.0p+0")),
         (4, "theorem2", {"b": -1.0}, ("0x1.7bcb59c0ee9e4p-8", "0x0.0p+0")),
         (1, "theorem1", {"lam": 2.0 + 0.3j}, ("0x1.c43bf8abee11cp-6", "-0x1.b0ab323e76afep-9")),
         (2, "theorem2", {"lam": 2.5 - 0.4j}, ("0x1.490b6d2e0a5d5p-10", "0x1.daa39e0e3451fp-11")),
