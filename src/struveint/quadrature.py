@@ -17,8 +17,10 @@ Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 a test solves the rule at 40 digits and checks every written digit.
 A panel takes its nodes in one loop, shared with the head rule below:
 each node's kernel weight, its exponent formed as real and imaginary
-floats (math.exp where it is real and cmath.exp rounds alike), then,
-unless the weight underflowed to 0, one call of g and the node's terms.
+floats (math.exp where it is real and cmath.exp rounds alike; the
+imaginary part only where mu, lambda or the head's power is complex),
+then, unless the weight underflowed to 0, one call of g and the node's
+terms.
 Every 21-point panel is judged by its |K21 - G10| alone, as in
 QUADPACK's adaptive rules, and the tail is cut where an exponential
 envelope bounds the remainder.  Every estimate, the head's too, is at
@@ -57,8 +59,14 @@ on [1/2, 1], [1, 2] and [2, 4], where the integrand is smoother and
 decays.  Each round takes the exactly rounded
 panel sum (``series.fsum_complex``) once.  While the tail bound exceeds
 a _TAIL_SAFETY-th of the target, the round moves the cutoff out to where
-the envelope, at its present coefficient, falls to that share, and the
-new stretch is one panel: the tail is one more error term.  Otherwise
+the envelope, at its present coefficient, should fall to that share,
+and the new stretch is one panel: the tail is one more error term.  The
+integrand falls at the kernel's rate Re(lambda_eff) - Re(mu) and at
+|g|'s own, which the probes that set the coefficient measure: the move
+takes the kernel's rate plus d >= 0, the slowest decay rate of |g|
+between consecutive probes (0 where a probe rises or is 0), while the
+bound at the new cutoff is taken, and tested, at the kernel's rate
+alone.  Otherwise
 the round stops when the errors plus the tail bound meet the target, or
 it bisects the fewest worst panels whose errors cover the excess, worst
 first and no more than the panel cap leaves room for.  The last round's
@@ -123,10 +131,11 @@ _CHEB_COS = tuple(
     for j in reversed(range(_CHEB_POINTS))
 )
 
-# Tail truncation, driven by the decay rate Re(lambda_eff) - Re(mu) of the
-# substituted integrand: the tail bound must be a _TAIL_SAFETY-th of the
-# target, the cutoff stops at _THETA_CAP, and a rate below _MIN_RATE
-# counts as no decay.
+# Tail truncation: the envelope bound, at the kernel's decay rate
+# Re(lambda_eff) - Re(mu), must be a _TAIL_SAFETY-th of the target, and
+# the cutoff moves toward that share at that rate plus the decay of |g|
+# that the probes measure; the cutoff stops at _THETA_CAP, and a kernel
+# rate below _MIN_RATE counts as no decay.
 _TAIL_SAFETY = 10.0
 _THETA_CAP = 200.0
 _MIN_RATE = 1e-6
@@ -235,13 +244,15 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
     g, a = intg.g, intg.a
     mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
     lam_re, lam_im = intg.lam.real, intg.lam.imag
-    if power:
-        b_re, b_im, c_re, c_im = power
+    b_re, b_im, c_re, c_im = power or (0.0, 0.0, 0.0, 0.0)
+    # Fixed per panel: whether the exponent is real (its imaginary part
+    # would be 0 at every node), so that no node forms that part.
+    real = not (mu_im or lam_im or b_im or c_im)
     log, log1p, exp, cexp, sinh = math.log, math.log1p, math.exp, cmath.exp, math.sinh
     isfinite = cmath.isfinite
     s0 = s1 = s2 = 0j
     s_abs = 0.0
-    calls = 0
+    skipped = 0
     for xi, w0, w1, w2 in rule:
         t = mid + half * xi
         s = sinh(0.5 * t)  # w = _cosh_m1(t), inline
@@ -252,20 +263,24 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
         else:
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
         re = mu_re * log_w + log_sinh - lam_re * t
-        im = mu_im * log_w - lam_im * t
         if power:
             log_t = log(t)
             re += c_re - b_re * log_t
-            im += c_im - b_im * log_t
         if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
-        if im:
-            kern = cexp(complex(re, im))
-        else:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
+        if real:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
             kern = exp(re) if re <= _MATH_EXP_LIMIT else cexp(re)
+        else:
+            im = mu_im * log_w - lam_im * t
+            if power:
+                im += c_im - b_im * log_t
+            if im:
+                kern = cexp(complex(re, im))
+            else:
+                kern = exp(re) if re <= _MATH_EXP_LIMIT else cexp(re)
         if kern == 0:
+            skipped += 1
             continue
-        calls += 1
         val = kern * complex(g(a * w))
         if not isfinite(val):
             raise RangeError(f"integrand non-finite at theta = {t:.6g}")
@@ -276,7 +291,7 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
             s1 += w1 * val
         if w2:
             s2 += w2 * val
-    intg.evaluations += calls
+    intg.evaluations += len(rule) - skipped
     return s0, s1, s2, s_abs
 
 
@@ -329,17 +344,23 @@ def _head_panel(intg: _Integrand, hi: float, rule) -> tuple[float, float, comple
     return 0.0, hi, value, max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
 
 
-def _tail_coefficient(intg: _Integrand, theta_c: float) -> float:
-    """Envelope coefficient kappa * max|g|: the remainder beyond theta_c
-    is bounded by coeff * exp(-rate * theta_c) / rate."""
+def _tail_coefficient(intg: _Integrand, theta_c: float) -> tuple[float, float]:
+    """(coeff, decay) from |g| at theta_c + 0, 1, 3, 7 and 15 (each at
+    most _THETA_CAP): the envelope coefficient kappa * max|g|, where the
+    remainder beyond theta_c is bounded by coeff * exp(-rate * theta_c) / rate,
+    and the slowest decay rate of |g| between consecutive probes: 0 where
+    a probe rises, is 0 or not finite, or is held at the cap with the one
+    before it."""
     re_mu = intg.mu.real
     e = math.exp(-theta_c)
     kappa = 2.0**-re_mu * max(1.0, (1.0 - e) ** (2.0 * re_mu - 1.0)) * (1.0 + e)
-    g_max = 0.0
-    for dt in (0.0, 1.0, 3.0, 7.0, 15.0):
-        t = min(theta_c + dt, _THETA_CAP)
-        g_max = max(g_max, abs(intg.g_at(t)))
-    return kappa * 2.0 * g_max
+    ts = [min(theta_c + dt, _THETA_CAP) for dt in (0.0, 1.0, 3.0, 7.0, 15.0)]
+    mags = [abs(intg.g_at(t)) for t in ts]
+    decay = min(
+        (math.log(g0) - math.log(g1)) / (t1 - t0) if t1 > t0 and 0.0 < g1 <= g0 < math.inf else 0.0
+        for t0, t1, g0, g1 in zip(ts, ts[1:], mags, mags[1:])
+    )
+    return kappa * 2.0 * max(0.0, *mags), decay
 
 
 def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> QuadResult:
@@ -353,7 +374,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     before any call of g, when the kernel does not decay
     (Re(lambda_eff) - Re(mu) below 1e-6), whatever g is.
 
-    The tail cutoff moves with the tolerance, for every mu.  For
+    The tail cutoff moves with the tolerance, for every mu, at the
+    kernel's rate Re(lambda_eff) - Re(mu) plus the decay of |g| measured
+    between the envelope's probes (0 for a g that does not decay).  For
     Re(mu) > 0 each leftmost panel integrates the endpoint factor
     t^(2 mu - 1) exactly (see the module docstring), so only the rest of
     the integrand must be smooth there; a g that carries its own
@@ -384,7 +407,8 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             f"{rate:.3g} is not positive"
         )
     theta = 4.0
-    tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+    coeff, decay = _tail_coefficient(intg, theta)
+    tail_bound = coeff * math.exp(-rate * theta) / rate
     # Every leftmost panel [0, h] is one head-rule panel where Re(mu) > 0.
     # A head's error is h^(2 Re(mu) + s) times a constant, where
     # phi(t) - phi(0) goes like t^s, s > 0.  So it shrinks by
@@ -409,17 +433,19 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         target = ctl.rel_tol * abs(raw)
         room = _MAX_PANELS - len(panels)
         if room > 0 and theta < _THETA_CAP and _TAIL_SAFETY * tail_bound > target:
-            # Move the cutoff to where the envelope should be a
+            # Move the cutoff to where the envelope, falling at the
+            # kernel's rate plus g's measured decay, should be a
             # _TAIL_SAFETY-th of the target, by 1 at least (doubling it
             # for a zero target); the stretch is one new panel.
             if target:
-                step = max(math.log(_TAIL_SAFETY * tail_bound / target) / rate, 1.0)
+                step = max(math.log(_TAIL_SAFETY * tail_bound / target) / (rate + decay), 1.0)
             else:
                 step = theta
             hi = min(theta + step, _THETA_CAP)
             panels.append(_panel(intg, theta, hi))
             theta = hi
-            tail_bound = _tail_coefficient(intg, theta) * math.exp(-rate * theta) / rate
+            coeff, decay = _tail_coefficient(intg, theta)
+            tail_bound = coeff * math.exp(-rate * theta) / rate
             continue
         errs = [rec[3] for rec in panels]
         err_total = sum(errs) + tail_bound

@@ -303,6 +303,10 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
     # |t_0| <= cap keeps that bound in range for every w the table reaches.
     bound = _horner(moduli, reach - 1, limits[-1]) * _ROUNDING_ROOM**2 if reach else math.inf
     cap = _HUGE / bound if bound <= _HUGE else 0.0
+    # rows[k] = [coeffs[k-1], ..., coeffs[0]], the coefficients below
+    # coeffs[k] in Horner's order, made on first use: a one-off call pays
+    # O(k) for its one row.  Threads that race here store equal rows.
+    rows = {}
     inf, log, exp, cexp = math.inf, math.log, math.exp, cmath.exp
 
     def evaluate(z: float, full: bool = False):
@@ -322,9 +326,12 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
         if k < reach:
             size = abs(t0)
             if size <= cap or size * _horner(moduli, k, w) * _ROUNDING_ROOM <= _HUGE:
+                row = rows.get(k)
+                if row is None:
+                    row = rows[k] = coeffs[k - 1::-1] if k else []
                 total = coeffs[k]  # _horner(coeffs, k, w), inline
-                for j in range(k - 1, -1, -1):
-                    total = total * w + coeffs[j]
+                for c in row:
+                    total = total * w + c
                 value = t0 * total
                 return SeriesResult(complex(value), k + 1, _REL_TOL * size) if full else value
         res = sum_terms(_w_terms(params, z), ctl)
@@ -337,10 +344,11 @@ def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL)
     """``struve_w``'s value, its term count and a tail estimate.
 
     The estimate is the series' own (1e-16 |t_0| from the table, or
-    ``sum_terms``') plus u (|p| + |b+2|/2) |psi(s)| |W|, u = 2^-53: s =
-    p + (b+2)/2 is rounded before Gamma(s) is taken, and Gamma turns that
-    rounding into |psi(s)| times it, which near a pole of Gamma is the
-    largest error.
+    ``sum_terms``') plus u (|p| + |b+2|) |psi(s)| |W|, u = 2^-53: s =
+    p + (b+2)/2 is formed in floats before Gamma(s) is taken, b + 2 and
+    the sum each rounding once, so s is off by at most u (|p| + |b+2|);
+    Gamma turns that into |psi(s)| times it, which near a pole of Gamma
+    is the largest error.
     """
     z = _require_positive_z(z)
     half = z / 2.0
@@ -349,11 +357,11 @@ def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL)
 
 
 def _rounding_of_s(params: StruveParams) -> float:
-    """u (|p| + |b+2|/2) |psi(s)|, taken once per params and kept; threads
+    """u (|p| + |b+2|) |psi(s)|, taken once per params and kept; threads
     that race here each store the same value."""
     rounding = params._s_rounding
     if rounding is None:
-        rounding = _U * (abs(params.p) + abs(params.b + 2) / 2) * abs(_digamma(params.shifted_order))
+        rounding = _U * (abs(params.p) + abs(params.b + 2)) * abs(_digamma(params.shifted_order))
         _set(params, "_s_rounding", rounding)
     return rounding
 

@@ -518,17 +518,19 @@ def test_verify_tiny_mu_graded_head_keeps_x_positive():
 def test_report_diagnostics_are_pinned():
     # The report derives abs_err, rel_err and both diagnostic dicts from
     # the results it holds; these are the anchor's values (mu = 3/4, its
-    # head one panel of the head rule).  The two sides differ by one ulp:
-    # the left side is one ulp nearer the 60-digit reference.
+    # head one panel of the head rule).  g decays like e^(-2 theta), so the
+    # tail is cut at theta = 9.1 and nothing is bisected (a cutoff at the
+    # kernel's rate alone went to 17.3, bisected once and took 156 calls);
+    # the left side's error, 5.3e-15, is within its estimate.
     rep = verify_case(make_case())
     assert rep.passed and rep.reason is None
     expected = (
         {
-            "panels_used": 6,
-            "cutoff_theta": 17.301579506002156,
-            "error_estimate": 4.536375302795059e-14,
+            "panels_used": 5,
+            "cutoff_theta": 9.11602255810336,
+            "error_estimate": 2.9127142584153124e-14,
             "converged": True,
-            "evaluations": 156,
+            "evaluations": 114,
         },
         {
             "shells": 10,
@@ -536,18 +538,18 @@ def test_report_diagnostics_are_pinned():
             "tail_estimate": 2.3003709479220665e-17,
             "prefactor": (0.028946378411222447, 0.0),
         },
-        3.469446951953614e-18,
-        1.2419705922051672e-16,
+        5.2735593669694936e-15,
+        1.8877953001518543e-13,
     )
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
     # Failed on the tolerance: the same results, and the verdict (at
-    # y = 1/2, where the two sides differ in their last bits).
+    # y = 1/2, where the two sides differ by 1.9e-13).
     passing = verify_case(make_case(y=(0.5,)))
     rep = verify_case(make_case(y=(0.5,)), tol=1e-16)
-    assert passing.passed and rep.rel_err == 1.209286723091023e-16
+    assert passing.passed and rep.rel_err == 1.887696574745087e-13
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err) == (passing.lhs_diag, passing.rhs_diag, passing.abs_err)
     assert not rep.passed
-    assert rep.reason == "relative error 1.209e-16 exceeds tolerance 1.0e-16"
+    assert rep.reason == "relative error 1.888e-13 exceeds tolerance 1.0e-16"
     # Failed while evaluating: no results to report.
     rep = verify_case(make_case(y=(1e6,)))
     assert not rep.passed

@@ -30,6 +30,7 @@ from struveint.quadrature import (
     _Integrand,
     _jacobi_moments,
     _panel,
+    _tail_coefficient,
 )
 
 BASE_GRID = [
@@ -340,6 +341,42 @@ def test_kernel_factor_does_not_overflow_at_large_x():
     assert rel(kernel_factor(1e160, 1.0), 2e160) <= 1e-15
     for x in (1e154, 1e200, 1e300):
         assert rel(kernel_factor(x, 1.0), 2.0 * x) <= 1e-15
+
+
+def test_tail_cutoff_follows_the_decay_of_g():
+    # (a / K)^2 = e^(-2 theta) exactly: the probes measure decay 2, and the
+    # cutoff moves by log(10 bound / target) / (rate + 2), to theta = 9.1
+    # in one stretch.  At the kernel's rate alone it went to 17.3, and
+    # the stretch was bisected back: 156 calls of g.
+    a, mu, lam = 1.0, 0.75, 2.0
+
+    def g(x):
+        return (a / kernel_factor(x, a)) ** 2
+
+    assert _tail_coefficient(_Integrand(g, a, complex(mu), complex(lam)), 4.0)[1] == 2.0
+    res = integrate_kernel(g, a, mu, lam)
+    closed = a * a * oberhettinger_closed_form(a, mu, lam + 2.0)
+    assert res.converged
+    assert rel(res.value, closed) <= 1e-11
+    assert abs(res.value - closed) <= res.error_estimate
+    assert (res.evaluations, res.panels_used) == (114, 5)
+    assert 9.0 < res.cutoff_theta < 9.2
+
+
+def test_tail_cutoff_keeps_its_layout_where_g_rises_between_probes():
+    # 2 + cos(log(1 + x)) swings with period ~2 pi in theta, so some probe
+    # rises: the measured decay is 0 and the cutoff moves at the kernel's
+    # rate alone, to the same theta, bits and 156 calls as without it.
+    # So do a g that does not decay and one that is 0 at a probe.
+    def g(x):
+        return 2.0 + math.cos(math.log1p(x))
+
+    for h in (g, lambda x: 1.0, lambda x: 1.0 if x < 100.0 else 0.0):
+        assert _tail_coefficient(_Integrand(h, 1.0, 0.75 + 0j, 2 + 0j), 4.0)[1] == 0.0
+    res = integrate_kernel(g, 1.0, 0.75, 2.0)
+    assert res.converged
+    assert (res.value.real.hex(), res.value.imag, res.evaluations) == ("0x1.34d8b4a2b79dep+0", 0.0, 156)
+    assert res.cutoff_theta == 22.811295520802396
 
 
 def test_tail_cutoff_cap_binds():

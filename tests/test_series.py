@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import itertools
 import math
@@ -34,10 +35,14 @@ from struveint import (
 from struveint.errors import RangeError, StruveintError
 from struveint.gammafn import _digamma
 from struveint.series import (
+    _LOG_GAMMA_3_2,
     SeriesResult,
     _fox_wright_terms,
+    _gamma_shifted,
+    _horner,
     _pfq_terms,
     _struve_derivative_terms,
+    _w_evaluator,
     _w_table,
     _w_terms,
     boundary_radius,
@@ -115,8 +120,8 @@ def test_struve_w_near_gamma_pole_within_reported_error(p, b):
     # log Gamma(s), and Gamma amplifies that rounding by |psi(s)| (2e5,
     # then 2e3): W comes out 1.0e-15 (4.4e-11 relative), then 6.2e-17,
     # off the 40-digit oracle.  The series' own tail estimate is 2.3e-21,
-    # then 5.6e-20; the rounding of s adds u (|p| + |b+2|/2) |psi(s)| |W|,
-    # 2.5e-15, then 2.5e-16.  The reported error, plus log_gamma's own
+    # then 5.6e-20; the rounding of s adds u (|p| + |b+2|) |psi(s)| |W|,
+    # 3.5e-15, then 3.8e-16.  The reported error, plus log_gamma's own
     # 1e-14, covers it.
     res = struve_w_full(StruveParams(p, b, 0.0), 1.0)
     ref = oracle.struve_w(p, b, 0.0, 1.0)
@@ -643,6 +648,10 @@ def reaches(params, z, ctl=SeriesControl()):
     return bool(limits) and limits[-1] >= w
 
 
+# (p, b) with s = p + (b+2)/2 just below the pole of Gamma at -4.
+NEAR_POLE = (-3.6078702427844616, -2.784259517458647)
+
+
 @st.composite
 def struve_draws(draw, real=None, log10_z=(-3.0, math.log10(60.0))):
     """(params, z): real or complex p, b, c, with shifted orders
@@ -688,7 +697,7 @@ def test_struve_w_real_table_matches_oracle(draw):
     # sum |t_k| + u (|p| + |b+2|) sum |psi(s + k) t_k|.  z <= 30 keeps the
     # oracle's 120 terms exact at 40 digits.  The reported tail estimate is
     # the truncation term plus the rounding of s on the leading term,
-    # u (|p| + |b+2|/2) |psi(s)| |W|.
+    # u (|p| + |b+2|) |psi(s)| |W|.
     params, z = draw
     # A real t0: Gamma(p + (b+2)/2) > 0.
     assume(not params._log_gamma_shifted.imag and reaches(params, z))
@@ -705,9 +714,19 @@ def test_struve_w_real_table_matches_oracle(draw):
 
 def w_tail(params, series_tail, value):
     """struve_w_full's tail estimate: the series' own plus the rounding of
-    s = p + (b+2)/2, u (|p| + |b+2|/2) |psi(s)| |W|."""
-    rounding = U * (abs(params.p) + abs(params.b + 2) / 2) * abs(_digamma(params.shifted_order))
+    s = p + (b+2)/2, u (|p| + |b+2|) |psi(s)| |W|."""
+    rounding = U * (abs(params.p) + abs(params.b + 2)) * abs(_digamma(params.shifted_order))
     return series_tail + rounding * abs(value)
+
+
+def test_near_pole_tail_estimate_covers_the_error():
+    # W_{p,b,0}(1) with s = p + (b+2)/2 = -4 - 1.5e-9: b + 2 is exact here
+    # and the sum rounds by nearly half an ulp.  The error, 7.331345635e-14,
+    # was above u (|p| + |b+2|/2) |psi(s)| |W| = 7.331345595e-14;
+    # u (|p| + |b+2|) |psi(s)| |W|, which bounds both roundings, is 8.05e-14.
+    p, b = NEAR_POLE
+    res = struve_w_full(StruveParams(p, b, 0.0), 1.0)
+    assert abs(res.value - oracle.struve_w(p, b, 0.0, 1.0)) <= res.tail_estimate
 
 
 def assert_matches_sum_terms(params, z, ctl):
@@ -750,6 +769,8 @@ def modulus_sum(params, z):
 
 @settings(max_examples=300, deadline=None)
 @given(draw=struve_draws(log10_z=(-3.0, math.log10(30.0))), real=st.booleans())
+# s = -4 - 1.5e-9, Gamma(s) < 0: the error is above u (|p| + |b+2|/2) |psi(s)| |W|.
+@example(draw=(StruveParams(*NEAR_POLE, 0.0), 1.0), real=True)
 def test_struve_w_complex_table_matches_sum_terms_and_oracle(draw, real):
     # Complex p, b, c, or real ones with Gamma(p + (b+2)/2) < 0, summed
     # over the table.  Against the common rule, which shares its t0, the
@@ -789,6 +810,49 @@ def test_struve_w_is_the_full_value():
         assert type(value) is complex
         full = struve_w_full(params, z).value
         assert (value.real.hex(), value.imag.hex()) == (full.real.hex(), full.imag.hex())
+
+
+@pytest.mark.parametrize("p, b, c", [
+    (1.0, 1.0, 1.0),
+    (0.3, -1.0, -1.0),
+    (-1.75, 1.0, 1.0),  # Gamma(s) < 0: Horner's rule over -a_k
+    (1.0 + 0.5j, 1.0, 1.0),
+    (0.5 + 0.2j, 1.0, -1.0 + 0.1j),
+])
+def test_evaluator_is_t0_times_horner(p, b, c):
+    # The evaluator walks a reversed row of its table per index k; at
+    # every k the table reaches its value is t0 * _horner(coeffs, k, w)
+    # bit for bit, from a shared evaluator and from one-off ones.
+    params, ctl = StruveParams(p, b, c), SeriesControl()
+    w_max = 100.0
+    coeffs, limits, _ = _w_table(params, w_max, ctl)
+    sign, lgs = _gamma_shifted(params)
+    if sign < 0:
+        coeffs = [-a for a in coeffs]
+    p1 = (params.p if params.p.imag else params.p.real) + 1
+    lgs = lgs if lgs.imag else lgs.real
+    real_t0 = isinstance(p1, float) and isinstance(lgs, float)
+    shared = _w_evaluator(params, w_max, ctl)
+    reached = set()
+    for k, limit in enumerate(limits):
+        below = limits[k - 1] if k else 0.0
+        if not below < limit:
+            continue  # no w selects this k
+        z = 2.0 * math.sqrt(0.5 * (below + min(limit, w_max)))
+        half = z / 2.0
+        w = half * half
+        k = bisect.bisect_left(limits, w)
+        # cmath.exp has math.exp's bits at these sizes.
+        t0 = cmath.exp(p1 * math.log(half) - _LOG_GAMMA_3_2 - lgs)
+        expected = complex((t0.real if real_t0 else t0) * _horner(coeffs, k, w))
+        bits = (expected.real.hex(), expected.imag.hex())
+        full = struve_w_full(params, z)
+        assert full.terms == k + 1
+        for value in (shared(z), struve_w(params, z), full.value, _w_evaluator(params, w, ctl)(z)):
+            value = complex(value)
+            assert (value.real.hex(), value.imag.hex()) == bits, (k, z)
+        reached.add(k)
+    assert len(reached) > 10
 
 
 def test_struve_w_real_fallback_crafted():
