@@ -8,69 +8,75 @@ the kernel becomes a e^t and the integral turns into
     a^(mu-lambda) * int_0^inf (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t) g(x(t)) dt,
 
 an exponentially-decaying tail plus an algebraic endpoint factor
-t^(2 mu - 1) near t = 0.  Panels away from t = 0 use the 21-point
+t^(2 mu - 1) near t = 0.  Panels between the two ends use the 21-point
 Gauss-Kronrod rule, whose embedded 10-point Gauss rule gives the error
 estimate |K21 - G10| at no extra integrand evaluations.  Nodes and
 weights are the published table of QUADPACK's QK21 (R. Piessens, E. de
 Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
 1983), written to 33 digits so that each rounds to the nearest double;
 a test solves the rule at 40 digits and checks every written digit.
-A panel takes its nodes in one loop, shared with the head rule below:
+A panel takes its nodes in one loop, shared with the end rule below:
 each node's kernel weight, its exponent formed as real and imaginary
 floats (math.exp where it is real and cmath.exp rounds alike; the
-imaginary part only where mu, lambda or the head's power is complex),
-then, unless the weight underflowed to 0, one call of g and the node's
-terms.
+imaginary part only where mu, lambda or the end rule's power is
+complex), then, unless the weight underflowed to 0, one call of g and
+the node's terms.
 Every 21-point panel is judged by its |K21 - G10| alone, as in
-QUADPACK's adaptive rules, and the tail is cut where an exponential
-envelope bounds the remainder.  Every estimate, the head's too, is at
+QUADPACK's adaptive rules.  Every estimate, the end panels' too, is at
 least QUADPACK's rounding floor 50 eps sum |w_j f_j| over the panel's
 nodes: where the two rules agree to the last bits their difference
 says nothing of the sum's own rounding.
 
-Near t = 0 the substituted integrand is t^(2 mu - 1) times
-phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
-which is analytic wherever g is analytic at x = 0 (theorem1's g is).
-For Re(mu) > 0 every leftmost panel [0, h] is one product-integration
-rule that takes t^(2 mu - 1) exactly, complex mu included: phi is sampled
-at N = 20 first-kind Chebyshev points, which exclude t = 0, and its
-interpolant is integrated against the weight through the modified
-moments M_k = int_{-1}^{1} (1+x)^B T_k(x) dx, B = 2 mu - 1, from
+Both ends are one product-integration rule that takes an algebraic
+weight u^(alpha - 1) exactly, complex alpha included: the rest, phi, is
+sampled at N = 20 first-kind Chebyshev points, which exclude u = 0, and
+its interpolant is integrated against the weight through the modified
+moments M_k = int_{-1}^{1} (1+x)^B T_k(x) dx, B = alpha - 1, from
 M_0 = 2^(B+1)/(B+1), M_1 = M_0 B/(B+2) and the forward recurrence
 (B+k+2) M_{k+1} = 2B M_k - (B+2-k) M_{k-1} (R. Piessens and
 M. Branders, BIT 13 (1973) 443-450; QUADPACK's QAWS).  The moments are
-kept as M_k/M_0 and the factor h^(2 mu)/(2 mu) goes into each node's
-exponent, so a large mu overflows nothing.  The head's error estimate is
-2 (|c_{N-2}| + |c_{N-1}|) int_0^h |t^(2 mu - 1)| dt, c_k the
-interpolant's Chebyshev coefficients.  A head that misses it is
-bisected into a new head and a 21-point sibling.  The coefficients
-understate the error where phi itself has a weak power at 0 (theorem2's
-g ~ x^(p+1) with p < 0), but a head's error falls as h^(2 Re(mu)) or
-faster, so the change a bisection made, over 2^(2 Re(mu)) - 1, bounds
-the new head's error too, and the larger of the two is kept.  Both
-rules share one node loop.
+kept as M_k/M_0 and the factor h^alpha/alpha goes into each node's
+exponent, so a large alpha overflows nothing.  The error estimate is
+2 (|c_{N-2}| + |c_{N-1}|) int_0^h |u^(alpha - 1)| du, c_k the
+interpolant's Chebyshev coefficients.
+
+The head: near t = 0 the substituted integrand is t^(2 mu - 1) times
+phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
+which is analytic wherever g is analytic at x = 0 (theorem1's g is).
+For Re(mu) > 0 every leftmost panel [0, h] is the rule with u = t,
+alpha = 2 mu.  A head that misses its estimate is bisected into a new
+head and a 21-point sibling.  The coefficients understate the error
+where phi itself has a weak power at 0 (theorem2's g ~ x^(p+1) with
+p < 0), but a head's error falls as h^(2 Re(mu)) or faster, so the
+change a bisection made, over 2^(2 Re(mu)) - 1, bounds the new head's
+error too, and the larger of the two is kept.
 Re(mu) <= 0 keeps a 21-point head: the integral then converges only
 where g vanishes at 0 (theorem2), and a head that grows under
 bisection is refused as a non-integrable endpoint.
 
+The tail: beyond a start theta, s = e^-t maps [theta, inf) onto
+(0, e^-theta], x = a (1-s)^2/(2s), and the integrand becomes
+2^-mu s^(lambda - mu - 1) (1-s)^(2 mu - 1) (1+s) g ds: the rule with
+u = s, alpha = lambda - mu, and phi = 2^-mu (1-s)^(2 mu - 1) (1+s) g,
+analytic at s = 0 wherever g is analytic in s there (theorem2's g is;
+theorem1's carries s^(P+n)).  Each node is taken at t = -log s.  A tail
+that misses its estimate is split into a 21-point panel on
+[theta, theta + D] and a new tail from theta + D, where
+D = max(log 4, log(estimate/target)/Re(lambda - mu)) should bring its
+estimate to the target; its error falls as e^(-Re(lambda - mu) D) or
+faster for a g bounded at infinity, so, as at the head, the change the
+split made, over e^(Re(lambda - mu) D) - 1, bounds the new tail's error
+too.  theta stays at or below 700, where s is still a normal float; a
+tail that can move no further ends the refinement unconverged.
+
 Refinement runs in rounds over one list of panels kept in theta order,
-from four panels on [0, 4]: the head on [0, 1/2], then 21-point panels
-on [1/2, 1], [1, 2] and [2, 4], where the integrand is smoother and
-decays.  Each round takes the exactly rounded
-panel sum (``series.fsum_complex``) once.  While the tail bound exceeds
-a _TAIL_SAFETY-th of the target, the round moves the cutoff out to where
-the envelope, at its present coefficient, should fall to that share,
-and the new stretch is one panel: the tail is one more error term.  The
-integrand falls at the kernel's rate Re(lambda_eff) - Re(mu) and at
-|g|'s own, which the probes that set the coefficient measure: the move
-takes the kernel's rate plus d >= 0, the slowest decay rate of |g|
-between consecutive probes (0 where a probe rises or is 0), while the
-bound at the new cutoff is taken, and tested, at the kernel's rate
-alone.  Otherwise
-the round stops when the errors plus the tail bound meet the target, or
-it bisects the fewest worst panels whose errors cover the excess, worst
-first and no more than the panel cap leaves room for.  The last round's
-sums are the result.
+from five panels: the head on [0, 1/2], 21-point panels on [1/2, 1],
+[1, 2] and [2, 4], where the integrand is smoother and decays, and the
+tail from 4.  Each round takes the exactly rounded panel sum
+(``series.fsum_complex``) once.  It stops when the errors meet the
+target, or it splits the fewest worst panels whose errors cover the
+excess, worst first and no more than the panel cap leaves room for.
+The last round's sums are the result.
 """
 
 from __future__ import annotations
@@ -131,20 +137,17 @@ _CHEB_COS = tuple(
     for j in reversed(range(_CHEB_POINTS))
 )
 
-# Tail truncation: the envelope bound, at the kernel's decay rate
-# Re(lambda_eff) - Re(mu), must be a _TAIL_SAFETY-th of the target, and
-# the cutoff moves toward that share at that rate plus the decay of |g|
-# that the probes measure; the cutoff stops at _THETA_CAP, and a kernel
-# rate below _MIN_RATE counts as no decay.
-_TAIL_SAFETY = 10.0
-_THETA_CAP = 200.0
+# A kernel rate Re(lambda_eff) - Re(mu) below _MIN_RATE counts as no
+# decay.  The tail panel starts at theta = _THETA_MAX at most: its
+# deepest node, s = e^-700 sin^2(pi / 4N) ~ 1.5e-307, is still a normal
+# float, and x = a (cosh t - 1) there, ~3.3e306 a, is finite for a < 54.
 _MIN_RATE = 1e-6
+_THETA_MAX = 700.0
 
-# Refinement (bisecting or moving the cutoff) stops, unconverged, once
-# the list holds this many panels: their 29,988 nodes are about the
-# 30,000 of 2000 15-point panels.  The 4 starting panels are always
-# evaluated, even at a cap of 1; a refinement that reaches the cap ends
-# with exactly _MAX_PANELS panels.
+# Refinement stops, unconverged, once the list holds this many panels:
+# their 29,988 nodes are about the 30,000 of 2000 15-point panels.  The
+# 5 starting panels are always evaluated, even at a cap of 1; a
+# refinement that reaches the cap ends with exactly _MAX_PANELS panels.
 _MAX_PANELS = 1428
 
 # QUADPACK's rounding floor: no error estimate is below this times the
@@ -157,8 +160,9 @@ class QuadControl(Record):
     when its error estimate is at most rel_tol * |value|.  No panel's
     estimate is below 50 eps (1.1e-14) times its sum of |w f|, so a
     rel_tol below that is refused, as QUADPACK refuses such an epsrel
-    (ier = 6); near it convergence is not assured (g = 1 at a = 1,
-    mu = 0.75, lambda = 2 converges at 3e-14, in 240 calls)."""
+    (ier = 6); near it convergence is not assured: it takes panels whose
+    sums do not cancel (g = 1 at a = 1, mu = 0.75, lambda = 2 meets the
+    floor itself, in 103 calls)."""
 
     __slots__ = ("rel_tol",)
 
@@ -179,7 +183,7 @@ DEFAULT_QUAD = QuadControl()
 
 
 class QuadResult(Record):
-    # evaluations: calls of g, counting the tail probes.
+    # evaluations: calls of g; cutoff_theta: where the tail panel starts.
     __slots__ = ("value", "error_estimate", "panels_used", "cutoff_theta", "converged", "evaluations")
 
     def __init__(self, value: complex, error_estimate: float, panels_used: int, cutoff_theta: float,
@@ -202,11 +206,6 @@ def kernel_factor(x: float, a: float) -> float:
     return x + a + math.sqrt(square)
 
 
-def _cosh_m1(t: float) -> float:
-    s = math.sinh(0.5 * t)
-    return 2.0 * s * s
-
-
 # Below this, cosh t - 1 = 2 sinh(t/2)^2 nears or reaches underflow (at
 # t ~ 1e-154), so its log comes from sinh(t/2) instead.
 _TINY_COSH_M1 = 1e-300
@@ -226,19 +225,16 @@ class _Integrand:
         self.lam = lam
         self.evaluations = 0
 
-    def g_at(self, t: float) -> complex:
-        """g at x = a (cosh t - 1)."""
-        self.evaluations += 1
-        return complex(self.g(self.a * _cosh_m1(t)))
 
-
-def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tuple[complex, complex, complex, float]:
+def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None,
+               tail=False) -> tuple[complex, complex, complex, float]:
     """Sums of w0 f, w1 f, w2 f and |w0 f| over a rule's (x, w0, w1, w2)
     nodes mapped onto [lo, hi], f the substituted integrand; a node whose
     kernel weight underflows to 0 adds nothing and calls no g.
 
-    power = (b_re, b_im, c_re, c_im) divides f by t^b and multiplies it
-    by e^c, both folded into the node's exponent."""
+    power = (b_re, b_im, c_re, c_im) divides f by u^b and multiplies it
+    by e^c, both folded into the node's exponent, u the mapped node: t,
+    or with ``tail`` s = e^-t, where f is taken at t = -log s."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     g, a = intg.g, intg.a
@@ -255,7 +251,11 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
     skipped = 0
     for xi, w0, w1, w2 in rule:
         t = mid + half * xi
-        s = sinh(0.5 * t)  # w = _cosh_m1(t), inline
+        if power:
+            log_t = log(t)
+            if tail:
+                t = -log_t
+        s = sinh(0.5 * t)  # w = cosh t - 1 = 2 sinh(t/2)^2
         w = 2.0 * s * s
         log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
         if t < 1e-3:
@@ -264,7 +264,6 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None) -> tupl
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
         re = mu_re * log_w + log_sinh - lam_re * t
         if power:
-            log_t = log(t)
             re += c_re - b_re * log_t
         if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
@@ -314,53 +313,39 @@ def _jacobi_moments(b) -> list:
     return m
 
 
-def _head_rule(mu: complex):
-    """(nodes, 2 mu, error factor) of the product rule for t^b phi(t) on
-    a leftmost panel, b = 2 mu - 1, Re(mu) > 0: the nodes are
+def _product_rule(alpha: complex):
+    """(nodes, alpha, error factor) of the product rule for u^b phi(u) on
+    [0, h], b = alpha - 1, Re(alpha) > 0: the nodes are
     (x_j, W_j, 2/N cos((N-2) theta_j), 2/N cos((N-1) theta_j)), with
-    W_j = 2/N sum'_k cos(k theta_j) M_k / M_0, and 2 |2 mu| / Re(2 mu)
-    turns the last two coefficients of phi hi^(2 mu) / (2 mu) into the
-    error bound.  b + 1 is taken as 2 mu, exactly, not as (2 mu - 1) + 1."""
-    two_mu = 2.0 * mu if mu.imag else 2.0 * mu.real
-    moments = _jacobi_moments(two_mu - 1.0)[1:]
+    W_j = 2/N sum'_k cos(k theta_j) M_k / M_0, and 2 |alpha| / Re(alpha)
+    turns the last two coefficients of phi h^alpha / alpha into the
+    error bound.  The scale takes alpha itself, not (alpha - 1) + 1,
+    which rounds."""
+    alpha = alpha if alpha.imag else alpha.real
+    moments = _jacobi_moments(alpha - 1.0)[1:]
     scale = 2.0 / _CHEB_POINTS
     nodes = tuple(
         (row[0], scale * (0.5 + sum(map(operator.mul, row, moments))), scale * row[-2], scale * row[-1])
         for row in _CHEB_COS
     )
-    return nodes, two_mu, 2.0 * abs(two_mu) / two_mu.real
+    return nodes, alpha, 2.0 * abs(alpha) / alpha.real
 
 
-def _head_panel(intg: _Integrand, hi: float, rule) -> tuple[float, float, complex, float]:
-    """(0, hi, value, error estimate) of the leftmost panel by the head
-    rule: phi = f / t^b at the Chebyshev points, each times
-    e^c = hi^(2 mu) / (2 mu), against the rule's weights W_j.  The
-    estimate is the coefficient bound, or the rounding floor on the sum
-    of |W_j phi_j e^c| if that is larger."""
-    nodes, two_mu, err_factor = rule
-    b = two_mu - 1.0
-    c = two_mu * math.log(hi) - cmath.log(two_mu)
-    value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, hi, nodes, (b.real, b.imag, c.real, c.imag))
-    return 0.0, hi, value, max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
-
-
-def _tail_coefficient(intg: _Integrand, theta_c: float) -> tuple[float, float]:
-    """(coeff, decay) from |g| at theta_c + 0, 1, 3, 7 and 15 (each at
-    most _THETA_CAP): the envelope coefficient kappa * max|g|, where the
-    remainder beyond theta_c is bounded by coeff * exp(-rate * theta_c) / rate,
-    and the slowest decay rate of |g| between consecutive probes: 0 where
-    a probe rises, is 0 or not finite, or is held at the cap with the one
-    before it."""
-    re_mu = intg.mu.real
-    e = math.exp(-theta_c)
-    kappa = 2.0**-re_mu * max(1.0, (1.0 - e) ** (2.0 * re_mu - 1.0)) * (1.0 + e)
-    ts = [min(theta_c + dt, _THETA_CAP) for dt in (0.0, 1.0, 3.0, 7.0, 15.0)]
-    mags = [abs(intg.g_at(t)) for t in ts]
-    decay = min(
-        (math.log(g0) - math.log(g1)) / (t1 - t0) if t1 > t0 and 0.0 < g1 <= g0 < math.inf else 0.0
-        for t0, t1, g0, g1 in zip(ts, ts[1:], mags, mags[1:])
-    )
-    return kappa * 2.0 * max(0.0, *mags), decay
+def _product_panel(intg: _Integrand, lo: float, hi: float, rule) -> tuple[float, float, complex, float]:
+    """(lo, hi, value, error estimate) of an end panel by a product rule:
+    the head [0, hi] in t, alpha = 2 mu, where phi = f / t^(alpha - 1), or
+    the tail [lo, inf) as [0, e^-lo] in s = e^-t, alpha = lambda - mu,
+    where phi = f / s^alpha (f dt = f / s ds).  Each phi_j is taken times
+    e^c = h^alpha / alpha against the rule's weights W_j.  The estimate
+    is the coefficient bound, or the rounding floor on the sum of
+    |W_j phi_j e^c| if that is larger."""
+    nodes, alpha, err_factor = rule
+    tail = hi == math.inf
+    b = alpha if tail else alpha - 1.0
+    c = alpha * (-lo if tail else math.log(hi)) - cmath.log(alpha)
+    end = math.exp(-lo) if tail else hi
+    value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, end, nodes, (b.real, b.imag, c.real, c.imag), tail)
+    return lo, hi, value, max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
 
 
 def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> QuadResult:
@@ -369,28 +354,32 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     ``g`` maps a positive real x to a complex value and must be bounded on
     compacts; integrability at 0 (x^(mu-1) against g's small-x order) is
     the caller's responsibility.  Returns the best estimate flagged
-    unconverged when the panel budget runs out before tolerance is met;
-    raises DomainError when the endpoint is detected as non-integrable, or,
-    before any call of g, when the kernel does not decay
-    (Re(lambda_eff) - Re(mu) below 1e-6), whatever g is.
+    unconverged when the panel budget runs out, or the tail reaches
+    theta = 700, before tolerance is met; raises DomainError when the
+    endpoint is detected as non-integrable, or, before any call of g,
+    when the kernel does not decay (Re(lambda_eff) - Re(mu) below 1e-6),
+    whatever g is.
 
-    The tail cutoff moves with the tolerance, for every mu, at the
-    kernel's rate Re(lambda_eff) - Re(mu) plus the decay of |g| measured
-    between the envelope's probes (0 for a g that does not decay).  For
-    Re(mu) > 0 each leftmost panel integrates the endpoint factor
-    t^(2 mu - 1) exactly (see the module docstring), so only the rest of
-    the integrand must be smooth there; a g that carries its own
+    Both ends are product-rule panels that take an algebraic weight
+    exactly (see the module docstring), so only the rest of the
+    integrand must be smooth there.  For Re(mu) > 0 each leftmost panel
+    integrates the endpoint factor t^(2 mu - 1); a g that carries its own
     non-integer power at 0, as theorem2's does, still bisects the head.
+    The tail [theta, inf) is one panel in s = e^-t that integrates
+    s^(lambda_eff - mu - 1); a g that carries a non-integer power of s
+    there, as theorem1's does, moves the tail's start out, further at a
+    tighter tolerance.  Its estimate assumes g bounded at infinity.
 
-    Panels are 21-point Gauss-Kronrod rules judged by |K21 - G10|.
-    Refinement starts from a head on [0, 1/2] and panels on [1/2, 1],
-    [1, 2] and [2, 4].  No estimate is below 50 eps times its panel's sum
-    of |w f|.
+    Other panels are 21-point Gauss-Kronrod rules judged by |K21 - G10|.
+    Refinement starts from a head on [0, 1/2], panels on [1/2, 1],
+    [1, 2] and [2, 4], and the tail from 4.  No estimate is below 50 eps
+    times its panel's sum of |w f|.
 
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
     unconverged (``g = cos(3x)``, a = 1, mu = 0.9, lambda_eff = 2 ends
-    at 1428 panels after 59,864 calls of g).  The paper's integrands are
+    at 1428 panels after 59,866 calls of g; at lambda_eff = 0.91 the tail
+    reaches theta = 700 after 186).  The paper's integrands are
     unaffected: their Struve arguments, y or x y over
     x + a + sqrt(x^2 + 2ax), tend to 0 or y/2.
     """
@@ -406,50 +395,35 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             "tail not certifiable: Re(lambda_eff) - Re(mu) = "
             f"{rate:.3g} is not positive"
         )
-    theta = 4.0
-    coeff, decay = _tail_coefficient(intg, theta)
-    tail_bound = coeff * math.exp(-rate * theta) / rate
     # Every leftmost panel [0, h] is one head-rule panel where Re(mu) > 0.
     # A head's error is h^(2 Re(mu) + s) times a constant, where
     # phi(t) - phi(0) goes like t^s, s > 0.  So it shrinks by
     # 2^(-2 Re(mu)) or faster per bisection, and what a bisection changed,
     # over 2^(2 Re(mu)) - 1, bounds the new head's error where the
     # coefficient estimate falls short (small s: g with a fractional zero).
-    rule = _head_rule(mu) if mu.real > 0 else None
+    # The tail's error falls likewise by e^(-rate D) or faster when its
+    # start moves out by D.
+    head_rule = _product_rule(2.0 * mu) if mu.real > 0 else None
+    tail_rule = _product_rule(lam - mu)
     # (Capped where expm1 would overflow; the scale is below 1e-300 there.)
-    drop_scale = 1.0 / math.expm1(min(2.0 * mu.real, 1000.0) * _LOG_2) if rule else 0.0
+    drop_scale = 1.0 / math.expm1(min(2.0 * mu.real, 1000.0) * _LOG_2) if head_rule else 0.0
 
     def head(hi: float):
-        return _head_panel(intg, hi, rule) if rule else _panel(intg, 0.0, hi)
+        return _product_panel(intg, 0.0, hi, head_rule) if head_rule else _panel(intg, 0.0, hi)
 
-    # The head on [0, 1/2], then panels that double in width up to 4.
-    panels = [head(theta / 8.0)]
-    panels += [_panel(intg, theta / 2.0**k, theta / 2.0 ** (k - 1)) for k in (3, 2, 1)]
+    # The head on [0, 1/2], panels that double in width up to 4, the tail.
+    panels = [head(0.5)] + [_panel(intg, lo, 2.0 * lo) for lo in (0.5, 1.0, 2.0)]
+    panels.append(_product_panel(intg, 4.0, math.inf, tail_rule))
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
     while True:
         raw = fsum_complex([rec[2] for rec in panels])
         target = ctl.rel_tol * abs(raw)
-        room = _MAX_PANELS - len(panels)
-        if room > 0 and theta < _THETA_CAP and _TAIL_SAFETY * tail_bound > target:
-            # Move the cutoff to where the envelope, falling at the
-            # kernel's rate plus g's measured decay, should be a
-            # _TAIL_SAFETY-th of the target, by 1 at least (doubling it
-            # for a zero target); the stretch is one new panel.
-            if target:
-                step = max(math.log(_TAIL_SAFETY * tail_bound / target) / (rate + decay), 1.0)
-            else:
-                step = theta
-            hi = min(theta + step, _THETA_CAP)
-            panels.append(_panel(intg, theta, hi))
-            theta = hi
-            coeff, decay = _tail_coefficient(intg, theta)
-            tail_bound = coeff * math.exp(-rate * theta) / rate
-            continue
         errs = [rec[3] for rec in panels]
-        err_total = sum(errs) + tail_bound
+        err_total = sum(errs)
         converged = err_total <= target
+        room = _MAX_PANELS - len(panels)
         if converged or room <= 0:
             break
         excess = err_total - target
@@ -459,24 +433,37 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             excess -= errs[i]
             if excess <= 0:
                 break
+        if len(panels) - 1 in split and panels[-1][0] >= _THETA_MAX:
+            break  # the tail can move no further out
         refined = []
         kept_from = 0
         for i in sorted(split):
-            lo, hi, value, _ = panels[i]
-            if lo == 0.0:
-                head_magnitudes.append(abs(value))
-                if len(head_magnitudes) >= 8 and all(
-                    head_magnitudes[i] < head_magnitudes[i + 1] for i in range(-7, -1)
-                ):
-                    raise DomainError(
-                        "non-integrable endpoint: head contributions diverge under refinement"
-                    )
-            mid_point = 0.5 * (lo + hi)
-            left = head(mid_point) if lo == 0.0 else _panel(intg, lo, mid_point)
-            right = _panel(intg, mid_point, hi)
-            if lo == 0.0 and rule:
+            lo, hi, value, err = panels[i]
+            if hi == math.inf:
+                # A 21-point panel over the stretch by which the tail's
+                # estimate should fall to the target, the tail after it.
+                step = math.log(max(err, target) / target) / rate if target else math.inf
+                mid_point = min(lo + max(step, 2.0 * _LOG_2), _THETA_MAX)
+                left = _panel(intg, lo, mid_point)
+                right = _product_panel(intg, mid_point, hi, tail_rule)
                 drop = abs(value - left[2] - right[2])
-                left = (0.0, mid_point, left[2], max(left[3], drop * drop_scale))
+                fall = math.expm1(min(rate * (mid_point - lo), 700.0))  # (below overflow)
+                right = (mid_point, hi, right[2], max(right[3], drop / fall))
+            else:
+                if lo == 0.0:
+                    head_magnitudes.append(abs(value))
+                    if len(head_magnitudes) >= 8 and all(
+                        head_magnitudes[i] < head_magnitudes[i + 1] for i in range(-7, -1)
+                    ):
+                        raise DomainError(
+                            "non-integrable endpoint: head contributions diverge under refinement"
+                        )
+                mid_point = 0.5 * (lo + hi)
+                left = head(mid_point) if lo == 0.0 else _panel(intg, lo, mid_point)
+                right = _panel(intg, mid_point, hi)
+                if lo == 0.0 and head_rule:
+                    drop = abs(value - left[2] - right[2])
+                    left = (0.0, mid_point, left[2], max(left[3], drop * drop_scale))
             refined += panels[kept_from:i]
             refined += (left, right)
             kept_from = i + 1
@@ -489,7 +476,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         value=value,
         error_estimate=abs(scale) * err_total,
         panels_used=len(panels),
-        cutoff_theta=theta,
+        cutoff_theta=panels[-1][0],
         converged=converged,
         evaluations=intg.evaluations,
     )

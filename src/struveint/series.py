@@ -145,8 +145,8 @@ class StruveParams(Record):
     value is the same whoever takes it, so threads may share one."""
 
     # _log_gamma_shifted: log Gamma(p + (b+2)/2), the leading term's constant;
-    # _s_rounding: struve_w_full's factor for the rounding of p + (b+2)/2,
-    # None until its first call (_rounding_of_s).
+    # _s_rounding: struve_w_full's factor for the rounding of p + (b+2)/2
+    # and log Gamma's error, None until its first call (_rounding_of_s).
     __slots__ = ("p", "b", "c", "_log_gamma_shifted", "_s_rounding")
 
     def __init__(self, p: complex, b: complex, c: complex):
@@ -348,7 +348,9 @@ def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL)
     p + (b+2)/2 is formed in floats before Gamma(s) is taken, b + 2 and
     the sum each rounding once, so s is off by at most u (|p| + |b+2|);
     Gamma turns that into |psi(s)| times it, which near a pole of Gamma
-    is the largest error.
+    is the largest error.  Where s is not real and positive, ``log_gamma``
+    reflects or shifts and sums Stirling's series, and its own error, at
+    most 1e-14 max(1, |log Gamma(s)|), is added too.
     """
     z = _require_positive_z(z)
     half = z / 2.0
@@ -357,11 +359,15 @@ def struve_w_full(params: StruveParams, z, ctl: SeriesControl = DEFAULT_CONTROL)
 
 
 def _rounding_of_s(params: StruveParams) -> float:
-    """u (|p| + |b+2|) |psi(s)|, taken once per params and kept; threads
+    """u (|p| + |b+2|) |psi(s)|, plus 1e-14 max(1, |log Gamma(s)|) where s
+    is not real and positive, taken once per params and kept; threads
     that race here each store the same value."""
     rounding = params._s_rounding
     if rounding is None:
-        rounding = _U * (abs(params.p) + abs(params.b + 2)) * abs(_digamma(params.shifted_order))
+        s = params.shifted_order
+        rounding = _U * (abs(params.p) + abs(params.b + 2)) * abs(_digamma(s))
+        if s.imag or s.real < 0.0:  # log_gamma does not take math.lgamma
+            rounding += 1e-14 * max(1.0, abs(params._log_gamma_shifted))
         _set(params, "_s_rounding", rounding)
     return rounding
 

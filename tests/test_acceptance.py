@@ -289,15 +289,17 @@ def test_theorem1_tail_decaying_through_struve_factor():
 
 
 # Indices of the paper-domain sweep's draws that verify_case fails today:
-# 61 "tail not certifiable", 23 "quadrature tolerance not met", one
-# relative error of 2.461e-04 and one overflowing substituted integrand.
-# Together they take ~10 s, so they are not run.
+# 61 "tail not certifiable", 15 "quadrature tolerance not met" (all
+# theorem1), one relative error of 2.461e-04 and one overflowing
+# substituted integrand.  Together they take ~10 s, so they are not run.
+# The tail panel in s = e^-t brought 8 theorem2 draws (8, 23, 40, 115,
+# 194, 237, 259 and 280) to tolerance.
 SWEEP_FAILURES = frozenset((
-    1, 2, 7, 8, 12, 13, 16, 17, 23, 32, 33, 37, 39, 40, 42, 44, 50, 54, 58, 60, 61, 67, 82,
-    83, 85, 88, 94, 99, 101, 103, 104, 105, 111, 115, 119, 120, 121, 125, 130, 138, 141, 142,
-    146, 147, 150, 151, 153, 162, 165, 169, 175, 176, 178, 183, 186, 189, 191, 194, 197, 204,
-    205, 206, 207, 210, 213, 220, 222, 230, 231, 237, 241, 243, 244, 247, 250, 252, 259, 260,
-    261, 264, 267, 270, 280, 281, 283, 289,
+    1, 2, 7, 12, 13, 16, 17, 32, 33, 37, 39, 42, 44, 50, 54, 58, 60, 61, 67, 82,
+    83, 85, 88, 94, 99, 101, 103, 104, 105, 111, 119, 120, 121, 125, 130, 138, 141, 142,
+    146, 147, 150, 151, 153, 162, 165, 169, 175, 176, 178, 183, 186, 189, 191, 197, 204,
+    205, 206, 207, 210, 213, 220, 222, 230, 231, 241, 243, 244, 247, 250, 252, 260,
+    261, 264, 267, 270, 281, 283, 289,
 ))
 
 
@@ -329,5 +331,5 @@ def test_paper_domain_sweep_keeps_its_passing_cases():
         for i, case in enumerate(cases)
         if i not in SWEEP_FAILURES and not (rep := verify_case(case)).passed
     ]
-    assert len(cases) - len(SWEEP_FAILURES) == 214
+    assert len(cases) - len(SWEEP_FAILURES) == 222
     assert not failed, failed

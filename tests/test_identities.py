@@ -492,13 +492,14 @@ def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
 
 
 def test_verify_small_mu_case_in_few_calls():
-    # The head rule and three 21-point panels bring theorem1 at mu = 0.1
-    # to tolerance in 114 calls of g; seven 15-point panels took 150, a
-    # head graded by t = h v^5 355, plain head bisection 6,000.
+    # The head rule, three 21-point panels and the tail panel bring
+    # theorem1 at mu = 0.1 to tolerance in 103 calls of g; an envelope-cut
+    # tail took 114, seven 15-point panels 150, a head graded by
+    # t = h v^5 355, plain head bisection 6,000.
     case = make_case(mu=0.1)
     rep = verify_case(case)
     assert rep.passed, rep.reason
-    assert rep.lhs_diag["evaluations"] <= 120
+    assert rep.lhs_diag["evaluations"] <= 103
     assert rep.rel_err <= 1e-12
 
 
@@ -518,19 +519,21 @@ def test_verify_tiny_mu_graded_head_keeps_x_positive():
 def test_report_diagnostics_are_pinned():
     # The report derives abs_err, rel_err and both diagnostic dicts from
     # the results it holds; these are the anchor's values (mu = 3/4, its
-    # head one panel of the head rule).  g decays like e^(-2 theta), so the
-    # tail is cut at theta = 9.1 and nothing is bisected (a cutoff at the
-    # kernel's rate alone went to 17.3, bisected once and took 156 calls);
-    # the left side's error, 5.3e-15, is within its estimate.
+    # head one panel of the head rule).  g decays like e^(-2 theta) = s^2,
+    # a polynomial factor of the tail panel's phi in s = e^-t, so the
+    # tail panel from theta = 4 takes it and nothing is split: 103 calls
+    # (a cutoff set by probes of |g| went to theta = 9.1 in 114 calls,
+    # one at the kernel's rate alone to 17.3 in 156); the left side's
+    # error, 3.5e-18, is within its estimate.
     rep = verify_case(make_case())
     assert rep.passed and rep.reason is None
     expected = (
         {
             "panels_used": 5,
-            "cutoff_theta": 9.11602255810336,
-            "error_estimate": 2.9127142584153124e-14,
+            "cutoff_theta": 4.0,
+            "error_estimate": 3.1868816932769955e-16,
             "converged": True,
-            "evaluations": 114,
+            "evaluations": 103,
         },
         {
             "shells": 10,
@@ -538,18 +541,18 @@ def test_report_diagnostics_are_pinned():
             "tail_estimate": 2.3003709479220665e-17,
             "prefactor": (0.028946378411222447, 0.0),
         },
-        5.2735593669694936e-15,
-        1.8877953001518543e-13,
+        3.469446951953614e-18,
+        1.2419705922051672e-16,
     )
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
     # Failed on the tolerance: the same results, and the verdict (at
-    # y = 1/2, where the two sides differ by 1.9e-13).
+    # y = 1/2, where the two sides differ by 1.2e-16).
     passing = verify_case(make_case(y=(0.5,)))
     rep = verify_case(make_case(y=(0.5,)), tol=1e-16)
-    assert passing.passed and rep.rel_err == 1.887696574745087e-13
+    assert passing.passed and rep.rel_err == 1.209286723091023e-16
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err) == (passing.lhs_diag, passing.rhs_diag, passing.abs_err)
     assert not rep.passed
-    assert rep.reason == "relative error 1.888e-13 exceeds tolerance 1.0e-16"
+    assert rep.reason == "relative error 1.209e-16 exceeds tolerance 1.0e-16"
     # Failed while evaluating: no results to report.
     rep = verify_case(make_case(y=(1e6,)))
     assert not rep.passed

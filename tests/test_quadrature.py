@@ -23,14 +23,12 @@ from struveint.quadrature import (
     _GAUSS_POINTS,
     _GAUSS_WEIGHTS,
     _KRONROD,
-    _THETA_CAP,
-    _cosh_m1,
-    _head_panel,
-    _head_rule,
+    _THETA_MAX,
     _Integrand,
     _jacobi_moments,
     _panel,
-    _tail_coefficient,
+    _product_panel,
+    _product_rule,
 )
 
 BASE_GRID = [
@@ -96,18 +94,22 @@ def test_unit_integrand_vs_closed_form_singular_endpoint():
 # 0.75 + 0.2i, 6,145 at 0.1 + 0.2i and 835 at 0.54 + 0.18i: it made
 # t^(2 Re mu - 1) an integer power, and t^(2i Im mu) still oscillated.
 # The head rule with eight equal 15-point panels on [0, 4] took 180 to
-# 270: 180 at mu = 0.01, 210 at 0.1, 240 at 0.75 and 270 at 1.25.
-TINY_MU_CALLS = {
-    0.01: 114, 0.02: 114, 0.05: 114, 0.1: 114, 0.3: 156, 0.5: 156, 0.6: 156, 0.75: 156,
-    1.0: 198, 1.25: 240, 0.75 + 0.2j: 198, 0.1 + 0.2j: 156, 0.54 + 0.18j: 156,
-}
+# 270: 180 at mu = 0.01, 210 at 0.1, 240 at 0.75 and 270 at 1.25.  With
+# three 21-point panels after the head and a tail cut by an envelope
+# bound, 114 to 240: 114 at mu <= 0.1, 156 at 0.3 to 0.75, 198 at 1.0
+# and 240 at 1.25.  Now the tail is one more product-rule panel, in
+# s = e^-t, and g = 1 is a polynomial there: every mu takes the 5
+# starting panels, 103 calls.
+TINY_MU_CALLS = dict.fromkeys(
+    (0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 0.6, 0.75, 1.0, 1.25, 0.75 + 0.2j, 0.1 + 0.2j, 0.54 + 0.18j), 103
+)
 # The value's bits and the calls of g, pinned where t^(2 mu - 1) is a
-# polynomial and where it is a complex power.  At 0.5 and 1.0 the bits
-# are those of the eight 15-point panels (210 and 240 calls).
+# polynomial and where it is a complex power.  At 1.0 the value is 1/3
+# rounded to nearest; the envelope-cut tail left it 0x1.5555555554a23p-2.
 PINNED_MU = {
-    0.5: (("0x1.822cb17ff21b7p-1", "0x0.0p+0"), 156),
-    1.0: (("0x1.5555555554a23p-2", "0x0.0p+0"), 198),
-    0.1 + 0.2j: (("-0x1.eeab00a9158c4p-4", "-0x1.826b6f16ad904p+1"), 156),
+    0.5: (("0x1.822cb17ff2eb9p-1", "0x0.0p+0"), 103),
+    1.0: (("0x1.5555555555556p-2", "0x0.0p+0"), 103),
+    0.1 + 0.2j: (("-0x1.eeab00a92d486p-4", "-0x1.826b6f16ad441p+1"), 103),
 }
 
 
@@ -154,18 +156,27 @@ def test_zero_integrand():
 
 @pytest.mark.parametrize("a, mu, lam", [(1.0, 1.0, 1.3), (1.0, 0.8, 1.1), (2.0, 1.5, 1.75)])
 def test_long_tail_cutoff_follows_the_tolerance(a, mu, lam):
-    # Decay rates 0.25-0.3: the cutoff lies far out and moves with the
-    # tolerance for every mu.  A cutoff walked on a fixed grid took 670,
-    # 630 and 610 calls of g at 1e-11.
+    # Decay rates 0.25-0.3.  g = 1 is a polynomial in s = e^-t, so the
+    # tail panel takes it from theta = 4 at every tolerance, in 103
+    # calls; a cutoff walked on a fixed grid took 670, 630 and 610 calls
+    # at 1e-11, and one set by an envelope bound 282 at (1, 1, 1.3).
+    # g = (a/K)^0.3 = s^0.3 is not: the tail's estimate moves its start
+    # out, further at each tighter tolerance.
     closed = oberhettinger_closed_form(a, mu, lam)
-    cutoffs = []
     for tol in (1e-6, 1e-8, 1e-11):
         res = integrate_kernel(lambda x: 1.0, a, mu, lam, QuadControl(rel_tol=tol))
+        assert res.converged, tol
+        assert abs(res.value - closed) <= min(res.error_estimate, 1e-15 * abs(closed)), tol
+        assert (res.evaluations, res.panels_used, res.cutoff_theta) == (103, 5, 4.0), tol
+    closed = a**0.3 * oberhettinger_closed_form(a, mu, lam + 0.3)
+    cutoffs = []
+    for tol in (1e-6, 1e-8, 1e-11):
+        res = integrate_kernel(lambda x: (a / kernel_factor(x, a)) ** 0.3, a, mu, lam, QuadControl(rel_tol=tol))
         assert res.converged, tol
         assert rel(res.value, closed) <= tol, tol
         assert abs(res.value - closed) <= res.error_estimate, tol
         cutoffs.append(res.cutoff_theta)
-    assert cutoffs[0] < cutoffs[1] < cutoffs[2], cutoffs
+    assert 4.0 < cutoffs[0] < cutoffs[1] < cutoffs[2], cutoffs
     assert res.evaluations <= 400
 
 
@@ -255,6 +266,28 @@ def test_error_estimate_is_conservative_on_grid():
             res = integrate_kernel(lambda x: (x / kernel_factor(x, a)) ** q, a, mu, lam)
             closed = oberhettinger_closed_form(a, mu + q, lam + q)
             assert abs(res.value - closed) <= res.error_estimate, (q, a, mu, lam)
+    # theorem1-style g, falling like K^-q = (s/a)^q: the tail's phi
+    # carries s^q, which no rule takes exactly, and a^q K^-q times the
+    # kernel is the kernel at lambda + q.
+    for q in (0.1, 0.3, 0.7, 1.3, 2.55):
+        for a, mu, lam in BASE_GRID + SMALL_MU_GRID:
+            res = integrate_kernel(lambda x: (a / kernel_factor(x, a)) ** q, a, mu, lam)
+            closed = a**q * oberhettinger_closed_form(a, mu, lam + q)
+            assert res.converged, (q, a, mu, lam)
+            assert abs(res.value - closed) <= res.error_estimate, (q, a, mu, lam)
+
+
+@pytest.mark.parametrize("gap", [0.01, 0.05, 0.3])
+def test_slow_kernel_decay_converges(gap):
+    # g = 1 where the kernel falls like e^(-gap theta).  The tail panel
+    # takes s^(gap - 1) exactly; an envelope bound cut at theta = 200
+    # left gaps 0.01 and 0.05 unconverged after 59,872 calls of g.
+    for a, mu in ((1.0, 0.75), (1.0, 0.02), (1e4, 1.0)):
+        res = integrate_kernel(lambda x: 1.0, a, mu, mu + gap)
+        closed = oberhettinger_closed_form(a, mu, mu + gap)
+        assert res.converged, (a, mu)
+        assert rel(res.value, closed) <= 1e-14, (a, mu)
+        assert abs(res.value - closed) <= res.error_estimate, (a, mu)
 
 
 def test_result_invariants(monkeypatch):
@@ -262,26 +295,30 @@ def test_result_invariants(monkeypatch):
     res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1)
     assert res.error_estimate >= 0.0
     assert res.panels_used <= 500
-    assert 0.0 < res.cutoff_theta <= _THETA_CAP
+    assert 0.0 < res.cutoff_theta <= _THETA_MAX
 
 
 def test_panel_budget_exhaustion_flags_result(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
-    res = integrate_kernel(lambda x: 1.0, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
+    # g = 1 converges on the 5 starting panels even at 1e-13; (a/K)^0.3
+    # = s^0.3 needs its tail moved out, which a cap of 5 does not allow.
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
+    res = integrate_kernel(lambda x: kernel_factor(x, 1.0) ** -0.3, 1.0, 0.3, 1.1, QuadControl(rel_tol=1e-13))
     assert not res.converged
+    assert (res.panels_used, res.cutoff_theta) == (5, 4.0)
     # Still a usable estimate of the right magnitude.
-    closed = oberhettinger_closed_form(1.0, 0.3, 1.1)
+    closed = oberhettinger_closed_form(1.0, 0.3, 1.4)
     assert rel(res.value, closed) < 0.1
 
 
 def test_panel_cap_limits_refinement_not_layout(monkeypatch):
-    # The panel cap limits refinement only: the 4 starting panels on
-    # [0, 4] are always evaluated (at cap 1 the cutoff cannot move), and
-    # the last round splits just enough panels to reach the cap exactly.
-    # g = cos(3x) is never resolved (see integrate_kernel); its rounds go
-    # 4 -> 5 -> 6 (two cutoff moves) -> 9 -> 13, so at cap 7 the last
-    # round wants three splits and gets one, and at cap 10 four and one.
-    for cap, expected in ((1, 4), (7, 7), (9, 9), (10, 10)):
+    # The panel cap limits refinement only: the 5 starting panels, four
+    # on [0, 4] and the tail, are always evaluated (at caps 1 and 5 the
+    # tail cannot move), and the last round splits just enough panels to
+    # reach the cap exactly.  g = cos(3x) is never resolved (see
+    # integrate_kernel); its rounds go 5 -> 8 (the tail among the three
+    # splits) -> 11 -> 16, so at cap 7 the first round wants three splits
+    # and gets two, and at cap 10 the second wants three and gets two.
+    for cap, expected in ((1, 5), (5, 5), (7, 7), (9, 9), (10, 10)):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
         res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 2.0)
         assert not res.converged
@@ -344,47 +381,53 @@ def test_kernel_factor_does_not_overflow_at_large_x():
 
 
 def test_tail_cutoff_follows_the_decay_of_g():
-    # (a / K)^2 = e^(-2 theta) exactly: the probes measure decay 2, and the
-    # cutoff moves by log(10 bound / target) / (rate + 2), to theta = 9.1
-    # in one stretch.  At the kernel's rate alone it went to 17.3, and
-    # the stretch was bisected back: 156 calls of g.
+    # (a / K)^2 = e^(-2 theta) = s^2 exactly: the tail panel's phi is a
+    # polynomial times s^2, taken from theta = 4 in one panel with no
+    # split, in 103 calls of g.  A cutoff set by probes of |g| went to 9.1
+    # in 114 calls, one at the kernel's rate alone to 17.3 in 156.  A
+    # fractional power, (a / K)^0.3, moves the tail out.
     a, mu, lam = 1.0, 0.75, 2.0
 
     def g(x):
         return (a / kernel_factor(x, a)) ** 2
 
-    assert _tail_coefficient(_Integrand(g, a, complex(mu), complex(lam)), 4.0)[1] == 2.0
     res = integrate_kernel(g, a, mu, lam)
     closed = a * a * oberhettinger_closed_form(a, mu, lam + 2.0)
     assert res.converged
-    assert rel(res.value, closed) <= 1e-11
+    assert rel(res.value, closed) <= 1e-15
     assert abs(res.value - closed) <= res.error_estimate
-    assert (res.evaluations, res.panels_used) == (114, 5)
-    assert 9.0 < res.cutoff_theta < 9.2
+    assert (res.evaluations, res.panels_used, res.cutoff_theta) == (103, 5, 4.0)
+    res = integrate_kernel(lambda x: (a / kernel_factor(x, a)) ** 0.3, a, mu, lam)
+    assert res.converged and res.cutoff_theta > 4.0
 
 
-def test_tail_cutoff_keeps_its_layout_where_g_rises_between_probes():
-    # 2 + cos(log(1 + x)) swings with period ~2 pi in theta, so some probe
-    # rises: the measured decay is 0 and the cutoff moves at the kernel's
-    # rate alone, to the same theta, bits and 156 calls as without it.
-    # So do a g that does not decay and one that is 0 at a probe.
+def test_tail_moves_out_where_g_swings_in_log_x():
+    # 2 + cos(log(1 + x)) swings with period ~2 pi in theta, so the tail's
+    # phi oscillates in log s up to s = 0, which no polynomial follows:
+    # the tail's estimate moves its start out, to theta = 17.4, in 227
+    # calls of g, against a 30-digit reference.
     def g(x):
         return 2.0 + math.cos(math.log1p(x))
 
-    for h in (g, lambda x: 1.0, lambda x: 1.0 if x < 100.0 else 0.0):
-        assert _tail_coefficient(_Integrand(h, 1.0, 0.75 + 0j, 2 + 0j), 4.0)[1] == 0.0
     res = integrate_kernel(g, 1.0, 0.75, 2.0)
+    reference = mp_kernel_integral(lambda x: 2 + mp.cos(mp.log1p(x)), 1.0, 0.75, 2.0)
     assert res.converged
-    assert (res.value.real.hex(), res.value.imag, res.evaluations) == ("0x1.34d8b4a2b79dep+0", 0.0, 156)
-    assert res.cutoff_theta == 22.811295520802396
+    assert abs(res.value - reference) <= min(res.error_estimate, 1e-13 * abs(reference))
+    assert (res.value.imag, res.evaluations, res.panels_used) == (0.0, 227, 8)
+    assert res.cutoff_theta == 17.44463791020497
 
 
 def test_tail_cutoff_cap_binds():
-    # Decay rate 0.1: the envelope would certify the tail only well past
-    # the cap, so the cutoff stops at the cap and the result is flagged.
-    res = integrate_kernel(lambda x: 1.0, 1.0, 1.0, 1.1)
-    assert res.cutoff_theta == _THETA_CAP == 200.0
+    # g = cos(3x) oscillates ever faster in theta and is never resolved.
+    # At a kernel rate of 0.01 the tail's estimate moves its start to the
+    # cap, where s = e^-theta at its deepest node is still a normal float
+    # (past theta ~ 745 s underflows to 0), and the tail can move no
+    # further: the result is flagged, and nothing is raised.
+    res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 0.91)
+    assert res.cutoff_theta == _THETA_MAX == 700.0
     assert not res.converged
+    assert res.evaluations < 1000
+    assert math.isfinite(res.value.real) and math.isfinite(res.error_estimate)
 
 
 def test_kronrod_rule_polynomial_exactness():
@@ -683,13 +726,80 @@ def test_head_panel_matches_node_by_node_integral(case):
         return g(x)
 
     intg = _Integrand(recorded, a, complex(mu), complex(lam))
-    lo_out, hi_out, head_value, head_estimate = _head_panel(intg, hi, _head_rule(complex(mu)))
+    lo_out, hi_out, head_value, head_estimate = _product_panel(intg, 0.0, hi, _product_rule(2 * complex(mu)))
     assert (lo_out, hi_out, intg.evaluations) == (0.0, hi, _CHEB_POINTS)
     assert len(seen) == _CHEB_POINTS and all(x > 0 for x in seen)
     assert max(abs(x - y) / y for x, y in zip(seen, calls)) <= 1e-13
     assert rel(head_value, value) <= 1e-13
     # The last coefficients round like the value does.
     assert abs(head_estimate - estimate) <= 1e-13 * abs(value)
+
+
+def reference_tail_panel(g, a, mu, lam, theta):
+    """(value, coefficient bound, calls of g) of the tail rule on
+    [theta, inf) at 40 digits, in s = e^-t on [0, S], S = e^-theta:
+    x = a (1-s)^2 / (2s) and f dt = s^(alpha - 1) phi(s) ds with
+    alpha = lambda - mu and phi = 2^-mu (1-s)^(2 mu - 1) (1+s) g(x), taken
+    from that closed form, not from t.  The value is
+    (S/2)^alpha sum'_k c_k M_k, the bound 2 (|c_{N-2}| + |c_{N-1}|)
+    S^Re(alpha) / Re(alpha)."""
+    n = _CHEB_POINTS
+    calls = []
+    with mp.workdps(40):
+        a, mu, lam = mpf(a), mpc(mu), mpc(lam)
+        alpha = lam - mu
+        end = mp.exp(-mpf(theta))
+        angles = [mp.pi * (j + mpf(1) / 2) / n for j in reversed(range(n))]
+        phi = []
+        for angle in angles:
+            s = end / 2 * (1 + mp.cos(angle))
+            x = float(a * (1 - s) ** 2 / (2 * s))
+            calls.append(x)
+            phi.append(2 ** -mu * (1 - s) ** (2 * mu - 1) * (1 + s) * g(x))
+        c = [2 * sum(f * mp.cos(k * angle) for f, angle in zip(phi, angles)) / n for k in range(n)]
+        moments = mp_moments(alpha - 1)
+        value = (end / 2) ** alpha * (c[0] * moments[0] / 2 + sum(c[k] * moments[k] for k in range(1, n)))
+        bound = 2 * (abs(c[-2]) + abs(c[-1])) * end ** alpha.real / alpha.real
+        weights = [
+            (end / 2) ** alpha * 2 / n * (moments[0] / 2 + sum(mp.cos(k * angle) * moments[k] for k in range(1, n)))
+            for angle in angles
+        ]
+        resabs = sum(abs(w * f) for w, f in zip(weights, phi))
+        return complex(value), float(bound), float(resabs), calls
+
+
+TAIL_PANEL_CASES = [
+    # (g, a, mu, lam, theta): the first tail, complex parameters, a g
+    # that swings in log x, a slow kernel rate, and a tail far out.
+    (lambda x: 1.0, 1.0, 0.75, 2.0, 4.0),
+    (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.1 + 0.2j, 2.1 - 0.1j, 4.0),
+    (lambda x: 2.0 + math.cos(math.log1p(x)), 1.0, 0.75, 2.0, 9.5),
+    (lambda x: kernel_factor(x, 2.0) ** -0.3, 2.0, 0.75, 0.76, 4.0),
+    (lambda x: 1.0, 1.0, 0.9, 0.91, 650.0),
+]
+
+
+@pytest.mark.parametrize("case", TAIL_PANEL_CASES)
+def test_tail_panel_matches_node_by_node_integral(case):
+    g, a, mu, lam, theta = case
+    value, bound, resabs, calls = reference_tail_panel(g, a, mu, lam, theta)
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return g(x)
+
+    intg = _Integrand(recorded, a, complex(mu), complex(lam))
+    lo_out, hi_out, tail_value, tail_estimate = _product_panel(
+        intg, theta, math.inf, _product_rule(complex(lam) - complex(mu))
+    )
+    assert (lo_out, hi_out, intg.evaluations) == (theta, math.inf, _CHEB_POINTS)
+    # Each node's t = -log s rounds by up to theta u, which moves x and
+    # the node's exponent by that much (5e-14 at theta = 650).
+    assert max(abs(x - y) / y for x, y in zip(seen, calls)) <= 1e-13
+    assert rel(tail_value, value) <= 1e-13
+    estimate = max(bound, ROUNDING_FLOOR * resabs)
+    assert abs(tail_estimate - estimate) <= 1e-12 * max(abs(value), estimate)
 
 
 def test_rounding_floor_bounds_every_estimate():
@@ -712,7 +822,7 @@ def test_rounding_floor_bounds_every_estimate():
         if lo == 0.5:
             assert estimate == floor
     _, bound, resabs, _ = reference_head_panel(g, a, mu, lam, 0.5)
-    _, _, _, estimate = _head_panel(intg, 0.5, _head_rule(complex(mu)))
+    _, _, _, estimate = _product_panel(intg, 0.0, 0.5, _product_rule(2 * complex(mu)))
     assert bound < 0.1 * ROUNDING_FLOOR * resabs
     assert estimate >= ROUNDING_FLOOR * resabs * (1 - 1e-13)
 
@@ -721,14 +831,14 @@ def test_head_panel_integrates_the_endpoint_power():
     # One head panel of g = 1 at lambda = 0 on [0, 1e-3] against
     # int_0^h (cosh t - 1)^(mu-1) sinh t dt = (cosh h - 1)^mu / mu, where
     # a plain 21-point panel is off by 0.6 % (mu = 0.3) to 63 % (mu = 0.03).
-    # The rule takes b + 1 as 2 mu exactly: (2 mu - 1) + 1 is
+    # The rule takes b + 1 as alpha = 2 mu exactly: (2 mu - 1) + 1 is
     # 0.040000000000000036 at mu = 0.02.
-    assert _head_rule(0.02 + 0j)[1] == 0.04
+    assert _product_rule(2 * (0.02 + 0j))[1] == 0.04
     h = 1e-3
     for mu in (0.03, 0.1, 0.3, 0.1 + 0.2j):
-        exact = _cosh_m1(h) ** mu / mu
+        exact = (2 * math.sinh(h / 2) ** 2) ** mu / mu
         intg = _Integrand(lambda x: 1.0, 1.0, complex(mu), 0j)
-        _, _, value, _ = _head_panel(intg, h, _head_rule(complex(mu)))
+        _, _, value, _ = _product_panel(intg, 0.0, h, _product_rule(2 * complex(mu)))
         assert rel(value, exact) <= 1e-14, mu
         _, _, plain, _ = _panel(intg, 0.0, h)
         assert rel(plain, exact) > 5e-3, mu

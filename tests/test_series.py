@@ -695,12 +695,14 @@ def test_struve_w_real_table_matches_oracle(draw):
     # With gamma_n <= 1.01 n u and sum |t_k| = t0 sum |a_k| w^k, all of it
     # is below 1e-16 t0 + u (8K + 4 |(p+1) log(z/2)| + 8 |log G(s)| + 8)
     # sum |t_k| + u (|p| + |b+2|) sum |psi(s + k) t_k|.  z <= 30 keeps the
-    # oracle's 120 terms exact at 40 digits.  The reported tail estimate is
-    # the truncation term plus the rounding of s on the leading term,
-    # u (|p| + |b+2|) |psi(s)| |W|.
+    # oracle's 120 terms exact at 40 digits.  For s < 0, where Gamma(s) may
+    # be negative, log_gamma reflects, and its own error, at most
+    # 1e-14 max(1, |log G(s)|), moves every term by that much relatively.
+    # The reported tail estimate is the truncation term plus, on the
+    # leading term, the rounding of s, u (|p| + |b+2|) |psi(s)| |W|, and
+    # for s < 0 that error of log G(s).
     params, z = draw
-    # A real t0: Gamma(p + (b+2)/2) > 0.
-    assume(not params._log_gamma_shifted.imag and reaches(params, z))
+    assume(reaches(params, z))
     p, b, c = params.p.real, params.b.real, params.c.real
     res = struve_w_full(params, z)
     assert res.value.imag == 0.0
@@ -709,14 +711,44 @@ def test_struve_w_real_table_matches_oracle(draw):
     exponent = abs((p + 1) * math.log(z / 2)) + 2 * abs(params._log_gamma_shifted.real)
     total, weighted = abs_term_sums(p, b, c, z)
     bound = 1e-16 * lead + U * (8 * res.terms + 4 * exponent + 8) * total + U * (abs(p) + abs(b + 2)) * weighted
+    bound += log_gamma_error(params) * total
     assert abs(res.value - oracle.struve_w(p, b, c, z)) <= bound
+
+
+def log_gamma_error(params):
+    """1e-14 max(1, |log G(s)|) where s is not real and positive, else 0."""
+    s = params.shifted_order
+    return 1e-14 * max(1.0, abs(params._log_gamma_shifted)) if s.imag or s.real < 0 else 0.0
+
+
+def test_log_gamma_error_is_in_the_tail_estimate():
+    # W_{-2,1,0}(1) = -2/pi (s = -1/2, Gamma(s) < 0): log_gamma(-1/2)
+    # reflects and is 4.9e-15 off, which puts W 3.0e-15 off; the rounding
+    # of s alone estimated 7.7e-17.  The value keeps its bits.  A complex
+    # s takes log_gamma's shifted Stirling sum, whose error showed the
+    # same way (below: 33x the rounding of s).
+    params = StruveParams(-2.0, 1.0, 0.0)
+    res = struve_w_full(params, 1.0)
+    assert res.value == -0.6366197723675784
+    error = abs(res.value + 2 / mpmath.pi)
+    assert 2e-15 < error <= res.tail_estimate
+    lead = abs(next(_w_terms(params, 1.0)))
+    assert res.tail_estimate == w_tail(params, 1e-16 * lead, res.value)
+    assert res.tail_estimate - log_gamma_error(params) * abs(res.value) < 1e-16
+    p, b, c, z = 0.2542685703311114 - 0.1670763505468167j, 0.5312713643357365, 0.03353642044082039, 0.013577404289500125
+    params = StruveParams(p, b, c)
+    res = struve_w_full(params, z)
+    error = abs(res.value - oracle.struve_w(p, b, c, z))
+    assert 30 * U * (abs(p) + abs(b + 2)) * abs(_digamma(params.shifted_order)) * abs(res.value) < error
+    assert error <= res.tail_estimate
 
 
 def w_tail(params, series_tail, value):
     """struve_w_full's tail estimate: the series' own plus the rounding of
-    s = p + (b+2)/2, u (|p| + |b+2|) |psi(s)| |W|."""
+    s = p + (b+2)/2, u (|p| + |b+2|) |psi(s)| |W|, and where log_gamma
+    reflects its error."""
     rounding = U * (abs(params.p) + abs(params.b + 2)) * abs(_digamma(params.shifted_order))
-    return series_tail + rounding * abs(value)
+    return series_tail + (rounding + log_gamma_error(params)) * abs(value)
 
 
 def test_near_pole_tail_estimate_covers_the_error():
