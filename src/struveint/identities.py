@@ -390,12 +390,8 @@ def verify_case(
     start = time.perf_counter()
     try:
         g = _struve_product(case, sctl)
-        if case.variant == THEOREM1:
-            pref = prefactor_theorem1(case)
-            spec, z = rhs_spec_theorem1(case)
-        else:
-            pref = prefactor_theorem2(case)
-            spec, z = rhs_spec_theorem2(case)
+        pref = _prefactor(case)
+        spec, z = _rhs_spec(case)
         series = lauricella_eval_full(spec, z, sctl)
         quad = integrate_kernel(g, case.a, case.mu, case.lam, qctl)
     except StruveintError as exc:

@@ -8,27 +8,10 @@ the kernel becomes a e^t and the integral turns into
     a^(mu-lambda) * int_0^inf (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t) g(x(t)) dt,
 
 an exponentially-decaying tail plus an algebraic endpoint factor
-t^(2 mu - 1) near t = 0.  Panels between the two ends use the 21-point
-Gauss-Kronrod rule, whose embedded 10-point Gauss rule gives the error
-estimate |K21 - G10| at no extra integrand evaluations.  Nodes and
-weights are the published table of QUADPACK's QK21 (R. Piessens, E. de
-Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner, QUADPACK, Springer
-1983), written to 33 digits so that each rounds to the nearest double;
-a test solves the rule at 40 digits and checks every written digit.
-A panel takes its nodes in one loop, shared with the end rule below:
-each node's kernel weight, its exponent formed as real and imaginary
-floats (math.exp where it is real and cmath.exp rounds alike; the
-imaginary part only where mu, lambda or the end rule's power is
-complex), then, unless the weight underflowed to 0, one call of g and
-the node's terms.
-Every 21-point panel is judged by its |K21 - G10| alone, as in
-QUADPACK's adaptive rules.  Every estimate, the end panels' too, is at
-least QUADPACK's rounding floor 50 eps sum |w_j f_j| over the panel's
-nodes: where the two rules agree to the last bits their difference
-says nothing of the sum's own rounding.
+t^(2 mu - 1) near t = 0.
 
-Both ends are one product-integration rule that takes an algebraic
-weight u^(alpha - 1) exactly, complex alpha included: the rest, phi, is
+Every panel is one product-integration rule for u^(alpha - 1) phi(u) on
+[0, h], which takes the weight exactly, complex alpha included: phi is
 sampled at N = 20 first-kind Chebyshev points, which exclude u = 0, and
 its interpolant is integrated against the weight through the modified
 moments M_k = int_{-1}^{1} (1+x)^B T_k(x) dx, B = alpha - 1, from
@@ -38,21 +21,25 @@ M. Branders, BIT 13 (1973) 443-450; QUADPACK's QAWS).  The moments are
 kept as M_k/M_0 and the factor h^alpha/alpha goes into each node's
 exponent, so a large alpha overflows nothing.  The error estimate is
 2 (|c_{N-2}| + |c_{N-1}|) int_0^h |u^(alpha - 1)| du, c_k the
-interpolant's Chebyshev coefficients.
+interpolant's Chebyshev coefficients, or QUADPACK's rounding floor
+50 eps sum |w_j f_j| over the panel's nodes if that is larger: where
+the last coefficients are rounding noise they say nothing of the sum's
+own rounding.  Panels between the two ends take alpha = 1, weight 1, on
+[lo, hi] in t.
+A panel takes its nodes in one loop: each node's kernel weight, its
+exponent formed as real and imaginary floats (math.exp where it is real
+and cmath.exp rounds alike; the imaginary part only where mu, lambda or
+the end rule's power is complex), then, unless the weight underflowed
+to 0, one call of g and the node's terms.
 
 The head: near t = 0 the substituted integrand is t^(2 mu - 1) times
 phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
 which is analytic wherever g is analytic at x = 0 (theorem1's g is).
 For Re(mu) > 0 every leftmost panel [0, h] is the rule with u = t,
-alpha = 2 mu.  A head that misses its estimate is bisected into a new
-head and a 21-point sibling.  The coefficients understate the error
-where phi itself has a weak power at 0 (theorem2's g ~ x^(p+1) with
-p < 0), but a head's error falls as h^(2 Re(mu)) or faster, so the
-change a bisection made, over 2^(2 Re(mu)) - 1, bounds the new head's
-error too, and the larger of the two is kept.
-Re(mu) <= 0 keeps a 21-point head: the integral then converges only
-where g vanishes at 0 (theorem2), and a head that grows under
-bisection is refused as a non-integrable endpoint.
+alpha = 2 mu.  Re(mu) <= 0 keeps a weight-1 head: the integral then
+converges only where g vanishes at 0 (theorem2), and a head that grows
+under bisection is refused as a non-integrable endpoint.  A head that
+misses its estimate is bisected into a new head and a weight-1 sibling.
 
 The tail: beyond a start theta, s = e^-t maps [theta, inf) onto
 (0, e^-theta], x = a (1-s)^2/(2s), and the integrand becomes
@@ -60,17 +47,25 @@ The tail: beyond a start theta, s = e^-t maps [theta, inf) onto
 u = s, alpha = lambda - mu, and phi = 2^-mu (1-s)^(2 mu - 1) (1+s) g,
 analytic at s = 0 wherever g is analytic in s there (theorem2's g is;
 theorem1's carries s^(P+n)).  Each node is taken at t = -log s.  A tail
-that misses its estimate is split into a 21-point panel on
+that misses its estimate is split into a weight-1 panel on
 [theta, theta + D] and a new tail from theta + D, where
 D = max(log 4, log(estimate/target)/Re(lambda - mu)) should bring its
-estimate to the target; its error falls as e^(-Re(lambda - mu) D) or
-faster for a g bounded at infinity, so, as at the head, the change the
-split made, over e^(Re(lambda - mu) D) - 1, bounds the new tail's error
-too.  theta stays at or below 700, where s is still a normal float; a
-tail that can move no further ends the refinement unconverged.
+estimate to the target.  theta stays at or below 700, where s is still
+a normal float; a tail that can move no further ends the refinement
+unconverged.
+
+The coefficients understate an end's error where phi itself carries a
+weak power at 0 (theorem2's g ~ x^(p+1) with p < 0 at the head,
+theorem1's s^(P+n) at the tail).  But an end panel's error falls as
+w^Re(alpha) or faster in its width w in its own variable (t at the
+head, s at the tail) for a g bounded there, so where a split leaves a
+new end of width w', the change the split made, over
+(w/w')^Re(alpha) - 1, bounds the new end's error too, and the larger of
+the two is kept: 2^(2 Re(mu)) - 1 at the head, e^(Re(lambda - mu) D) - 1
+at the tail.  The weight-1 head of Re(mu) <= 0 has no such bound.
 
 Refinement runs in rounds over one list of panels kept in theta order,
-from five panels: the head on [0, 1/2], 21-point panels on [1/2, 1],
+from five panels: the head on [0, 1/2], weight-1 panels on [1/2, 1],
 [1, 2] and [2, 4], where the integrand is smoother and decays, and the
 tail from 4.  Each round takes the exactly rounded panel sum
 (``series.fsum_complex``) once.  It stops when the errors meet the
@@ -91,43 +86,7 @@ from .record import Record, _set
 from .series import _LOG_2, fsum_complex
 
 
-# QK21 (see the module docstring): the Kronrod (node, weight) pairs for
-# x >= 0, outermost first, and the weights of the embedded 10-point
-# Gauss rule, whose nodes are the 2nd, 4th, 6th, 8th and 10th of these.
-_QK21 = (
-    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
-    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390),
-    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
-    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190),
-    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
-    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805),
-    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
-    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707),
-    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
-    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068),
-    (0.000000000000000000000000000000000, 0.149445554002916905664936468389821),
-)
-_QK21_GAUSS = (
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-
-_GAUSS_POINTS = 10
-# Both rules over all of [-1, 1] in ascending node order; the embedded
-# Gauss rule's nodes are the odd-indexed Kronrod nodes, and the centre
-# node is the Kronrod rule's alone.  _panel runs _node_sums on _RULE,
-# their (node x, Kronrod weight, Gauss weight or 0.0, 0.0) tuples.
-_KRONROD = tuple((-x, w) for x, w in _QK21[:-1]) + _QK21[::-1]
-_GAUSS_WEIGHTS = _QK21_GAUSS + _QK21_GAUSS[::-1]
-_RULE = tuple(
-    (x, w, _GAUSS_WEIGHTS[i // 2] if i % 2 else 0.0, 0.0)
-    for i, (x, w) in enumerate(_KRONROD)
-)
-
-# The head rule's N first-kind Chebyshev points x_j = cos(theta_j),
+# The product rule's N first-kind Chebyshev points x_j = cos(theta_j),
 # theta_j = pi (j + 1/2) / N, in ascending order, as the rows
 # cos(k theta_j), 0 < k < N, that turn samples into Chebyshev
 # coefficients; each row starts with its node.
@@ -145,7 +104,7 @@ _MIN_RATE = 1e-6
 _THETA_MAX = 700.0
 
 # Refinement stops, unconverged, once the list holds this many panels:
-# their 29,988 nodes are about the 30,000 of 2000 15-point panels.  The
+# their 28,560 nodes are about the 30,000 of 2000 15-point panels.  The
 # 5 starting panels are always evaluated, even at a cap of 1; a
 # refinement that reaches the cap ends with exactly _MAX_PANELS panels.
 _MAX_PANELS = 1428
@@ -162,7 +121,7 @@ class QuadControl(Record):
     rel_tol below that is refused, as QUADPACK refuses such an epsrel
     (ier = 6); near it convergence is not assured: it takes panels whose
     sums do not cancel (g = 1 at a = 1, mu = 0.75, lambda = 2 meets the
-    floor itself, in 103 calls)."""
+    floor itself, in 140 calls)."""
 
     __slots__ = ("rel_tol",)
 
@@ -226,10 +185,10 @@ class _Integrand:
         self.evaluations = 0
 
 
-def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None,
+def _node_sums(intg: _Integrand, lo: float, hi: float, nodes, power=None,
                tail=False) -> tuple[complex, complex, complex, float]:
-    """Sums of w0 f, w1 f, w2 f and |w0 f| over a rule's (x, w0, w1, w2)
-    nodes mapped onto [lo, hi], f the substituted integrand; a node whose
+    """Sums of W f, v f, v' f and |W f| over a rule's (x, W, v, v') nodes
+    mapped onto [lo, hi], f the substituted integrand; a node whose
     kernel weight underflows to 0 adds nothing and calls no g.
 
     power = (b_re, b_im, c_re, c_im) divides f by u^b and multiplies it
@@ -249,7 +208,7 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None,
     s0 = s1 = s2 = 0j
     s_abs = 0.0
     skipped = 0
-    for xi, w0, w1, w2 in rule:
+    for xi, w0, w1, w2 in nodes:
         t = mid + half * xi
         if power:
             log_t = log(t)
@@ -286,21 +245,10 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, rule, power=None,
         term = w0 * val
         s0 += term
         s_abs += abs(term)
-        if w1:
-            s1 += w1 * val
-        if w2:
-            s2 += w2 * val
-    intg.evaluations += len(rule) - skipped
+        s1 += w1 * val
+        s2 += w2 * val
+    intg.evaluations += len(nodes) - skipped
     return s0, s1, s2, s_abs
-
-
-def _panel(intg: _Integrand, lo: float, hi: float) -> tuple[float, float, complex, float]:
-    """(lo, hi, 21-point Kronrod value, error estimate) of one panel: its
-    |K21 - G10|, or the rounding floor if that is larger."""
-    half = 0.5 * (hi - lo)
-    kronrod, gauss, _, s_abs = _node_sums(intg, lo, hi, _RULE)
-    kronrod *= half
-    return lo, hi, kronrod, max(abs(kronrod - half * gauss), _ROUNDING_FLOOR * half * s_abs)
 
 
 def _jacobi_moments(b) -> list:
@@ -331,21 +279,31 @@ def _product_rule(alpha: complex):
     return nodes, alpha, 2.0 * abs(alpha) / alpha.real
 
 
-def _product_panel(intg: _Integrand, lo: float, hi: float, rule) -> tuple[float, float, complex, float]:
-    """(lo, hi, value, error estimate) of an end panel by a product rule:
-    the head [0, hi] in t, alpha = 2 mu, where phi = f / t^(alpha - 1), or
-    the tail [lo, inf) as [0, e^-lo] in s = e^-t, alpha = lambda - mu,
-    where phi = f / s^alpha (f dt = f / s ds).  Each phi_j is taken times
-    e^c = h^alpha / alpha against the rule's weights W_j.  The estimate
-    is the coefficient bound, or the rounding floor on the sum of
-    |W_j phi_j e^c| if that is larger."""
+# The rule at weight 1, for every panel but a weighted end.
+_UNIT_RULE = _product_rule(1.0)
+
+
+def _panel(intg: _Integrand, lo: float, hi: float, rule) -> tuple[float, float, complex, float]:
+    """(lo, hi, value, error estimate) of one panel by a product rule:
+    at alpha = 1 on [lo, hi] in t, where phi = f; otherwise the head
+    [0, hi] in t, where phi = f / t^(alpha - 1), or the tail [lo, inf) as
+    [0, e^-lo] in s = e^-t, where phi = f / s^alpha (f dt = f / s ds).
+    Each phi_j is taken times h^alpha / alpha, h the width in u, against
+    the rule's weights W_j.  The estimate is the coefficient bound, or the
+    rounding floor on the sum of |W_j phi_j| h^alpha / alpha if that is
+    larger."""
     nodes, alpha, err_factor = rule
-    tail = hi == math.inf
-    b = alpha if tail else alpha - 1.0
-    c = alpha * (-lo if tail else math.log(hi)) - cmath.log(alpha)
-    end = math.exp(-lo) if tail else hi
-    value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, end, nodes, (b.real, b.imag, c.real, c.imag), tail)
-    return lo, hi, value, max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
+    if alpha == 1.0 and hi < math.inf:
+        scale = hi - lo
+        value, c_n2, c_n1, s_abs = _node_sums(intg, lo, hi, nodes)
+    else:
+        tail = hi == math.inf
+        b = alpha if tail else alpha - 1.0
+        c = alpha * (-lo if tail else math.log(hi)) - cmath.log(alpha)
+        end = math.exp(-lo) if tail else hi
+        scale = 1.0
+        value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, end, nodes, (b.real, b.imag, c.real, c.imag), tail)
+    return lo, hi, scale * value, scale * max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
 
 
 def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> QuadResult:
@@ -360,17 +318,16 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     when the kernel does not decay (Re(lambda_eff) - Re(mu) below 1e-6),
     whatever g is.
 
-    Both ends are product-rule panels that take an algebraic weight
-    exactly (see the module docstring), so only the rest of the
-    integrand must be smooth there.  For Re(mu) > 0 each leftmost panel
-    integrates the endpoint factor t^(2 mu - 1); a g that carries its own
-    non-integer power at 0, as theorem2's does, still bisects the head.
-    The tail [theta, inf) is one panel in s = e^-t that integrates
-    s^(lambda_eff - mu - 1); a g that carries a non-integer power of s
-    there, as theorem1's does, moves the tail's start out, further at a
-    tighter tolerance.  Its estimate assumes g bounded at infinity.
-
-    Other panels are 21-point Gauss-Kronrod rules judged by |K21 - G10|.
+    Every panel is one 20-point Chebyshev product rule (see the module
+    docstring).  Both ends take an algebraic weight exactly, so only the
+    rest of the integrand must be smooth there.  For Re(mu) > 0 each
+    leftmost panel integrates the endpoint factor t^(2 mu - 1); a g that
+    carries its own non-integer power at 0, as theorem2's does, still
+    bisects the head.  The tail [theta, inf) is one panel in s = e^-t
+    that integrates s^(lambda_eff - mu - 1); a g that carries a
+    non-integer power of s there, as theorem1's does, moves the tail's
+    start out, further at a tighter tolerance.  Its estimate assumes g
+    bounded at infinity.  Panels between the ends take weight 1.
     Refinement starts from a head on [0, 1/2], panels on [1/2, 1],
     [1, 2] and [2, 4], and the tail from 4.  No estimate is below 50 eps
     times its panel's sum of |w f|.
@@ -378,8 +335,8 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     A g that oscillates in x at large x is not resolved: in theta its
     period shrinks like e^(-theta), so refinement runs to the panel cap
     unconverged (``g = cos(3x)``, a = 1, mu = 0.9, lambda_eff = 2 ends
-    at 1428 panels after 59,866 calls of g; at lambda_eff = 0.91 the tail
-    reaches theta = 700 after 186).  The paper's integrands are
+    at 1428 panels after 57,020 calls of g; at lambda_eff = 0.91 the
+    tail reaches theta = 700 after 220).  The paper's integrands are
     unaffected: their Struve arguments, y or x y over
     x + a + sqrt(x^2 + 2ax), tend to 0 or y/2.
     """
@@ -395,25 +352,15 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             "tail not certifiable: Re(lambda_eff) - Re(mu) = "
             f"{rate:.3g} is not positive"
         )
-    # Every leftmost panel [0, h] is one head-rule panel where Re(mu) > 0.
-    # A head's error is h^(2 Re(mu) + s) times a constant, where
-    # phi(t) - phi(0) goes like t^s, s > 0.  So it shrinks by
-    # 2^(-2 Re(mu)) or faster per bisection, and what a bisection changed,
-    # over 2^(2 Re(mu)) - 1, bounds the new head's error where the
-    # coefficient estimate falls short (small s: g with a fractional zero).
-    # The tail's error falls likewise by e^(-rate D) or faster when its
-    # start moves out by D.
-    head_rule = _product_rule(2.0 * mu) if mu.real > 0 else None
+    head_rule = _product_rule(2.0 * mu) if mu.real > 0 else _UNIT_RULE
     tail_rule = _product_rule(lam - mu)
-    # (Capped where expm1 would overflow; the scale is below 1e-300 there.)
-    drop_scale = 1.0 / math.expm1(min(2.0 * mu.real, 1000.0) * _LOG_2) if head_rule else 0.0
-
-    def head(hi: float):
-        return _product_panel(intg, 0.0, hi, head_rule) if head_rule else _panel(intg, 0.0, hi)
+    # Re(alpha) log(w / w') of a head bisection (see the module docstring).
+    head_shrink = 2.0 * mu.real * _LOG_2 if mu.real > 0 else 0.0
 
     # The head on [0, 1/2], panels that double in width up to 4, the tail.
-    panels = [head(0.5)] + [_panel(intg, lo, 2.0 * lo) for lo in (0.5, 1.0, 2.0)]
-    panels.append(_product_panel(intg, 4.0, math.inf, tail_rule))
+    panels = [_panel(intg, 0.0, 0.5, head_rule)]
+    panels += [_panel(intg, lo, 2.0 * lo, _UNIT_RULE) for lo in (0.5, 1.0, 2.0)]
+    panels.append(_panel(intg, 4.0, math.inf, tail_rule))
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
@@ -440,15 +387,11 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         for i in sorted(split):
             lo, hi, value, err = panels[i]
             if hi == math.inf:
-                # A 21-point panel over the stretch by which the tail's
+                # A weight-1 panel over the stretch by which the tail's
                 # estimate should fall to the target, the tail after it.
                 step = math.log(max(err, target) / target) / rate if target else math.inf
                 mid_point = min(lo + max(step, 2.0 * _LOG_2), _THETA_MAX)
-                left = _panel(intg, lo, mid_point)
-                right = _product_panel(intg, mid_point, hi, tail_rule)
-                drop = abs(value - left[2] - right[2])
-                fall = math.expm1(min(rate * (mid_point - lo), 700.0))  # (below overflow)
-                right = (mid_point, hi, right[2], max(right[3], drop / fall))
+                shrink = rate * (mid_point - lo)  # its width in s is e^-theta
             else:
                 if lo == 0.0:
                     head_magnitudes.append(abs(value))
@@ -459,11 +402,18 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
                             "non-integrable endpoint: head contributions diverge under refinement"
                         )
                 mid_point = 0.5 * (lo + hi)
-                left = head(mid_point) if lo == 0.0 else _panel(intg, lo, mid_point)
-                right = _panel(intg, mid_point, hi)
-                if lo == 0.0 and head_rule:
-                    drop = abs(value - left[2] - right[2])
-                    left = (0.0, mid_point, left[2], max(left[3], drop * drop_scale))
+                shrink = head_shrink if lo == 0.0 else 0.0
+            left = _panel(intg, lo, mid_point, head_rule if lo == 0.0 else _UNIT_RULE)
+            right = _panel(intg, mid_point, hi, tail_rule if hi == math.inf else _UNIT_RULE)
+            if shrink:
+                # The new end's error is at most the split's change over
+                # (w / w')^Re(alpha) - 1 (see the module docstring);
+                # capped where expm1 would overflow.
+                bound = abs(value - left[2] - right[2]) / math.expm1(min(shrink, 700.0))
+                if lo == 0.0:
+                    left = (*left[:3], max(left[3], bound))
+                else:
+                    right = (*right[:3], max(right[3], bound))
             refined += panels[kept_from:i]
             refined += (left, right)
             kept_from = i + 1

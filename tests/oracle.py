@@ -232,3 +232,28 @@ def prefactor_scaled_argument(a, lam, mu, b, p, y):
         for pj, yj in zip(p, y):
             val *= _mpc(yj) ** (_mpc(pj) + 1) / mp.gamma(_mpc(pj) + (b_ + 2) / 2)
         return complex(val)
+
+
+def identity_rhs(case, max_degree=60):
+    """Prefactor times Lauricella series of an identity case (any object
+    with the attributes of ``IntegralCase``), at 40 digits."""
+    lam, mu, b, c, a = case.lam, case.mu, case.b, case.c, case.a
+    n = len(case.p)
+    p_sum = sum(case.p)
+    s = lam + p_sum + n
+    twos, fours = [2.0] * n, [4.0] * n
+    per_var_upper = [[(1.0, 1.0)] for _ in case.p]
+    per_var_lower = [[(1.5, 1.0), (pj + (b + 2) / 2, 1.0)] for pj in case.p]
+    if case.variant == "theorem1":
+        pref = prefactor_fixed_argument(a, lam, mu, b, case.p, case.y)
+        global_upper = [(1 + s, twos), (s - mu, twos)]
+        global_lower = [(s, twos), (1 + s + mu, twos)]
+        z = [-c * yj * yj / (4 * a * a) for yj in case.y]
+    else:
+        pref = prefactor_scaled_argument(a, lam, mu, b, case.p, case.y)
+        global_upper = [(2 * mu + 2 * p_sum + 2 * n, fours), (1 + s, twos)]
+        global_lower = [(1 + lam + mu + 2 * p_sum + 2 * n, fours), (s, twos)]
+        z = [-c * yj * yj / 16.0 for yj in case.y]
+    return pref * lauricella(
+        global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=max_degree
+    )

@@ -564,8 +564,8 @@ def test_verify_error_on_a_later_case_ends_the_run(tmp_path, capsys, monkeypatch
 def test_verify_tolerance_override(tmp_path, capsys, monkeypatch):
     # A right side off by 1e-8 relative passes the default tolerance
     # and fails --tol 1e-9.
-    true_prefactor = identities.prefactor_theorem1
-    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: true_prefactor(case) * (1 + 1e-8))
+    true_prefactor = identities._prefactor
+    monkeypatch.setattr(identities, "_prefactor", lambda case: true_prefactor(case) * (1 + 1e-8))
     path = write_cases(tmp_path, [GOOD_CASE])
     assert run(capsys, "verify", str(path))[0] == 0
     code, out, _ = run(capsys, "verify", str(path), "--tol", "1e-9")

@@ -463,8 +463,8 @@ def test_verify_rejects_tolerance_outside_open_interval():
 def test_verify_independent_routes_disagree_when_tampered(monkeypatch):
     # Sanity guard on the comparison logic itself: a right side off by
     # 1e-8 relative fails at tol 1e-9.
-    true_prefactor = identities.prefactor_theorem1
-    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: true_prefactor(case) * (1 + 1e-8))
+    true_prefactor = identities._prefactor
+    monkeypatch.setattr(identities, "_prefactor", lambda case: true_prefactor(case) * (1 + 1e-8))
     rep = verify_case(make_case(), tol=1e-9)
     assert not rep.passed
     assert "exceeds tolerance" in rep.reason
@@ -483,7 +483,7 @@ def test_verify_exact_agreement_has_zero_rel_err(monkeypatch):
 
 def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
     # rhs == 0 != lhs gives rel_err inf and a failed report.
-    monkeypatch.setattr(identities, "prefactor_theorem1", lambda case: 0j)
+    monkeypatch.setattr(identities, "_prefactor", lambda case: 0j)
     rep = verify_case(make_case())
     assert rep.rhs == 0 and rep.lhs != 0
     assert rep.rel_err == math.inf
@@ -492,14 +492,15 @@ def test_verify_zero_rhs_has_infinite_rel_err(monkeypatch):
 
 
 def test_verify_small_mu_case_in_few_calls():
-    # The head rule, three 21-point panels and the tail panel bring
-    # theorem1 at mu = 0.1 to tolerance in 103 calls of g; an envelope-cut
-    # tail took 114, seven 15-point panels 150, a head graded by
-    # t = h v^5 355, plain head bisection 6,000.
+    # The head rule, three weight-1 panels and the tail panel bring
+    # theorem1 at mu = 0.1 to tolerance in 100 calls of g; with 21-point
+    # panels between the ends it took 103, with an envelope-cut tail 114,
+    # seven 15-point panels 150, a head graded by t = h v^5 355, plain
+    # head bisection 6,000.
     case = make_case(mu=0.1)
     rep = verify_case(case)
     assert rep.passed, rep.reason
-    assert rep.lhs_diag["evaluations"] <= 103
+    assert rep.lhs_diag["evaluations"] <= 100
     assert rep.rel_err <= 1e-12
 
 
@@ -521,19 +522,20 @@ def test_report_diagnostics_are_pinned():
     # the results it holds; these are the anchor's values (mu = 3/4, its
     # head one panel of the head rule).  g decays like e^(-2 theta) = s^2,
     # a polynomial factor of the tail panel's phi in s = e^-t, so the
-    # tail panel from theta = 4 takes it and nothing is split: 103 calls
-    # (a cutoff set by probes of |g| went to theta = 9.1 in 114 calls,
-    # one at the kernel's rate alone to 17.3 in 156); the left side's
-    # error, 3.5e-18, is within its estimate.
+    # tail panel from theta = 4 takes it and nothing is split: 100 calls
+    # (103 with 21-point panels between the ends; a cutoff set by probes
+    # of |g| went to theta = 9.1 in 114 calls, one at the kernel's rate
+    # alone to 17.3 in 156); the left side's error, 3.5e-18, is within
+    # its estimate.
     rep = verify_case(make_case())
     assert rep.passed and rep.reason is None
     expected = (
         {
             "panels_used": 5,
             "cutoff_theta": 4.0,
-            "error_estimate": 3.1868816932769955e-16,
+            "error_estimate": 1.5764909115733382e-15,
             "converged": True,
-            "evaluations": 103,
+            "evaluations": 100,
         },
         {
             "shells": 10,
@@ -546,13 +548,14 @@ def test_report_diagnostics_are_pinned():
     )
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err, rep.rel_err) == expected
     # Failed on the tolerance: the same results, and the verdict (at
-    # y = 1/2, where the two sides differ by 1.2e-16).
+    # y = 1/2, where the two sides differ by 2.4e-16; 1.2e-16 with
+    # 21-point panels between the ends).
     passing = verify_case(make_case(y=(0.5,)))
     rep = verify_case(make_case(y=(0.5,)), tol=1e-16)
-    assert passing.passed and rep.rel_err == 1.209286723091023e-16
+    assert passing.passed and rep.rel_err == 2.418573446182046e-16
     assert (rep.lhs_diag, rep.rhs_diag, rep.abs_err) == (passing.lhs_diag, passing.rhs_diag, passing.abs_err)
     assert not rep.passed
-    assert rep.reason == "relative error 1.209e-16 exceeds tolerance 1.0e-16"
+    assert rep.reason == "relative error 2.419e-16 exceeds tolerance 1.0e-16"
     # Failed while evaluating: no results to report.
     rep = verify_case(make_case(y=(1e6,)))
     assert not rep.passed
@@ -575,30 +578,6 @@ def test_report_survives_pickling():
     assert not hasattr(rep, "__dict__")
 
 
-def _oracle_rhs(case, max_degree=60):
-    """Prefactor times Lauricella series of a case, at 40 digits."""
-    lam, mu, b, c, a = case.lam, case.mu, case.b, case.c, case.a
-    n = len(case.p)
-    p_sum = sum(case.p)
-    s = lam + p_sum + n
-    twos, fours = [2.0] * n, [4.0] * n
-    per_var_upper = [[(1.0, 1.0)] for _ in case.p]
-    per_var_lower = [[(1.5, 1.0), (pj + (b + 2) / 2, 1.0)] for pj in case.p]
-    if case.variant == "theorem1":
-        pref = oracle.prefactor_fixed_argument(a, lam, mu, b, case.p, case.y)
-        global_upper = [(1 + s, twos), (s - mu, twos)]
-        global_lower = [(s, twos), (1 + s + mu, twos)]
-        z = [-c * yj * yj / (4 * a * a) for yj in case.y]
-    else:
-        pref = oracle.prefactor_scaled_argument(a, lam, mu, b, case.p, case.y)
-        global_upper = [(2 * mu + 2 * p_sum + 2 * n, fours), (1 + s, twos)]
-        global_lower = [(1 + lam + mu + 2 * p_sum + 2 * n, fours), (s, twos)]
-        z = [-c * yj * yj / 16.0 for yj in case.y]
-    return pref * oracle.lauricella(
-        global_upper, global_lower, per_var_upper, per_var_lower, z, max_degree=max_degree
-    )
-
-
 def test_verify_theorem1_n4_within_default_budget():
     # The right side stops after 30 total degrees.  Summed multi-index by
     # multi-index, the 10,000-term default budget ran out first
@@ -606,7 +585,7 @@ def test_verify_theorem1_n4_within_default_budget():
     case = IntegralCase("theorem1", a=1.0, lam=2.0, mu=0.75, b=1.0, c=1.0, p=(1.0,) * 4, y=(4.0,) * 4)
     rep = verify_case(case)
     assert rep.passed
-    assert rel(rep.rhs, _oracle_rhs(case, max_degree=32)) <= 1e-10
+    assert rel(rep.rhs, oracle.identity_rhs(case, max_degree=32)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -621,7 +600,7 @@ def test_verify_large_a_is_relative(case):
     # At large a both sides are tiny (|rhs| ~ 1e-15 at a = 1e4); the
     # quadrature and the verdict must still hold to relative accuracy.
     rep = verify_case(case)
-    assert rel(rep.lhs, _oracle_rhs(case)) <= 1e-10
+    assert rel(rep.lhs, oracle.identity_rhs(case)) <= 1e-10
     assert rep.rel_err == rep.abs_err / abs(rep.rhs)
     assert not rep.passed or rep.rel_err <= rep.tolerance_used
 
