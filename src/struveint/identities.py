@@ -318,7 +318,8 @@ def _relative_error(lhs: complex, rhs: complex) -> float:
 class VerificationReport(Record):
     """One case's verdict, holding the results it was built from: the
     left side's ``QuadResult``, the right side's ``LauricellaResult`` and
-    the prefactor (all None where evaluation failed first).  The sides,
+    the prefactor (each None where evaluation failed before it; a right
+    side summed before the left side raised is kept).  The sides,
     their errors and the two diagnostic dicts are derived from them."""
 
     __slots__ = ("case", "passed", "tolerance_used", "reason", "quad", "series", "prefactor", "wall_clock_s")
@@ -336,7 +337,8 @@ class VerificationReport(Record):
 
     @property
     def rhs(self) -> complex:
-        """The prefactor times the Lauricella value; nan on failure."""
+        """The prefactor times the Lauricella value; nan where the series
+        was not summed."""
         return complex("nan") if self.series is None else self.prefactor * self.series.value
 
     @property
@@ -355,6 +357,7 @@ class VerificationReport(Record):
         return {} if q is None else {
             "panels_used": q.panels_used, "cutoff_theta": q.cutoff_theta,
             "error_estimate": q.error_estimate, "converged": q.converged, "evaluations": q.evaluations,
+            "stop_reason": q.stop_reason,
         }
 
     @property
@@ -384,10 +387,11 @@ def verify_case(
     quadrature converged and rel_err = |lhs - rhs| / |rhs| is at most
     tol, with rel_err 0 when lhs == rhs and inf when only rhs is 0.
     Evaluation failures are recorded in the report (passed = False with a
-    reason), not raised; a tolerance outside (0, inf) raises DomainError.
+    reason, and a right side summed before the left side raised), not raised; a tolerance outside (0, inf) raises DomainError.
     """
     tol = _checked_tolerance(tol)
     start = time.perf_counter()
+    series = pref = None
     try:
         g = _struve_product(case, sctl)
         pref = _prefactor(case)
@@ -395,7 +399,9 @@ def verify_case(
         series = lauricella_eval_full(spec, z, sctl)
         quad = integrate_kernel(g, case.a, case.mu, case.lam, qctl)
     except StruveintError as exc:
-        return _failed_report(case, tol, str(exc), time.perf_counter() - start)
+        # What was evaluated before the failure, a whole right side
+        # included, stays in the report.
+        return VerificationReport(case, False, tol, str(exc), None, series, pref, time.perf_counter() - start)
 
     rel_err = _relative_error(quad.value, pref * series.value)
     if not quad.converged:

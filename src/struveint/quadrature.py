@@ -26,11 +26,14 @@ interpolant's Chebyshev coefficients, or QUADPACK's rounding floor
 the last coefficients are rounding noise they say nothing of the sum's
 own rounding.  Panels between the two ends take alpha = 1, weight 1, on
 [lo, hi] in t.
-A panel takes its nodes in one loop: each node's kernel weight, its
-exponent formed as real and imaginary floats (math.exp where it is real
-and cmath.exp rounds alike; the imaginary part only where mu, lambda or
-the end rule's power is complex), then, unless the weight underflowed
-to 0, one call of g and the node's terms.
+A panel takes its nodes in two passes.  The geometry pass depends on
+the panel alone: each node's t, w = cosh t - 1, log w, log sinh t and,
+at an end, log u; the five starting panels' geometry is built at import.
+The per-case pass forms each node's kernel exponent as real and
+imaginary floats (math.exp where it is real and cmath.exp rounds alike;
+the imaginary part only where mu, lambda or the end rule's power is
+complex), then, unless the weight underflowed to 0, makes one call of g
+and adds the node's terms.
 
 The head: near t = 0 the substituted integrand is t^(2 mu - 1) times
 phi(t) = ((cosh t - 1)/t^2)^(mu-1) (sinh t/t) e^(-lambda t) g(x(t)),
@@ -142,12 +145,15 @@ DEFAULT_QUAD = QuadControl()
 
 
 class QuadResult(Record):
-    # evaluations: calls of g; cutoff_theta: where the tail panel starts.
-    __slots__ = ("value", "error_estimate", "panels_used", "cutoff_theta", "converged", "evaluations")
+    # evaluations: calls of g; cutoff_theta: where the tail panel starts;
+    # stop_reason: which exit ended the refinement, "tolerance met",
+    # "panel cap" or "tail at theta max" (None where not given).
+    __slots__ = ("value", "error_estimate", "panels_used", "cutoff_theta", "converged", "evaluations",
+                 "stop_reason")
 
     def __init__(self, value: complex, error_estimate: float, panels_used: int, cutoff_theta: float,
-                 converged: bool, evaluations: int):
-        self._init(value, error_estimate, panels_used, cutoff_theta, converged, evaluations)
+                 converged: bool, evaluations: int, stop_reason: str | None = None):
+        self._init(value, error_estimate, panels_used, cutoff_theta, converged, evaluations, stop_reason)
 
 
 def _checked_a(a) -> float:
@@ -185,35 +191,23 @@ class _Integrand:
         self.evaluations = 0
 
 
-def _node_sums(intg: _Integrand, lo: float, hi: float, nodes, power=None,
-               tail=False) -> tuple[complex, complex, complex, float]:
-    """Sums of W f, v f, v' f and |W f| over a rule's (x, W, v, v') nodes
-    mapped onto [lo, hi], f the substituted integrand; a node whose
-    kernel weight underflows to 0 adds nothing and calls no g.
-
-    power = (b_re, b_im, c_re, c_im) divides f by u^b and multiplies it
-    by e^c, both folded into the node's exponent, u the mapped node: t,
-    or with ``tail`` s = e^-t, where f is taken at t = -log s."""
+def _geometry(lo: float, hi: float, end=False, tail=False) -> tuple:
+    """Per node of the rule's points mapped onto [lo, hi], the kernel's
+    parts that no case changes: (t, w, log w, log sinh t, log u),
+    w = cosh t - 1.  At an ``end`` u is the mapped node, t itself, or
+    with ``tail`` s = e^-t, where the node is taken at t = -log s; log u
+    is 0.0 elsewhere."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    g, a = intg.g, intg.a
-    mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
-    lam_re, lam_im = intg.lam.real, intg.lam.imag
-    b_re, b_im, c_re, c_im = power or (0.0, 0.0, 0.0, 0.0)
-    # Fixed per panel: whether the exponent is real (its imaginary part
-    # would be 0 at every node), so that no node forms that part.
-    real = not (mu_im or lam_im or b_im or c_im)
-    log, log1p, exp, cexp, sinh = math.log, math.log1p, math.exp, cmath.exp, math.sinh
-    isfinite = cmath.isfinite
-    s0 = s1 = s2 = 0j
-    s_abs = 0.0
-    skipped = 0
-    for xi, w0, w1, w2 in nodes:
-        t = mid + half * xi
-        if power:
-            log_t = log(t)
+    log, log1p, exp, sinh = math.log, math.log1p, math.exp, math.sinh
+    nodes = []
+    for row in _CHEB_COS:
+        t = mid + half * row[0]
+        log_u = 0.0
+        if end:
+            log_u = log(t)
             if tail:
-                t = -log_t
+                t = -log_u
         s = sinh(0.5 * t)  # w = cosh t - 1 = 2 sinh(t/2)^2
         w = 2.0 * s * s
         log_w = log(w) if w >= _TINY_COSH_M1 else _log_tiny_cosh_m1(t)
@@ -221,9 +215,33 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, nodes, power=None,
             log_sinh = log(t) + log1p(t * t / 6.0)
         else:
             log_sinh = t + log1p(-exp(-2.0 * t)) - _LOG_2
+        nodes.append((t, w, log_w, log_sinh, log_u))
+    return tuple(nodes)
+
+
+def _node_sums(intg: _Integrand, geometry, nodes, power=None) -> tuple[complex, complex, complex, float]:
+    """Sums of W f, v f, v' f and |W f| over a rule's (x, W, v, v') nodes
+    at their ``_geometry``, f the substituted integrand; a node whose
+    kernel weight underflows to 0 adds nothing and calls no g.
+
+    power = (b_re, b_im, c_re, c_im) divides f by u^b and multiplies it
+    by e^c, both folded into the node's exponent, u the end's variable."""
+    g, a = intg.g, intg.a
+    mu_re, mu_im = intg.mu.real - 1.0, intg.mu.imag
+    lam_re, lam_im = intg.lam.real, intg.lam.imag
+    b_re, b_im, c_re, c_im = power or (0.0, 0.0, 0.0, 0.0)
+    # Fixed per panel: whether the exponent is real (its imaginary part
+    # would be 0 at every node), so that no node forms that part.
+    real = not (mu_im or lam_im or b_im or c_im)
+    exp, cexp = math.exp, cmath.exp
+    isfinite = cmath.isfinite
+    s0 = s1 = s2 = 0j
+    s_abs = 0.0
+    skipped = 0
+    for (t, w, log_w, log_sinh, log_u), (_, w0, w1, w2) in zip(geometry, nodes):
         re = mu_re * log_w + log_sinh - lam_re * t
         if power:
-            re += c_re - b_re * log_t
+            re += c_re - b_re * log_u
         if re > _EXP_LIMIT:
             raise RangeError("substituted integrand overflows")
         if real:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
@@ -231,7 +249,7 @@ def _node_sums(intg: _Integrand, lo: float, hi: float, nodes, power=None,
         else:
             im = mu_im * log_w - lam_im * t
             if power:
-                im += c_im - b_im * log_t
+                im += c_im - b_im * log_u
             if im:
                 kern = cexp(complex(re, im))
             else:
@@ -282,8 +300,18 @@ def _product_rule(alpha: complex):
 # The rule at weight 1, for every panel but a weighted end.
 _UNIT_RULE = _product_rule(1.0)
 
+# The five panels every refinement starts from, as (lo, hi, node
+# geometry) in t: the head [0, 1/2], with log t for its weight (a
+# weight-1 head ignores it), [1/2, 1], [1, 2], [2, 4], and the tail from
+# 4 in s = e^-t.
+_START_PANELS = (
+    (0.0, 0.5, _geometry(0.0, 0.5, end=True)),
+    *((lo, 2.0 * lo, _geometry(lo, 2.0 * lo)) for lo in (0.5, 1.0, 2.0)),
+    (4.0, math.inf, _geometry(0.0, math.exp(-4.0), end=True, tail=True)),
+)
 
-def _panel(intg: _Integrand, lo: float, hi: float, rule) -> tuple[float, float, complex, float]:
+
+def _panel(intg: _Integrand, lo: float, hi: float, rule, geometry=None) -> tuple[float, float, complex, float]:
     """(lo, hi, value, error estimate) of one panel by a product rule:
     at alpha = 1 on [lo, hi] in t, where phi = f; otherwise the head
     [0, hi] in t, where phi = f / t^(alpha - 1), or the tail [lo, inf) as
@@ -291,18 +319,19 @@ def _panel(intg: _Integrand, lo: float, hi: float, rule) -> tuple[float, float, 
     Each phi_j is taken times h^alpha / alpha, h the width in u, against
     the rule's weights W_j.  The estimate is the coefficient bound, or the
     rounding floor on the sum of |W_j phi_j| h^alpha / alpha if that is
-    larger."""
+    larger.  A starting panel passes its import-time ``geometry``; any
+    other panel's is built here."""
     nodes, alpha, err_factor = rule
     if alpha == 1.0 and hi < math.inf:
         scale = hi - lo
-        value, c_n2, c_n1, s_abs = _node_sums(intg, lo, hi, nodes)
+        value, c_n2, c_n1, s_abs = _node_sums(intg, geometry or _geometry(lo, hi), nodes)
     else:
         tail = hi == math.inf
         b = alpha if tail else alpha - 1.0
         c = alpha * (-lo if tail else math.log(hi)) - cmath.log(alpha)
-        end = math.exp(-lo) if tail else hi
+        geometry = geometry or _geometry(0.0, math.exp(-lo) if tail else hi, end=True, tail=tail)
         scale = 1.0
-        value, c_n2, c_n1, s_abs = _node_sums(intg, 0.0, end, nodes, (b.real, b.imag, c.real, c.imag), tail)
+        value, c_n2, c_n1, s_abs = _node_sums(intg, geometry, nodes, (b.real, b.imag, c.real, c.imag))
     return lo, hi, scale * value, scale * max(err_factor * (abs(c_n2) + abs(c_n1)), _ROUNDING_FLOOR * s_abs)
 
 
@@ -357,10 +386,9 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
     # Re(alpha) log(w / w') of a head bisection (see the module docstring).
     head_shrink = 2.0 * mu.real * _LOG_2 if mu.real > 0 else 0.0
 
-    # The head on [0, 1/2], panels that double in width up to 4, the tail.
-    panels = [_panel(intg, 0.0, 0.5, head_rule)]
-    panels += [_panel(intg, lo, 2.0 * lo, _UNIT_RULE) for lo in (0.5, 1.0, 2.0)]
-    panels.append(_panel(intg, 4.0, math.inf, tail_rule))
+    # The starting panels: the head's rule, weight 1 between, the tail's.
+    rules = (head_rule, _UNIT_RULE, _UNIT_RULE, _UNIT_RULE, tail_rule)
+    panels = [_panel(intg, lo, hi, rule, geometry) for (lo, hi, geometry), rule in zip(_START_PANELS, rules)]
 
     # Refine in rounds (see the module docstring); panels stay in theta order.
     head_magnitudes: list[float] = []
@@ -371,7 +399,8 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         err_total = sum(errs)
         converged = err_total <= target
         room = _MAX_PANELS - len(panels)
-        if converged or room <= 0:
+        stop_reason = "tolerance met" if converged else "panel cap" if room <= 0 else None
+        if stop_reason:
             break
         excess = err_total - target
         split = []
@@ -381,7 +410,8 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
             if excess <= 0:
                 break
         if len(panels) - 1 in split and panels[-1][0] >= _THETA_MAX:
-            break  # the tail can move no further out
+            stop_reason = "tail at theta max"  # it can move no further out
+            break
         refined = []
         kept_from = 0
         for i in sorted(split):
@@ -429,6 +459,7 @@ def integrate_kernel(g, a, mu, lambda_eff, ctl: QuadControl = DEFAULT_QUAD) -> Q
         cutoff_theta=panels[-1][0],
         converged=converged,
         evaluations=intg.evaluations,
+        stop_reason=stop_reason,
     )
 
 

@@ -288,6 +288,25 @@ def test_theorem1_tail_decaying_through_struve_factor():
     assert abs(rep.lhs - ref) <= 1e-6 * abs(ref)
 
 
+def test_report_keeps_the_right_side_when_the_left_side_raises():
+    # The xfail case above: its left side is refused, but the right side,
+    # summed first, stays in the report with its diagnostics; the verdict
+    # and its reason are as before.
+    case = IntegralCase("theorem1", a=1.0, lam=0.5, mu=1.0, b=1.0, c=1.0, p=(1.0,), y=(1.0,))
+    ref = oracle.prefactor_fixed_argument(1.0, 0.5, 1.0, 1.0, (1.0,), (1.0,)) * oracle.lauricella(
+        [(3.5, (2.0,)), (1.5, (2.0,))], [(2.5, (2.0,)), (4.5, (2.0,))],
+        [[(1.0, 1.0)]], [[(1.5, 1.0), (2.5, 1.0)]], [-0.25],
+    )
+    rep = verify_case(case)
+    assert not rep.passed
+    assert rep.reason == "tail not certifiable: Re(lambda_eff) - Re(mu) = -0.5 is not positive"
+    assert abs(rep.rhs - ref) <= 1e-14 * abs(ref)
+    assert set(rep.rhs_diag) == {"shells", "terms", "tail_estimate", "prefactor"}
+    assert rep.rhs_diag["terms"] > 0
+    assert (rep.lhs_diag, rep.abs_err, rep.rel_err) == ({}, math.inf, math.inf)
+    assert math.isnan(rep.lhs.real)
+
+
 # Indices of the paper-domain sweep's draws that verify_case fails today:
 # 61 "tail not certifiable", 16 "quadrature tolerance not met" (all
 # theorem1) and one overflowing substituted integrand.  Together they

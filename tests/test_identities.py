@@ -536,6 +536,7 @@ def test_report_diagnostics_are_pinned():
             "error_estimate": 1.5764909115733382e-15,
             "converged": True,
             "evaluations": 100,
+            "stop_reason": "tolerance met",
         },
         {
             "shells": 10,
@@ -655,6 +656,7 @@ def test_verify_lhs_matches_public_struve_product(case):
         "error_estimate": quad.error_estimate,
         "converged": quad.converged,
         "evaluations": quad.evaluations,
+        "stop_reason": quad.stop_reason,
     }
 
 

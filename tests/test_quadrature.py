@@ -17,6 +17,7 @@ from struveint import (
 from struveint.gammafn import _EXP_LIMIT
 from struveint.quadrature import (
     _CHEB_POINTS,
+    _START_PANELS,
     _THETA_MAX,
     _UNIT_RULE,
     _Integrand,
@@ -67,7 +68,7 @@ def test_unit_integrand_analytic_value():
     # After the cosh substitution the a=1, mu=1, lambda=2 case is
     # int_0^inf e^(-2t) sinh t dt = 1/3.
     res = integrate_kernel(lambda x: 1.0, 1.0, 1.0, 2.0)
-    assert res.converged
+    assert res.converged and res.stop_reason == "tolerance met"
     assert rel(res.value, 1.0 / 3.0) < 1e-11
     assert abs(res.value - 1.0 / 3.0) <= res.error_estimate
 
@@ -317,7 +318,7 @@ def test_panel_cap_limits_refinement_not_layout(monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
         res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 2.0)
         assert not res.converged
-        assert res.panels_used == expected, cap
+        assert (res.panels_used, res.stop_reason) == (expected, "panel cap"), cap
 
 
 @pytest.mark.parametrize("mu", [-0.5, 0.0, -0.2 + 0.3j])
@@ -421,7 +422,7 @@ def test_tail_cutoff_cap_binds():
     # further: the result is flagged, and nothing is raised.
     res = integrate_kernel(lambda x: math.cos(3.0 * x), 1.0, 0.9, 0.91)
     assert res.cutoff_theta == _THETA_MAX == 700.0
-    assert not res.converged
+    assert not res.converged and res.stop_reason == "tail at theta max"
     assert res.evaluations < 1000
     assert math.isfinite(res.value.real) and math.isfinite(res.error_estimate)
 
@@ -468,11 +469,10 @@ def test_evaluations_count_every_call_of_g():
         assert res.evaluations == len(calls)
 
 
-# --- one panel's 20 nodes in one loop against a per-node integrand ----------------
+# --- one panel's 20 nodes against a per-node integrand ----------------------------
 
-def reference_node(g, a, mu, lam, t, calls):
-    """The substituted integrand at one node, node by node: kernel weight
-    (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t), then g unless it is 0."""
+def reference_geometry(t):
+    """(w, log w, log sinh t) at one node, w = cosh t - 1 = 2 sinh(t/2)^2."""
     s = math.sinh(0.5 * t)
     w = 2.0 * s * s
     log_w = math.log(w) if w >= 1e-300 else math.log(2.0) + 2.0 * math.log(s)
@@ -480,7 +480,19 @@ def reference_node(g, a, mu, lam, t, calls):
         log_sinh = math.log(t) + math.log1p(t * t / 6.0)
     else:
         log_sinh = t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
+    return w, log_w, log_sinh
+
+
+def reference_node(g, a, mu, lam, t, calls, end=None):
+    """The substituted integrand at one node, node by node: kernel weight
+    (cosh t - 1)^(mu-1) sinh(t) e^(-lambda t), then g unless it is 0.
+    At an end, end = (b, c, log u) divides it by u^b and multiplies it by
+    e^c in the exponent."""
+    w, log_w, log_sinh = reference_geometry(t)
     lt = (mu - 1.0) * log_w + log_sinh - lam * t
+    if end:
+        b, c, log_u = end
+        lt += c - b * log_u
     if lt.real > _EXP_LIMIT:
         raise RangeError("substituted integrand overflows")
     kern = cmath.exp(lt)
@@ -523,7 +535,7 @@ def panel_outcome(run):
     return bits, calls
 
 
-def one_loop_panel(g, a, mu, lam, lo, hi):
+def recorded_panel(g, a, mu, lam, lo, hi, rule=_UNIT_RULE):
     calls = []
 
     def recorded(x):
@@ -531,10 +543,17 @@ def one_loop_panel(g, a, mu, lam, lo, hi):
         return g(x)
 
     intg = _Integrand(recorded, a, complex(mu), complex(lam))
-    record = _panel(intg, lo, hi, _UNIT_RULE)
+    # A starting panel takes its import-time geometry, as integrate_kernel
+    # passes it.
+    geometry = {(start_lo, start_hi): geo for start_lo, start_hi, geo in _START_PANELS}.get((lo, hi))
+    record = _panel(intg, lo, hi, rule, geometry)
     assert intg.evaluations == len(calls)
     assert record[:2] == (lo, hi)
     return *record[2:], calls
+
+
+def wavy(x):
+    return complex(math.cos(x), 0.3 * math.sin(x))
 
 
 PANEL_CASES = [
@@ -542,6 +561,13 @@ PANEL_CASES = [
     # panels, complex parameters, and a head so short that cosh t - 1
     # underflows.
     (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.5, 2.5),
+    # The weight-1 starting panels, whose node geometry is built at
+    # import, and the weight-1 head on [0, 1/2] of Re(mu) <= 0, which
+    # takes the weighted head's.
+    (wavy, 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.5, 1.0),
+    (wavy, 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 1.0, 2.0),
+    (wavy, 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 2.0, 4.0),
+    (lambda x: x / (1.0 + x), 1.0, -0.2 + 0.3j, 2.0, 0.0, 0.5),
     (lambda x: complex(math.cos(x), 0.3 * math.sin(x)), 1.5, 0.7 + 0.2j, 2.1 - 0.1j, 0.0, 1e-4),
     (lambda x: math.exp(-1e-3 * x), 2.0, 1.3, 1.9, 30.0, 32.0),
     (lambda x: 1.0, 1.0, 0.03, 2.0, 0.0, 1e-250),
@@ -557,7 +583,72 @@ PANEL_CASES = [
 def test_panel_matches_per_node_integrand(case):
     expected = panel_outcome(lambda: reference_panel(*case))
     assert len(expected[1]) == _CHEB_POINTS
-    assert panel_outcome(lambda: one_loop_panel(*case)) == expected
+    assert panel_outcome(lambda: recorded_panel(*case)) == expected
+
+
+def reference_end_panel(g, a, mu, lam, tail):
+    """(value, error estimate, calls of g) of the head rule on [0, 1/2]
+    (u = t, alpha = 2 mu) or of the tail rule from theta = 4 (u = s = e^-t
+    on [0, e^-4], alpha = lambda - mu, each node at t = -log s), node by
+    node and summed as _panel sums: f / u^b times e^c, b = alpha - 1 at
+    the head and alpha at the tail, c = alpha log h - log alpha, h the
+    width in u."""
+    mu, lam = complex(mu), complex(lam)
+    nodes, alpha, err_factor = _product_rule(lam - mu if tail else 2 * mu)
+    b = alpha if tail else alpha - 1.0
+    c = alpha * (-4.0 if tail else math.log(0.5)) - cmath.log(alpha)
+    end = math.exp(-4.0) if tail else 0.5
+    calls = []
+    value = c_18 = c_19 = 0j
+    resabs = 0.0
+    for xi, wi, vi, vi1 in nodes:
+        u = 0.5 * end + 0.5 * end * xi
+        fi = reference_node(g, a, mu, lam, -math.log(u) if tail else u, calls, (b, c, math.log(u)))
+        value += wi * fi
+        resabs += abs(wi * fi)
+        c_18 += vi * fi
+        c_19 += vi1 * fi
+    return 1.0 * value, 1.0 * max(err_factor * (abs(c_18) + abs(c_19)), ROUNDING_FLOOR * resabs), calls
+
+
+@pytest.mark.parametrize("tail", [False, True])
+@pytest.mark.parametrize("case", [
+    # (g, a, mu, lam): complex parameters, a g with a pole at x = -1, and
+    # a small mu, whose head weight t^(2 mu - 1) is steep.
+    (wavy, 1.5, 0.7 + 0.2j, 2.1 - 0.1j),
+    (lambda x: (1.0 + x) ** -3, 1.0, 0.75, 2.0),
+    (lambda x: 1.0, 1.0, 0.03, 2.0),
+])
+def test_start_end_panels_match_per_node_integrand(case, tail):
+    # The head on [0, 1/2] and the tail from theta = 4 take their node
+    # geometry from tables built at import.
+    g, a, mu, lam = case
+    expected = panel_outcome(lambda: reference_end_panel(g, a, mu, lam, tail))
+    assert len(expected[1]) == _CHEB_POINTS
+    lo, hi = (4.0, math.inf) if tail else (0.0, 0.5)
+    rule = _product_rule(complex(lam) - complex(mu) if tail else 2 * complex(mu))
+    assert panel_outcome(lambda: recorded_panel(g, a, mu, lam, lo, hi, rule)) == expected
+
+
+def test_start_geometry_tables_match_per_node_geometry():
+    # Each import-time panel is (lo, hi, geometry), the geometry
+    # (t, w, log w, log sinh t, log u) at the rule's nodes, recomputed
+    # here node by node: u = t on the head, u = s = e^-t on the tail
+    # (t = -log s), and log u = 0 elsewhere.
+    tail_end = math.exp(-4.0)
+    expected = []
+    for lo, hi in ((0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, math.inf)):
+        entry = []
+        for xi, *_ in _UNIT_RULE[0]:
+            if hi == math.inf:
+                s = 0.5 * tail_end + 0.5 * tail_end * xi
+                t, log_u = -math.log(s), math.log(s)
+            else:
+                t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xi
+                log_u = math.log(t) if lo == 0.0 else 0.0
+            entry.append((t, *reference_geometry(t), log_u))
+        expected.append((lo, hi, tuple(entry)))
+    assert repr(_START_PANELS) == repr(tuple(expected))
 
 
 def test_panel_skips_g_where_the_weight_underflows():
@@ -566,18 +657,18 @@ def test_panel_skips_g_where_the_weight_underflows():
     case = (lambda x: 1.0 + x, 1.0, 1.0, 1000.0, 0.7, 0.8)
     expected = panel_outcome(lambda: reference_panel(*case))
     assert 0 < len(expected[1]) < _CHEB_POINTS
-    assert panel_outcome(lambda: one_loop_panel(*case)) == expected
+    assert panel_outcome(lambda: recorded_panel(*case)) == expected
 
 
 def test_panel_errors_name_the_failing_node():
     non_finite = (lambda x: math.inf if x > 1.2 else 1.0, 1.0, 0.8, 2.0, 1.0, 2.0)
     message = panel_outcome(lambda: reference_panel(*non_finite))
     assert message.startswith("integrand non-finite at theta = ")
-    assert panel_outcome(lambda: one_loop_panel(*non_finite)) == message
+    assert panel_outcome(lambda: recorded_panel(*non_finite)) == message
     # (cosh t - 1)^(-1.5) at t ~ 1e-300 is beyond the double range.
     overflow = (lambda x: 1.0, 1.0, -0.5, 2.0, 0.0, 1e-300)
     assert panel_outcome(lambda: reference_panel(*overflow)) == "substituted integrand overflows"
-    assert panel_outcome(lambda: one_loop_panel(*overflow)) == "substituted integrand overflows"
+    assert panel_outcome(lambda: recorded_panel(*overflow)) == "substituted integrand overflows"
 
 
 # --- the head rule: modified moments and one panel at 40 digits ----------------

@@ -33,8 +33,9 @@ def series(terms=31):
 
 CASE_REPR = ("IntegralCase(variant='theorem1', a=1.0, lam=(2+0j), mu=(0.75+0j), b=(1+0j), c=(1+0j), "
              "p=((1+0j),), y=(1.0,), n=1)")
+# Built from six fields: stop_reason, added last, defaults to None.
 QUAD_REPR = ("QuadResult(value=(0.5+0j), error_estimate=1e-14, panels_used=34, cutoff_theta=12.5, "
-             "converged=True, evaluations=310)")
+             "converged=True, evaluations=310, stop_reason=None)")
 SERIES_REPR = "LauricellaResult(value=(1.25+0j), shells=30, terms=31, tail_estimate=1e-18)"
 
 # (build, build with one field changed, the repr the records had as dataclasses)
