@@ -189,14 +189,20 @@ def log_gamma(z) -> complex:
     return _log_gamma_complex(z)
 
 
-def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -> complex:
+def _row_name(label: tuple) -> str:
+    """A row's name from its parts, a block name and indices: ("per_var_lower",
+    0, 1) reads per_var_lower[0][1].  Only error messages format one."""
+    return label[0] + "".join(f"[{i}]" for i in label[1:])
+
+
+def _log_gamma_named(z: complex, param: complex, subscript: float, label: tuple) -> complex:
     """log Gamma(z), z = param + subscript; a gamma pole names the row."""
     try:
         return log_gamma(z)
     except GammaPoleError as exc:
         raise GammaPoleError(
             exc.location,
-            f"{label}: parameter {param} at subscript {subscript} "
+            f"{_row_name(label)}: parameter {param} at subscript {subscript} "
             f"hits the gamma pole at {exc.location}",
         ) from exc
 
@@ -204,7 +210,8 @@ def _log_gamma_named(z: complex, param: complex, subscript: float, label: str) -
 def gamma_ratio_block(upper, lower, pochhammer: bool):
     """``log_at(K)``: the log of the product of Gamma(p + e K) over the
     ``upper`` rows divided by the same product over the ``lower`` rows,
-    each row a (complex parameter p, exponent e, label); with
+    each row a (complex parameter p, exponent e, label), the label the
+    parts that ``_row_name`` formats; with
     ``pochhammer``, each row's log Gamma(p) is subtracted, which gives
     the log of a ratio of Pochhammer symbols (p)_(e K).
 

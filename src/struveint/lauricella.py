@@ -15,6 +15,9 @@ the sum of shell K is that block times the K-th Cauchy-product
 coefficient of the per-variable series: O(n K) work per degree and one
 complex exponentiation.  The shell sums are the terms of ``sum_terms``;
 convolution coefficients are summed by ``series.fsum_complex``.
+A spec takes its convergence margins once, when it is built.  A row
+carries its name as parts, block name and indices, formatted (as in
+``per_var_lower[0][1]``) only where an error names the row.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import cmath
 import math
 
 from .errors import DivergenceError, DomainError, RangeError
-from .gammafn import _EXP_LIMIT, gamma_ratio_block
+from .gammafn import _EXP_LIMIT, _row_name, gamma_ratio_block
 from .record import Record, _set
 from .series import (_RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, boundary_radius,
                      fsum_complex, sum_terms)
@@ -32,11 +35,11 @@ from .series import (_RADIUS_MARGIN, DEFAULT_CONTROL, SeriesControl, _modulus, b
 _MAX_DEGREE = 400
 
 
-def _parameter(value, label: str) -> complex:
-    """A block's parameter as a complex; DomainError naming it unless finite."""
+def _parameter(value, *label) -> complex:
+    """A block's parameter as a complex; DomainError naming its row unless finite."""
     value = complex(value)
     if not cmath.isfinite(value):
-        raise DomainError(f"{label}: parameter must be finite")
+        raise DomainError(f"{_row_name(label)}: parameter must be finite")
     return value
 
 
@@ -50,7 +53,7 @@ def _norm_global(block, n: int, label: str):
             raise DomainError(f"{label}: exponents must be positive reals")
         if len(set(exps)) > 1:
             raise DomainError(f"{label}: exponent vector must be the same for every variable")
-        out.append((_parameter(a, f"{label}[{j}]"), exps))
+        out.append((_parameter(a, label, j), exps))
     return tuple(out)
 
 
@@ -65,7 +68,7 @@ def _norm_per_var(blocks, n: int, label: str):
             e = float(e)
             if not 0 < e < math.inf:
                 raise DomainError(f"{label}[{m}]: exponents must be positive reals")
-            row.append((_parameter(b, f"{label}[{m}][{j}]"), e))
+            row.append((_parameter(b, label, m, j), e))
         out.append(tuple(row))
     return tuple(out)
 
@@ -82,7 +85,8 @@ class LauricellaSpec(Record):
     are 1).
     """
 
-    __slots__ = ("global_upper", "global_lower", "per_var_upper", "per_var_lower", "n")
+    # _margins: convergence_margins(), taken once here.
+    __slots__ = ("global_upper", "global_lower", "per_var_upper", "per_var_lower", "n", "_margins")
 
     def __init__(self, global_upper: tuple, global_lower: tuple, per_var_upper: tuple,
                  per_var_lower: tuple, n: int):
@@ -93,7 +97,11 @@ class LauricellaSpec(Record):
         _set(self, "per_var_upper", _norm_per_var(per_var_upper, n, "per_var_upper"))
         _set(self, "per_var_lower", _norm_per_var(per_var_lower, n, "per_var_lower"))
         _set(self, "n", n)
-        for m, margin in enumerate(self.convergence_margins()):
+        _set(self, "_margins", tuple(
+            1.0 + sum(e[m] for _, e in self.global_lower) + sum(e for _, e in self.per_var_lower[m])
+            - sum(e[m] for _, e in self.global_upper) - sum(e for _, e in self.per_var_upper[m])
+            for m in range(n)))
+        for m, margin in enumerate(self._margins):
             if margin < 0:
                 raise DivergenceError(
                     f"variable {m}: weight balance 1 + sum(psi) + sum(delta) "
@@ -101,16 +109,9 @@ class LauricellaSpec(Record):
                 )
 
     def convergence_margins(self) -> tuple[float, ...]:
-        """Per-variable margin; > 0 means the series is entire there."""
-        margins = []
-        for m in range(self.n):
-            margin = 1.0
-            margin += sum(e[m] for _, e in self.global_lower)
-            margin += sum(e for _, e in self.per_var_lower[m])
-            margin -= sum(e[m] for _, e in self.global_upper)
-            margin -= sum(e for _, e in self.per_var_upper[m])
-            margins.append(margin)
-        return tuple(margins)
+        """Per-variable margin 1 + sum(psi) + sum(delta) - sum(theta) -
+        sum(phi); > 0 means the series is entire there."""
+        return self._margins
 
     def boundary_radius(self, m: int) -> float:
         """Certified |z_m| radius when the margin of variable m is zero."""
@@ -120,10 +121,10 @@ class LauricellaSpec(Record):
         )
 
 
-def _labelled(block, label: str) -> list:
-    """A block's (parameter, exponent, label) rows for ``gamma_ratio_block``;
-    a global block's exponent vector gives its one exponent."""
-    return [(p, e if isinstance(e, float) else e[0], f"{label}[{j}]") for j, (p, e) in enumerate(block)]
+def _labelled(block, *name) -> list:
+    """A block's (parameter, exponent, (*name, index)) rows for
+    ``gamma_ratio_block``; a global block's exponent vector gives its one."""
+    return [(p, e if isinstance(e, float) else e[0], (*name, j)) for j, (p, e) in enumerate(block)]
 
 
 class LauricellaResult(Record):
@@ -156,7 +157,7 @@ def _degree_sums(spec: LauricellaSpec, zs, moduli):
     # Each block's log Gamma(parameter) once, z_m = 0 variables' too, in
     # the order degree 0 meets them, so the first gamma pole raised is the
     # one a per-degree pass would raise.
-    per_var = [gamma_ratio_block(_labelled(up, f"per_var_upper[{m}]"), _labelled(lo, f"per_var_lower[{m}]"),
+    per_var = [gamma_ratio_block(_labelled(up, "per_var_upper", m), _labelled(lo, "per_var_lower", m),
                                  pochhammer=True)
                for m, (up, lo) in enumerate(zip(spec.per_var_upper, spec.per_var_lower))]
     glob = gamma_ratio_block(_labelled(spec.global_upper, "global_upper"),
@@ -211,7 +212,7 @@ def lauricella_eval_full(
     if len(zs) != spec.n:
         raise DomainError(f"argument vector must have length n = {spec.n}")
     moduli = [_modulus(v) for v in zs]
-    for m, margin in enumerate(spec.convergence_margins()):
+    for m, margin in enumerate(spec._margins):
         if margin == 0 and moduli[m] >= _RADIUS_MARGIN * spec.boundary_radius(m):
             raise DomainError(
                 f"|z_{m}| = {moduli[m]:.6g} is outside the certified radius "

@@ -42,6 +42,8 @@ _REL_TOL = 1e-16
 # _w_table's limits: 2 |a_K| w^K <= 1e-16 with coefficients a_K in [_TINY, _HUGE].
 _TAIL_TOL = _REL_TOL / _TAIL_SAFETY
 _TINY = sys.float_info.min
+# From here up z/2 is a normal float, whose log needs no detour.
+_TWO_TINY = 2.0 * _TINY
 _HUGE = sys.float_info.max
 # Room for rounding in _w_evaluator's bound on the terms' moduli.
 _ROUNDING_ROOM = 1.0 + 2.0**-30
@@ -290,7 +292,9 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
     sequences, so every one that reaches w gives the same bits.  Past the
     table's reach, or where |t_0| sum_k |a_k| w^k (a bound on every term
     and partial sum) nears the double range, the result is
-    sum_terms(_w_terms(params, z), ctl).
+    sum_terms(_w_terms(params, z), ctl).  Where t_0 is real and p + 1 > 0,
+    the range and overflow tests are decided once for the whole table
+    (up to its largest argument z_top), and a call inside it skips them.
     """
     coeffs, limits, moduli = _w_table(params, w_max, ctl)
     reach = len(limits)
@@ -300,42 +304,55 @@ def _w_evaluator(params: StruveParams, w_max: float, ctl: SeriesControl):
     p1 = (p if p.imag else p.real) + 1
     lgs = lgs if lgs.imag else lgs.real
     real_t0 = isinstance(p1, float) and isinstance(lgs, float)
+    inf, log, exp, cexp = math.inf, math.log, math.exp, cmath.exp
     # |t_0| <= cap keeps that bound in range for every w the table reaches.
     bound = _horner(moduli, reach - 1, limits[-1]) * _ROUNDING_ROOM**2 if reach else math.inf
     cap = _HUGE / bound if bound <= _HUGE else 0.0
+    # Where t_0 is real and grows with z (p + 1 > 0), log t_0 at the
+    # table's largest argument z_top bounds it at every z <= z_top.  If that
+    # log, one unit up, is below _MATH_EXP_LIMIT and log(cap), a call with
+    # 2 _TINY <= z <= z_top that the table reaches passes every test below
+    # and takes math.exp, so it skips them: same bits.  The unit covers
+    # p1 times log's rounding while |rise| < 2^50; rise is inf where the
+    # tests cannot be decided so (complex t_0, p + 1 <= 0, no cap).
+    z_top = 2.0 * math.sqrt(limits[-1]) if reach else 0.0
+    rise = p1 * log(z_top / 2.0) if real_t0 and p1 > 0.0 and cap > 0.0 and _TWO_TINY <= z_top < inf else inf
+    if not (abs(rise) < 2.0**50 and rise - _LOG_GAMMA_3_2 - lgs + 1.0 <= min(_MATH_EXP_LIMIT, log(cap))):
+        z_top = 0.0  # every call takes the tests
     # rows[k] = [coeffs[k-1], ..., coeffs[0]], the coefficients below
     # coeffs[k] in Horner's order, made on first use: a one-off call pays
     # O(k) for its one row.  Threads that race here store equal rows.
-    rows = {}
-    inf, log, exp, cexp = math.inf, math.log, math.exp, cmath.exp
+    rows = [None] * reach
 
     def evaluate(z: float, full: bool = False):
-        if not 0.0 < z < inf:
-            _require_positive_z(z)  # raises
         half = z / 2.0
-        # log(z/2) as _log_half takes it.
-        log_t0 = p1 * (log(half) if half >= _TINY else log(z) - _LOG_2) - _LOG_GAMMA_3_2 - lgs
-        if log_t0.real > _EXP_LIMIT:
-            raise RangeError("leading series term overflows")
-        if not real_t0:
-            t0 = cexp(log_t0)
-        else:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
-            t0 = exp(log_t0) if log_t0 <= _MATH_EXP_LIMIT else cexp(log_t0).real
         w = half * half
         k = bisect_left(limits, w)
-        if k < reach:
-            size = abs(t0)
-            if size <= cap or size * _horner(moduli, k, w) * _ROUNDING_ROOM <= _HUGE:
-                row = rows.get(k)
-                if row is None:
-                    row = rows[k] = coeffs[k - 1::-1] if k else []
-                total = coeffs[k]  # _horner(coeffs, k, w), inline
-                for c in row:
-                    total = total * w + c
-                value = t0 * total
-                return SeriesResult(complex(value), k + 1, _REL_TOL * size) if full else value
-        res = sum_terms(_w_terms(params, z), ctl)
-        return res if full else res.value
+        if k < reach and _TWO_TINY <= z <= z_top and not full:
+            t0 = exp(p1 * log(half) - _LOG_GAMMA_3_2 - lgs)
+        else:
+            if not 0.0 < z < inf:
+                _require_positive_z(z)  # raises
+            # log(z/2) as _log_half takes it.
+            log_t0 = p1 * (log(half) if half >= _TINY else log(z) - _LOG_2) - _LOG_GAMMA_3_2 - lgs
+            if log_t0.real > _EXP_LIMIT:
+                raise RangeError("leading series term overflows")
+            if not real_t0:
+                t0 = cexp(log_t0)
+            else:  # math.exp has cmath.exp's bits up to _MATH_EXP_LIMIT
+                t0 = exp(log_t0) if log_t0 <= _MATH_EXP_LIMIT else cexp(log_t0).real
+            size = abs(t0)  # every full call comes here, so the return below has it
+            if k == reach or not (size <= cap or size * _horner(moduli, k, w) * _ROUNDING_ROOM <= _HUGE):
+                res = sum_terms(_w_terms(params, z), ctl)
+                return res if full else res.value
+        row = rows[k]
+        if row is None:
+            row = rows[k] = coeffs[k - 1::-1] if k else []
+        total = coeffs[k]  # _horner(coeffs, k, w), inline
+        for c in row:
+            total = total * w + c
+        value = t0 * total
+        return SeriesResult(complex(value), k + 1, _REL_TOL * size) if full else value
 
     return evaluate
 
@@ -480,8 +497,8 @@ def _modulus(z: complex) -> float:
 def _fox_wright_block(spec: FoxWrightSpec):
     """``gammafn.gamma_ratio_block`` of prod G(a_j + A_j k) / prod G(b_j + B_j k),
     its rows named upper[j] and lower[j]."""
-    return gamma_ratio_block([(a, w, f"upper[{j}]") for j, (a, w) in enumerate(spec.upper)],
-                             [(b, w, f"lower[{j}]") for j, (b, w) in enumerate(spec.lower)], pochhammer=False)
+    return gamma_ratio_block([(a, w, ("upper", j)) for j, (a, w) in enumerate(spec.upper)],
+                             [(b, w, ("lower", j)) for j, (b, w) in enumerate(spec.lower)], pochhammer=False)
 
 
 def _fox_wright_terms(spec: FoxWrightSpec, z: complex):

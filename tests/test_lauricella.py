@@ -216,7 +216,7 @@ def hex_pair(value):
 
 
 def ratio_rows(pairs, label):
-    return [(complex(p), e, f"{label}[{j}]") for j, (p, e) in enumerate(pairs)]
+    return [(complex(p), e, (label, j)) for j, (p, e) in enumerate(pairs)]
 
 
 @settings(max_examples=300, deadline=None)

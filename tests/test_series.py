@@ -887,6 +887,46 @@ def test_evaluator_is_t0_times_horner(p, b, c):
     assert len(reached) > 10
 
 
+@pytest.mark.parametrize("p, b, c, checked_once", [
+    (1.2, 1.0, 1.0, True),
+    (0.5, -4.0, 1.0, True),  # Gamma(s) < 0, s = -1/2
+    (1.2, 1.0, -1.0, True),
+    (-1.75, 1.0, 1.0, False),  # p + 1 <= 0: t_0 falls as z grows
+    (1.0 + 0.5j, 1.0, 1.0, False),
+])
+def test_checked_once_path_keeps_the_bits(p, b, c, checked_once):
+    # Where t_0 is real and p + 1 > 0, the evaluator proves once per table
+    # that every call with 2 _TINY <= z <= z_top passes its range and
+    # overflow tests, and skips them.  A full call always takes the tests,
+    # and so does every z outside that range: across the table, at its top
+    # z_top = 2 sqrt(limits[-1]) and its neighbours, past the table and at
+    # the smallest positive z, both give the same value.  So does a
+    # one-off struve_w wherever the shared table reaches w = (z/2)^2 (past
+    # it, the shared table falls back to sum_terms, the one-off does not).
+    params, ctl = StruveParams(p, b, c), SeriesControl()
+    evaluate = _w_evaluator(params, 25.0, ctl)
+    cells = dict(zip(evaluate.__code__.co_freevars, evaluate.__closure__))
+    assert (cells["z_top"].cell_contents > 0.0) == checked_once
+    limits = _w_table(params, 25.0, ctl)[1]
+    z_top = 2.0 * math.sqrt(limits[-1])
+    # A reordered leading-term expression moves the bits at a few per cent
+    # of z, so the grid is fine enough to meet some of them.
+    zs = [z_top * j / 512 for j in range(1, 513)]
+    zs += [math.nextafter(z_top, 0.0), math.nextafter(z_top, math.inf), 1.5 * z_top, 5e-324]
+
+    def value(run):
+        try:
+            return repr(complex(run()))
+        except StruveintError as exc:
+            return repr(exc)
+
+    for z in zs:
+        expected = value(lambda: evaluate(z, True).value)
+        assert value(lambda: evaluate(z)) == expected, z
+        if (z / 2.0) * (z / 2.0) <= limits[-1]:
+            assert value(lambda: struve_w(params, z)) == expected, z
+
+
 def test_struve_w_real_fallback_crafted():
     # W_{1,1,1}'s table ends before a_k underflows, near z = 60: past it
     # the common rule sums.
